@@ -1,8 +1,8 @@
-"""Process-wide runtime knobs.
+"""Process-wide worker count.
 
-Worker count only affects how work is scheduled (thread pools, FFT worker
-hints), never the arithmetic, so results stay bitwise identical across
-settings.
+Its only effect is the `workers` hint passed to scipy.fft, which splits a
+transform across threads without changing its arithmetic, so results stay
+bitwise identical across settings.
 """
 
 from __future__ import annotations

@@ -22,68 +22,54 @@ produce negative totals matching their dissipation rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainViolationError, ParameterError
-from .fields import DiscreteField
-from .mollifier import MollifierKernel, axis_derivative, mollify
+from .errors import ParameterError
+from .fields import DiscreteField, magnitude_lq_norm
+from .mollifier import MollifierKernel, axis_derivative, mollify, sweep
 from .rates import RateFit, aitken_limit, fit_loglog
-from .systems import SystemSpec, fd_jacobian
+from .systems import SystemSpec, fd_jacobian, require_in_domain
 from .testfunctions import TestFunction
 
 
-def _needed_entries(system: SystemSpec):
-    return [(i, j)
-            for i in range(system.n) if i not in system.affine_rows
-            for j in range(system.k + 1) if j not in system.affine_columns]
-
-
-def _check_states(system: SystemSpec, field: DiscreteField,
-                  mollified: DiscreteField) -> None:
-    if system.domain.kind == "all-space":
-        return
-    ok = system.domain.contains(field.values)
-    if not bool(np.all(ok)):
-        bad = field.values[tuple(np.argwhere(~ok)[0])]
-        raise DomainViolationError(
-            f"field state {np.array2string(bad, precision=6)} lies outside the "
-            f"domain of {system.name!r}")
-    ok = system.domain.contains(mollified.values)
-    if not bool(np.all(ok)):
-        bad = mollified.values[tuple(np.argwhere(~ok)[0])]
-        raise DomainViolationError(
-            f"mollified state {np.array2string(bad, precision=6)} leaves the "
-            f"domain of {system.name!r}; replace the system with "
-            "extend_to_compact_range(...) over the field's range box")
-
-
-def _commutator_parts(system: SystemSpec, field: DiscreteField,
-                      kernel: MollifierKernel, method: str,
-                      mollified: Optional[DiscreteField] = None):
-    """Mollified field plus the nonzero commutator entries.
-
-    Returns (mollified, entries, parts) where parts[m] is the lattice
-    array for the entry index pair entries[m].
-    """
-    if mollified is None:
-        mollified = mollify(field, kernel, method=method)
-    _check_states(system, field, mollified)
-    entries = _needed_entries(system)
+def _commutator(system: SystemSpec, field: DiscreteField,
+                kernel: MollifierKernel, mollified: DiscreteField,
+                entries, method: str) -> list:
+    """One lattice array per commutator entry in `entries`.  The flux
+    temporaries die with this frame, so no sweep holds them across eps."""
     if not entries:
-        return mollified, entries, []
-    G_of_U = system.G(field.values)
-    stacked = np.stack([G_of_U[..., i, j] for i, j in entries], axis=-1)
-    del G_of_U
+        return []
+    rows, cols = zip(*entries)
     smoothed_G = mollify(
-        DiscreteField(lattice=field.lattice, values=stacked,
+        DiscreteField(lattice=field.lattice,
+                      values=system.G(field.values)[..., rows, cols],
                       periodic_time=field.periodic_time),
-        kernel, method=method)
+        kernel, method=method).values
     G_of_mollified = system.G(mollified.values)
-    parts = [G_of_mollified[..., i, j] - smoothed_G.values[..., m]
-             for m, (i, j) in enumerate(entries)]
-    return mollified, entries, parts
+    return [G_of_mollified[..., i, j] - smoothed_G[..., m]
+            for m, (i, j) in enumerate(entries)]
+
+
+def _commutators(system: SystemSpec, field: DiscreteField,
+                 kernels: Sequence[MollifierKernel], method: str):
+    """Yield (kernel, [U]_eps, U on its window, entries, parts) per kernel,
+    coarsest epsilon first, where parts[m] is the commutator entry
+    entries[m] (affine rows and columns left out)."""
+    require_in_domain(system.domain, field.values,
+                      f"field of {system.name!r}")
+    entries = [(i, j)
+               for i in range(system.n) if i not in system.affine_rows
+               for j in range(system.k + 1) if j not in system.affine_columns]
+    for kernel, mollified, window in sweep(field, kernels, method):
+        require_in_domain(
+            system.domain, mollified.values,
+            f"mollified field of {system.name!r} at eps {kernel.epsilon:g} "
+            "(replace the system with extend_to_compact_range(...) over the "
+            "field's range box)")
+        yield (kernel, mollified, window, entries,
+               _commutator(system, field, kernel, mollified, entries, method))
 
 
 def commutator_field(system: SystemSpec, field: DiscreteField,
@@ -96,22 +82,13 @@ def commutator_field(system: SystemSpec, field: DiscreteField,
     state domain; the fix is to extend the system to a compact range
     first.
     """
-    mollified, entries, parts = _commutator_parts(system, field, kernel, method)
+    _, mollified, _, entries, parts = next(
+        _commutators(system, field, [kernel], method))
     out = np.zeros(mollified.lattice.shape + (system.n, system.k + 1))
     for (i, j), part in zip(entries, parts):
         out[..., i, j] = part
     return DiscreteField(lattice=mollified.lattice, values=out,
                          periodic_time=mollified.periodic_time)
-
-
-def _power_norm(arrays, q: float, cell_volume: float) -> float:
-    """L^q norm of the Euclidean magnitude over a list of component arrays."""
-    if not arrays:
-        return 0.0
-    mag2 = np.zeros_like(arrays[0])
-    for a in arrays:
-        mag2 += a * a
-    return float((np.sum(mag2 ** (q / 2.0)) * cell_volume) ** (1.0 / q))
 
 
 @dataclass(frozen=True)
@@ -141,22 +118,21 @@ def lemma_bound_audit(system: SystemSpec, field: DiscreteField,
     all nonzero stencil offsets, so the cost grows with the stencil size;
     intended for audit-scale lattices.
     """
-    if not kernels:
-        raise ParameterError("empty kernel sweep")
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")
     if not field.periodic_time:
         raise ParameterError(
             "lemma_bound_audit requires a fully periodic field (the shift "
             "maximum wraps every axis)")
-    kernels = sorted(kernels, key=lambda k: -k.epsilon)
+    n_axes = field.lattice.n_axes
     eps, lhs, bounds = [], [], []
-    for kernel in kernels:
-        mollified, entries, parts = _commutator_parts(system, field, kernel, method)
+    for kernel, mollified, window, _, parts in _commutators(system, field,
+                                                            kernels, method):
         vol = mollified.lattice.cell_volume
-        lhs.append(_power_norm(parts, q, vol))
-        approx = _lq_of_magnitude(mollified.values - _window(field, mollified),
-                                  2.0 * q, vol)
+        lhs.append(magnitude_lq_norm(np.stack(parts, axis=-1), n_axes, q, vol)
+                   if parts else 0.0)
+        approx = magnitude_lq_norm(mollified.values - window, n_axes,
+                                   2.0 * q, vol)
         shift_sup = _max_shift_norm(field, kernel, 2.0 * q)
         bounds.append(approx ** 2 + shift_sup ** 2)
         eps.append(kernel.epsilon)
@@ -169,19 +145,6 @@ def lemma_bound_audit(system: SystemSpec, field: DiscreteField,
                            commutator_Lq_norms=lhs,
                            lemma_bound_values=bounds, measured_C=ratio,
                            rate_fit=fit_loglog(eps, lhs))
-
-
-def _window(field: DiscreteField, like: DiscreteField) -> np.ndarray:
-    """Field values restricted to the (possibly time-trimmed) window of `like`."""
-    if like.lattice.n_time == field.lattice.n_time:
-        return field.values
-    r = (field.lattice.n_time - like.lattice.n_time) // 2
-    return field.values[r:r + like.lattice.n_time]
-
-
-def _lq_of_magnitude(values: np.ndarray, q: float, cell_volume: float) -> float:
-    comps = [values[..., i] for i in range(values.shape[-1])]
-    return _power_norm(comps, q, cell_volume)
 
 
 def _max_shift_norm(field: DiscreteField, kernel: MollifierKernel,
@@ -197,9 +160,8 @@ def _max_shift_norm(field: DiscreteField, kernel: MollifierKernel,
         if field.periodic_time and off < tuple([0] * len(off)):
             continue
         shifted = np.roll(field.values, shift=off, axis=tuple(range(lat.n_axes)))
-        comps = [field.values[..., i] - shifted[..., i]
-                 for i in range(field.n)]
-        best = max(best, _power_norm(comps, q, vol))
+        best = max(best, magnitude_lq_norm(field.values - shifted,
+                                           lat.n_axes, q, vol))
     return best
 
 
@@ -230,13 +192,10 @@ def residual_R(system: SystemSpec, field: DiscreteField,
     D_X psi.  The multiplier Jacobian D_U B uses the system's analytic DB
     when present, else central differences with step fd_step.
     """
-    if not kernels:
-        raise ParameterError("empty kernel sweep")
-    kernels = sorted(kernels, key=lambda k: -k.epsilon)
     eps, I1s, I2s, totals = [], [], [], []
     test_cache = {}
-    for kernel in kernels:
-        mollified, entries, parts = _commutator_parts(system, field, kernel, method)
+    for kernel, mollified, _, entries, parts in _commutators(system, field,
+                                                             kernels, method):
         lat = mollified.lattice
         key = (lat, mollified.periodic_time)
         if key not in test_cache:
@@ -274,7 +233,7 @@ def good_set_measure(field: DiscreteField, kernel: MollifierKernel,
     """Fraction of lattice nodes where |U - [U]_eps| < delta."""
     if delta <= 0:
         raise ParameterError(f"delta must be positive, got {delta}")
-    mollified = mollify(field, kernel, method=method)
-    diff = mollified.values - _window(field, mollified)
+    _, mollified, window = next(sweep(field, [kernel], method))
+    diff = mollified.values - window
     mag = np.sqrt(np.einsum("...i,...i->...", diff, diff))
     return float(np.mean(mag < delta))

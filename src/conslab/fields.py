@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .systems import SystemSpec, require_in_domain
 
 _MAGIC = b"CLABFLD1"
 _FORMAT_VERSION = 1
+_HEADER = struct.Struct("<8sIIIB3xQQdd")
 
 
 @dataclass(frozen=True)
@@ -231,10 +231,17 @@ def shift_difference_norm(field: DiscreteField, axis: int, nodes: int,
         diff = v[nodes:] - v[:-nodes]
     else:
         diff = np.roll(v, -nodes, axis=axis) - v
-    flat = diff.reshape(diff.shape[:field.lattice.n_axes] + (-1,))
+    return magnitude_lq_norm(diff, field.lattice.n_axes, q,
+                             field.lattice.cell_volume)
+
+
+def magnitude_lq_norm(values: np.ndarray, n_axes: int, q: float,
+                      cell_volume: float) -> float:
+    """L^q norm of the pointwise Euclidean magnitude of values, whose first
+    n_axes axes are lattice axes and the rest value axes."""
+    flat = values.reshape(values.shape[:n_axes] + (-1,))
     mag2 = np.einsum("...i,...i->...", flat, flat)
-    vol = field.lattice.cell_volume
-    return float((np.sum(mag2 ** (q / 2.0)) * vol) ** (1.0 / q))
+    return float((np.sum(mag2 ** (q / 2.0)) * cell_volume) ** (1.0 / q))
 
 
 @dataclass(frozen=True)
@@ -314,8 +321,8 @@ def save_field(field: DiscreteField, path) -> None:
     """Write a state field to the flat binary container (little endian)."""
     if len(field.value_shape) != 1:
         raise ParameterError("only state fields (one value axis) serialize")
-    header = struct.pack(
-        "<8sIIIB3xQQdd", _MAGIC, _FORMAT_VERSION, field.lattice.k, field.n,
+    header = _HEADER.pack(
+        _MAGIC, _FORMAT_VERSION, field.lattice.k, field.n,
         1 if field.periodic_time else 0, field.lattice.n_time,
         field.lattice.n_space, field.lattice.extent_time,
         field.lattice.extent_space)
@@ -326,17 +333,23 @@ def save_field(field: DiscreteField, path) -> None:
 
 def load_field(path) -> DiscreteField:
     with open(path, "rb") as fh:
-        header = fh.read(struct.calcsize("<8sIIIB3xQQdd"))
-        magic, version, k, n, periodic, n_time, n_space, ext_t, ext_x = \
-            struct.unpack("<8sIIIB3xQQdd", header)
-        if magic != _MAGIC:
-            raise ParameterError(f"not a field container: bad magic {magic!r}")
-        if version != _FORMAT_VERSION:
-            raise ParameterError(f"unsupported container version {version}")
-        lattice = Lattice(k=k, n_time=n_time, n_space=n_space,
-                          extent_time=ext_t, extent_space=ext_x)
-        count = n_time * n_space ** k * n
-        data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
+        blob = fh.read()
+    if len(blob) < _HEADER.size:
+        raise ParameterError(f"not a field container: {len(blob)} bytes, "
+                             f"shorter than the {_HEADER.size}-byte header")
+    magic, version, k, n, periodic, n_time, n_space, ext_t, ext_x = \
+        _HEADER.unpack_from(blob)
+    if magic != _MAGIC:
+        raise ParameterError(f"not a field container: bad magic {magic!r}")
+    if version != _FORMAT_VERSION:
+        raise ParameterError(f"unsupported container version {version}")
+    lattice = Lattice(k=k, n_time=n_time, n_space=n_space,
+                      extent_time=ext_t, extent_space=ext_x)
+    count = n_time * n_space ** k * n
+    if len(blob) != _HEADER.size + 8 * count:
+        raise ParameterError(f"field container holds {len(blob)} bytes; its "
+                             f"header promises {_HEADER.size + 8 * count}")
+    data = np.frombuffer(blob, dtype="<f8", count=count, offset=_HEADER.size)
     values = data.astype(float).reshape(lattice.shape + (n,))
     return DiscreteField(lattice=lattice, values=values,
                          periodic_time=bool(periodic))

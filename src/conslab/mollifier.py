@@ -24,7 +24,8 @@ from scipy import fft as sfft
 from ._bumps import bump
 from ._runtime import get_workers
 from .errors import ParameterError, ResolutionError
-from .fields import DiscreteField, Lattice, shift_difference_norm
+from .fields import (DiscreteField, Lattice, magnitude_lq_norm,
+                     shift_difference_norm)
 from .rates import RateFit, fit_loglog
 
 
@@ -181,10 +182,23 @@ def mollify(field: DiscreteField, kernel: MollifierKernel,
                          periodic_time=False)
 
 
+def sweep(field: DiscreteField, kernels: Sequence[MollifierKernel],
+          method: str):
+    """Yield (kernel, [U]_eps, window) per kernel, coarsest epsilon first;
+    window is U on the lattice of [U]_eps, the time slab a trim keeps."""
+    if not kernels:
+        raise ParameterError("empty kernel sweep")
+    for kernel in sorted(kernels, key=lambda k: -k.epsilon):
+        mollified = mollify(field, kernel, method=method)
+        n_keep = mollified.lattice.n_time
+        r_t = (field.lattice.n_time - n_keep) // 2
+        yield kernel, mollified, field.values[r_t:r_t + n_keep]
+
+
 def lq_norm(field: DiscreteField, q: float) -> float:
     """L^q norm of the pointwise Euclidean magnitude over the lattice."""
-    mag = field.pointwise_magnitude()
-    return float((np.sum(mag ** q) * field.lattice.cell_volume) ** (1.0 / q))
+    return magnitude_lq_norm(field.values, field.lattice.n_axes, q,
+                             field.lattice.cell_volume)
 
 
 def axis_derivative(field: DiscreteField, axis: int) -> np.ndarray:
@@ -239,23 +253,17 @@ def verify_estimates(field: DiscreteField, q: float,
         raise ParameterError("need at least 4 epsilons for stable fits")
     if not 0.0 < alpha_ref < 1.0:
         raise ParameterError(f"alpha_ref must lie in (0, 1), got {alpha_ref}")
-    eps = np.sort(np.asarray(epsilons, dtype=float))[::-1]
     lat = field.lattice
-    grad_norms, diff_norms, trans_norms = [], [], []
-    for e in eps:
-        kernel = make_kernel(e, lat)
-        smoothed = mollify(field, kernel, method=method)
-        grad = gradient_magnitude(smoothed)
-        grad_norms.append(float(
-            (np.sum(grad ** q) * smoothed.lattice.cell_volume) ** (1.0 / q)))
-        reference = field.values
-        if smoothed.lattice.n_time != lat.n_time:
-            r_t = kernel.radius_nodes[0]
-            reference = reference[r_t:r_t + smoothed.lattice.n_time]
-        delta = DiscreteField(lattice=smoothed.lattice,
-                              values=smoothed.values - reference,
-                              periodic_time=smoothed.periodic_time)
-        diff_norms.append(lq_norm(delta, q))
+    kernels = [make_kernel(e, lat) for e in epsilons]
+    eps, grad_norms, diff_norms, trans_norms = [], [], [], []
+    for kernel, smoothed, window in sweep(field, kernels, method):
+        e = kernel.epsilon
+        vol = smoothed.lattice.cell_volume
+        eps.append(e)
+        grad_norms.append(magnitude_lq_norm(gradient_magnitude(smoothed),
+                                            lat.n_axes, q, vol))
+        diff_norms.append(magnitude_lq_norm(smoothed.values - window,
+                                            lat.n_axes, q, vol))
         best = 0.0
         for axis in range(lat.n_axes):
             nodes = round(e / lat.axis_spacing(axis))
@@ -263,9 +271,8 @@ def verify_estimates(field: DiscreteField, q: float,
                 continue
             best = max(best, shift_difference_norm(field, axis, nodes, q))
         trans_norms.append(best)
-    grad_norms = np.array(grad_norms)
-    diff_norms = np.array(diff_norms)
-    trans_norms = np.array(trans_norms)
+    eps, grad_norms, diff_norms, trans_norms = map(
+        np.array, (eps, grad_norms, diff_norms, trans_norms))
     return MollifierAudit(
         q=float(q), alpha_ref=float(alpha_ref), epsilons=eps,
         gradient_norms=grad_norms, approximation_norms=diff_norms,

@@ -39,9 +39,7 @@ class StateDomain:
     """Open set of admissible states with a pure membership test.
 
     kind is one of "all-space", "box", "half-space-positive-coordinate",
-    "predicate".  Box bounds may be infinite on one side.  The convex flag
-    is advisory metadata used by callers that need midpoint closure (for
-    example when mollified states must stay admissible).
+    "predicate".  Box bounds may be infinite on one side.
     """
 
     kind: str
@@ -49,7 +47,6 @@ class StateDomain:
     upper: Optional[tuple] = None
     coordinate: Optional[int] = None
     predicate: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    convex: bool = True
     description: str = ""
 
     @staticmethod
@@ -57,7 +54,7 @@ class StateDomain:
         return StateDomain(kind="all-space", description="all of R^n")
 
     @staticmethod
-    def box(lower, upper, convex: bool = True, description: str = "") -> "StateDomain":
+    def box(lower, upper, description: str = "") -> "StateDomain":
         lower = tuple(float(v) for v in lower)
         upper = tuple(float(v) for v in upper)
         if len(lower) != len(upper):
@@ -66,21 +63,18 @@ class StateDomain:
             if not lo < hi:
                 raise ParameterError(f"box bound {i} empty: [{lo}, {hi}]")
         return StateDomain(kind="box", lower=lower, upper=upper,
-                           convex=convex, description=description)
-
-    @staticmethod
-    def half_space(coordinate: int, convex: bool = True,
-                   description: str = "") -> "StateDomain":
-        """Open half space {U : U[coordinate] > 0}."""
-        return StateDomain(kind="half-space-positive-coordinate",
-                           coordinate=int(coordinate), convex=convex,
                            description=description)
 
     @staticmethod
-    def from_predicate(predicate, convex: bool = False,
-                       description: str = "") -> "StateDomain":
+    def half_space(coordinate: int, description: str = "") -> "StateDomain":
+        """Open half space {U : U[coordinate] > 0}."""
+        return StateDomain(kind="half-space-positive-coordinate",
+                           coordinate=int(coordinate), description=description)
+
+    @staticmethod
+    def from_predicate(predicate, description: str = "") -> "StateDomain":
         return StateDomain(kind="predicate", predicate=predicate,
-                           convex=convex, description=description)
+                           description=description)
 
     def contains(self, U: np.ndarray, margin: float = 0.0) -> np.ndarray:
         """Vectorized membership of states shaped (..., n).
@@ -598,12 +592,12 @@ def _make_elastodynamics(params: dict) -> SystemSpec:
             "w_min must be >= 0")
     # The physically meaningful strain domain (orientation-preserving
     # deformations) is not convex in general; the half line stands in for
-    # it, so the convex flag is off and the extension path must be used
-    # whenever mollified states could leave the range of the data.
+    # it, and the extension path must be used whenever mollified states
+    # could leave the range of the data.
     if w_min == 0.0:
-        domain = StateDomain.half_space(0, convex=False, description="strain w > 0")
+        domain = StateDomain.half_space(0, description="strain w > 0")
     else:
-        domain = StateDomain.box([w_min, -np.inf], [np.inf, np.inf], convex=False,
+        domain = StateDomain.box([w_min, -np.inf], [np.inf, np.inf],
                                  description=f"strain w > {w_min}")
     dW, d2W, d3W, Wfn = energy.dW, energy.d2W, energy.d3W, energy.W
 
@@ -876,7 +870,7 @@ def extend_to_compact_range(system: SystemSpec, range_box, delta: float) -> Syst
     on the delta enlargement and 0 outside the 2*delta enlargement;
     arguments are clamped to the 2*delta box before the original
     evaluators are applied, so every evaluation is legal.  The returned
-    domain is all of state space (convex), and the affine annotations are
+    domain is all of state space, and the affine annotations are
     dropped because the cutoff destroys global affinity.
     """
     lower, upper = (np.asarray(b, dtype=float) for b in range_box)

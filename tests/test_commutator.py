@@ -347,6 +347,24 @@ def test_good_set_fills_in_for_rough_fields(space_lattice):
     assert fine > 0.95
 
 
+def test_good_set_window_on_nonperiodic_field(rng):
+    # [U]_eps is trimmed by the kernel's time radius r_t, so it is
+    # compared with U[r_t : r_t + n_keep]
+    lat = Lattice(k=1, n_time=64, n_space=64, extent_time=2.0,
+                  extent_space=1.0)
+    vals = np.cumsum(rng.normal(size=lat.shape + (2,)), axis=0) * 0.1
+    field = DiscreteField(lattice=lat, values=vals, periodic_time=False)
+    kernel = make_kernel(0.25, lat)
+    r_t = kernel.radius_nodes[0]
+    n_keep = lat.n_time - 2 * r_t
+    diff = mollify(field, kernel).values - vals[r_t:r_t + n_keep]
+    mag = np.sqrt(np.sum(diff ** 2, axis=-1))
+    for delta in (0.1, 0.3, 1.0):
+        want = np.count_nonzero(mag < delta) / mag.size
+        assert 0.0 < want < 1.0
+        assert good_set_measure(field, kernel, delta) == want
+
+
 def test_good_set_validation(unit_shock, space_lattice):
     kernel = make_kernel(0.0625, space_lattice, space_only=True)
     with pytest.raises(ParameterError, match="delta"):

@@ -329,6 +329,35 @@ def test_load_rejects_foreign_files(tmp_path):
         load_field(path)
 
 
+@pytest.fixture
+def saved_field(tmp_path, rng):
+    lat = Lattice(k=1, n_time=8, n_space=8, extent_time=1.0, extent_space=1.0)
+    path = tmp_path / "field.bin"
+    save_field(DiscreteField(lattice=lat, values=rng.normal(size=(8, 8, 2))),
+               path)
+    return path
+
+
+def test_load_rejects_file_shorter_than_header(saved_field):
+    saved_field.write_bytes(saved_field.read_bytes()[:20])
+    with pytest.raises(ParameterError, match="20 bytes.*56-byte header"):
+        load_field(saved_field)
+
+
+def test_load_rejects_truncated_body(saved_field):
+    full = saved_field.read_bytes()
+    assert len(full) == 56 + 8 * 8 * 8 * 2
+    saved_field.write_bytes(full[:-8])
+    with pytest.raises(ParameterError, match="holds 1072 bytes.*promises 1080"):
+        load_field(saved_field)
+
+
+def test_load_rejects_trailing_bytes(saved_field):
+    saved_field.write_bytes(saved_field.read_bytes() + b"\x00" * 8)
+    with pytest.raises(ParameterError, match="holds 1088 bytes.*promises 1080"):
+        load_field(saved_field)
+
+
 def test_save_requires_state_field(tiny_lattice, tmp_path):
     field = DiscreteField(lattice=tiny_lattice,
                           values=np.zeros(tiny_lattice.shape + (2, 2)))

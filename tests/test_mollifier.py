@@ -7,6 +7,7 @@ import oracles
 from conslab import (DiscreteField, Lattice, ParameterError, ResolutionError,
                      kernel_to_csv, lq_norm, make_kernel, make_lacunary_field,
                      make_shock_field, mollify, verify_estimates)
+from conslab import _runtime
 from conslab.mollifier import axis_derivative, gradient_magnitude
 
 
@@ -165,6 +166,21 @@ def test_mollify_trims_nonperiodic_time(rng):
         mollify(short, make_kernel(0.95, stretched))
 
 
+def test_mollify_bitwise_identical_across_workers(rng):
+    # the worker count only splits the FFTs across threads
+    lat = Lattice(k=1, n_time=64, n_space=128, extent_time=1.0,
+                  extent_space=1.0)
+    field = DiscreteField(lattice=lat, values=rng.normal(size=lat.shape + (2,)))
+    results = []
+    try:
+        for workers in (1, 4):
+            _runtime.set_workers(workers)
+            results.append(mollify(field, make_kernel(0.125, lat)).values)
+    finally:
+        _runtime.set_workers(1)
+    assert np.array_equal(results[0], results[1])
+
+
 # ---------------------------------------------------------------------------
 # norms and derivatives
 
@@ -247,6 +263,26 @@ def test_estimates_constant_field_degenerate(small_lattice):
                        (audit.translation_fit, audit.translation_norms)):
         assert fit.degenerate or np.max(norms) <= 1e-14
         assert np.all(norms <= 1e-13)
+
+
+def test_estimates_window_on_nonperiodic_field():
+    # [U]_eps of a field not periodic in time is trimmed by the kernel's
+    # time radius r_t, so it is compared with U[r_t : r_t + n_keep]
+    lat = Lattice(k=1, n_time=64, n_space=64, extent_time=2.0,
+                  extent_space=1.0)
+    t, x = np.meshgrid(lat.times(), lat.space_nodes(), indexing="ij")
+    vals = (t ** 2 * np.sin(2 * np.pi * x) + np.cos(3.0 * t))[..., None]
+    field = DiscreteField(lattice=lat, values=vals, periodic_time=False)
+    eps = [0.25, 0.2, 0.15, 0.125]
+    audit = verify_estimates(field, 3.0, eps, 0.5)
+    for e, got in zip(audit.epsilons, audit.approximation_norms):
+        kernel = make_kernel(e, lat)
+        r_t = kernel.radius_nodes[0]
+        n_keep = lat.n_time - 2 * r_t
+        smoothed = mollify(field, kernel).values
+        diff = np.abs(smoothed - vals[r_t:r_t + n_keep])
+        want = (np.sum(diff ** 3) * lat.cell_volume) ** (1.0 / 3.0)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_estimates_validation(small_field):

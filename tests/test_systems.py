@@ -138,7 +138,6 @@ def test_density_domain_rejects_vacuum():
 
 
 def test_strain_domain_not_convex(elasto):
-    assert not elasto.domain.convex
     assert elasto.domain.contains(np.array([0.5, -3.0]))
     assert not elasto.domain.contains(np.array([-0.5, 0.0]))
 
@@ -151,7 +150,6 @@ def test_domain_margin_shrinks_half_space():
 
 def test_convex_box_contains_midpoints(rng):
     dom = StateDomain.box([0.0, -1.0], [2.0, 1.0])
-    assert dom.convex
     pts = rng.uniform([0.0, -1.0], [2.0, 1.0], size=(50, 2))
     mids = 0.5 * (pts[:25] + pts[25:])
     assert bool(np.all(dom.contains(mids)))
@@ -275,7 +273,6 @@ def test_extension_transition_shell_is_partial(extended, elasto):
 
 def test_extension_domain_and_annotations(extended):
     assert extended.domain.kind == "all-space"
-    assert extended.domain.convex
     assert extended.affine_columns == frozenset()
     assert extended.affine_rows == frozenset()
     assert extended.name.endswith("-compact")
