@@ -20,7 +20,7 @@ from .fields import (BesovEstimate, DiscreteField, Lattice, estimate_besov,
                      field_to_csv, lacunary_profile, load_field,
                      make_lacunary_field, make_shock_field, save_field,
                      shift_difference_norm)
-from .mollifier import (MollifierAudit, MollifierKernel, kernel_to_csv,
+from .mollifier import (MollifierAudit, MollifierKernel, kernel_table,
                         lq_norm, make_kernel, mollify, verify_estimates)
 from .rates import RateFit, aitken_limit, fit_loglog
 from .systems import (BUILTIN_NAMES, CompatibilityReport, StateDomain,

@@ -33,7 +33,7 @@ from .fields import (DiscreteField, Lattice, estimate_besov,
 from .commutator import lemma_bound_audit, residual_R
 from .dissipation import build_dissipation_report, rankine_hugoniot_speed, \
     shock_dissipation_rate
-from .mollifier import kernel_to_csv, make_kernel, verify_estimates
+from .mollifier import kernel_table, make_kernel, verify_estimates
 from .systems import (BUILTIN_NAMES, SystemSpec, check_compatibility,
                       extend_to_compact_range, make_builtin,
                       uniform_box_sampler)
@@ -43,16 +43,15 @@ log = logging.getLogger("conslab.cli")
 
 ARTIFACT_NAME = "conslab"
 
-COMMANDS = ("check-companion", "besov", "mollifier-audit",
-            "commutator-sweep", "dissipation", "onsager-suite")
-
-
 # ---------------------------------------------------------------------------
 # config schemas
 
 _NUMBER_POS = {"type": "number", "exclusiveMinimum": 0}
 _INT_POS = {"type": "integer", "minimum": 1}
+_SEED = {"type": "integer", "minimum": 0}
+_ALPHA = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 _VECTOR = {"type": "array", "items": {"type": "number"}, "minItems": 1}
+_SPEED = {"anyOf": [{"type": "number"}, {"const": "rankine-hugoniot"}]}
 
 _LATTICE = {
     "type": "object",
@@ -93,6 +92,15 @@ _EXTENSION = {
     "additionalProperties": False,
 }
 
+# Lacunary field parameters other than alpha: a field's own, or shared by
+# every alpha row of onsager-suite.
+_LACUNARY = {
+    "n_octaves": _INT_POS,
+    "seed": _SEED,
+    "travel_speed": {"type": "number"},
+    "amplitude": _NUMBER_POS,
+}
+
 _FIELD = {
     "type": "object",
     "required": ["kind"],
@@ -102,13 +110,8 @@ _FIELD = {
             "if": {"properties": {"kind": {"const": "shock"}}},
             "then": {
                 "required": ["left", "right", "speed"],
-                "properties": {
-                    "kind": {},
-                    "left": _VECTOR,
-                    "right": _VECTOR,
-                    "speed": {"anyOf": [{"type": "number"},
-                                        {"const": "rankine-hugoniot"}]},
-                },
+                "properties": {"kind": {}, "left": _VECTOR, "right": _VECTOR,
+                               "speed": _SPEED},
                 "additionalProperties": False,
             },
         },
@@ -116,15 +119,7 @@ _FIELD = {
             "if": {"properties": {"kind": {"const": "lacunary"}}},
             "then": {
                 "required": ["alpha", "n_octaves", "seed"],
-                "properties": {
-                    "kind": {},
-                    "alpha": {"type": "number", "exclusiveMinimum": 0,
-                              "exclusiveMaximum": 1},
-                    "n_octaves": _INT_POS,
-                    "seed": {"type": "integer", "minimum": 0},
-                    "travel_speed": {"type": "number"},
-                    "amplitude": _NUMBER_POS,
-                },
+                "properties": {"kind": {}, "alpha": _ALPHA, **_LACUNARY},
                 "additionalProperties": False,
             },
         },
@@ -154,23 +149,23 @@ _OUTPUT = {
 _METHOD = {"enum": ["auto", "fft", "direct"]}
 
 
-def _command_schema(command: str, extra_required, extra_properties) -> dict:
-    props = {
-        "command": {"const": command},
-        "output": _OUTPUT,
-    }
-    props.update(extra_properties)
+def _command_schema(description: str, extra_required,
+                    extra_properties) -> dict:
+    # validate_config matches "command" against the invoked name itself.
     return {
+        "description": description,
         "type": "object",
         "required": ["command"] + list(extra_required),
-        "properties": props,
+        "properties": {"command": {"type": "string"}, "output": _OUTPUT,
+                       **extra_properties},
         "additionalProperties": False,
     }
 
 
+# One schema per command, in help order; each description is its help line.
 _SCHEMAS = {
     "check-companion": _command_schema(
-        "check-companion",
+        "sample the multiplier identity over random states",
         ["systems"],
         {
             "systems": {
@@ -193,14 +188,14 @@ _SCHEMAS = {
                 },
             },
             "n_samples": _INT_POS,
-            "seed": {"type": "integer", "minimum": 0},
+            "seed": _SEED,
             "method": {"enum": ["auto", "analytic", "finite-difference"]},
             "fd_step": _NUMBER_POS,
             "tolerance": _NUMBER_POS,
         },
     ),
     "besov": _command_schema(
-        "besov",
+        "estimate a field's Besov exponent from shift differences",
         ["lattice", "field"],
         {
             "system": _SYSTEM,
@@ -211,7 +206,7 @@ _SCHEMAS = {
         },
     ),
     "mollifier-audit": _command_schema(
-        "mollifier-audit",
+        "measure mollification approximation/derivative rates",
         ["lattice", "field", "sweep"],
         {
             "system": _SYSTEM,
@@ -224,7 +219,7 @@ _SCHEMAS = {
         },
     ),
     "commutator-sweep": _command_schema(
-        "commutator-sweep",
+        "commutator norms, lemma bounds, and the residual sweep",
         ["system", "lattice", "field", "sweep", "test_function"],
         {
             "system": _SYSTEM,
@@ -238,39 +233,31 @@ _SCHEMAS = {
         },
     ),
     "dissipation": _command_schema(
-        "dissipation",
+        "Rankine-Hugoniot accounting for a two-state shock",
         ["system", "lattice", "left", "right", "test_functions"],
         {
             "system": _SYSTEM,
             "lattice": _LATTICE,
             "left": _VECTOR,
             "right": _VECTOR,
-            "speed": {"anyOf": [{"type": "number"},
-                                {"const": "rankine-hugoniot"}]},
+            "speed": _SPEED,
             "test_functions": {"type": "array", "minItems": 1,
                                "items": _TESTFN},
         },
     ),
     "onsager-suite": _command_schema(
-        "onsager-suite",
+        "decay-threshold verdict table plus the shock row",
         ["system", "lattice", "sweep", "alphas", "test_function", "shock"],
         {
             "system": _SYSTEM,
             "lattice": _LATTICE,
             "sweep": _SWEEP,
             "q": _NUMBER_POS,
-            "alphas": {"type": "array", "minItems": 1,
-                       "items": {"type": "number", "exclusiveMinimum": 0,
-                                 "exclusiveMaximum": 1}},
+            "alphas": {"type": "array", "minItems": 1, "items": _ALPHA},
             "lacunary": {
                 "type": "object",
                 "required": ["n_octaves", "seed"],
-                "properties": {
-                    "n_octaves": _INT_POS,
-                    "seed": {"type": "integer", "minimum": 0},
-                    "travel_speed": {"type": "number"},
-                    "amplitude": _NUMBER_POS,
-                },
+                "properties": _LACUNARY,
                 "additionalProperties": False,
             },
             "test_function": _TESTFN,
@@ -280,8 +267,7 @@ _SCHEMAS = {
                 "properties": {
                     "left": _VECTOR,
                     "right": _VECTOR,
-                    "speed": {"anyOf": [{"type": "number"},
-                                        {"const": "rankine-hugoniot"}]},
+                    "speed": _SPEED,
                     "test_function": _TESTFN,
                     "lattice": _LATTICE,
                     "sweep": _SWEEP,
@@ -439,6 +425,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _cell(value):
+    if value is None:
+        return ""
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
@@ -523,9 +511,10 @@ def run_mollifier_audit(config: dict):
     tables = {
         "": (["epsilon", "gradient_norm", "approximation_norm",
               "translation_norm"], rows),
+        "_kernel": kernel_table(make_kernel(epsilons[-1], field.lattice)),
     }
     report = {"audit": audit, "lattice": field.lattice}
-    return report, tables, 0, field
+    return report, tables, 0
 
 
 def run_commutator_sweep(config: dict):
@@ -557,9 +546,7 @@ def run_commutator_sweep(config: dict):
 def run_dissipation(config: dict):
     system = _build_system(config["system"])
     lattice = _build_lattice(config["lattice"])
-    shock_spec = {"left": config["left"], "right": config["right"],
-                  "speed": config.get("speed", "rankine-hugoniot")}
-    speed = _resolve_speed(system, shock_spec)
+    speed = _resolve_speed(system, config)
     field = make_shock_field(system, config["left"], config["right"], speed,
                              lattice)
     testfns = [testfn_from_config(s) for s in config["test_functions"]]
@@ -586,8 +573,8 @@ def run_onsager_suite(config: dict):
     values agree within the stability window.
     """
     system = _build_system(config["system"])
-    lattice_spec = config["lattice"]
-    sweep_spec = config["sweep"]
+    lattice = _build_lattice(config["lattice"])
+    epsilons = _sweep_epsilons(config["sweep"])
     q = config.get("q", 3.0)
     method = config.get("method", "auto")
     margin = config.get("slope_margin", 0.15)
@@ -595,16 +582,19 @@ def run_onsager_suite(config: dict):
     window = config.get("stability_window", 0.10)
     lac = config.get("lacunary", {"n_octaves": 10, "seed": 7})
     testfn = testfn_from_config(config["test_function"])
+    shock = config["shock"]
+    shock_tf = testfn_from_config(shock["test_function"])
+    if not hasattr(shock_tf, "time_integral"):
+        raise ConfigError(
+            "shock.test_function must have a well-defined time integral "
+            "(kind 'time-bump' or 'shock-aligned') so the closed-form "
+            "dissipation rate is comparable")
 
     rows = []
     failed = False
     for alpha in config["alphas"]:
-        lattice = _build_lattice(lattice_spec)
-        field = make_lacunary_field(
-            alpha, lac["n_octaves"], lac["seed"],
-            lac.get("travel_speed", 1.0), lattice,
-            amplitude=lac.get("amplitude", 1.0))
-        epsilons = _sweep_epsilons(sweep_spec)
+        field = _build_field({"kind": "lacunary", "alpha": alpha, **lac},
+                             lattice, system)
         kernels = [make_kernel(e, field.lattice) for e in epsilons]
         residual = residual_R(system, field, kernels, testfn, method=method)
         threshold = 3.0 * alpha - 1.0
@@ -626,23 +616,14 @@ def run_onsager_suite(config: dict):
         log.info("alpha=%.3g slope=%.3f threshold=%.3f verdict=%s",
                  alpha, slope, threshold, verdict)
 
-    shock = config["shock"]
-    shock_system = system
-    shock_lattice = _build_lattice(shock.get("lattice", lattice_spec))
-    speed = _resolve_speed(shock_system, shock)
-    shock_field = make_shock_field(shock_system, shock["left"],
-                                   shock["right"], speed, shock_lattice)
-    shock_eps = _sweep_epsilons(shock.get("sweep", sweep_spec))
-    shock_kernels = [make_kernel(e, shock_field.lattice) for e in shock_eps]
-    shock_tf = testfn_from_config(shock["test_function"])
-    if not hasattr(shock_tf, "time_integral"):
-        raise ConfigError(
-            "shock.test_function must have a well-defined time integral "
-            "(kind 'time-bump' or 'shock-aligned') so the closed-form "
-            "dissipation rate is comparable")
-    shock_res = residual_R(shock_system, shock_field, shock_kernels,
-                           shock_tf, method=method)
-    closed = shock_dissipation_rate(shock_system, shock["left"],
+    shock_field = _build_field(
+        {"kind": "shock", **shock},
+        _build_lattice(shock.get("lattice", config["lattice"])), system)
+    shock_kernels = [make_kernel(e, shock_field.lattice) for e in
+                     _sweep_epsilons(shock.get("sweep", config["sweep"]))]
+    shock_res = residual_R(system, shock_field, shock_kernels, shock_tf,
+                           method=method)
+    closed = shock_dissipation_rate(system, shock["left"],
                                     shock["right"]) * shock_tf.time_integral
     limit = shock_res.limit_estimate
     tail = np.abs(np.asarray(shock_res.total[-3:], dtype=float))
@@ -659,18 +640,11 @@ def run_onsager_suite(config: dict):
     log.info("shock limit=%.6g closed=%.6g rel_err=%.2e spread=%.2e",
              limit, closed, rel_err, spread)
 
-    table_rows = [[r["row"],
-                   "" if r["alpha"] is None else r["alpha"],
-                   "" if r["slope"] is None else r["slope"],
-                   "" if r["threshold"] is None else r["threshold"],
-                   r["terminal_ratio"],
-                   "" if r["limit"] is None else r["limit"],
-                   "" if r["closed_form"] is None else r["closed_form"],
-                   r["verdict"]] for r in rows]
     header = ["row", "alpha", "slope", "threshold", "terminal_ratio",
               "limit", "closed_form", "verdict"]
     report = {"rows": rows, "all_pass": not failed}
-    return report, {"": (header, table_rows)}, 2 if failed else 0
+    table = [[r[h] for h in header] for r in rows]
+    return report, {"": (header, table)}, 2 if failed else 0
 
 
 _RUNNERS = {
@@ -694,16 +668,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "check-companion": "sample the multiplier identity over random states",
-        "besov": "estimate a field's Besov exponent from shift differences",
-        "mollifier-audit": "measure mollification approximation/derivative rates",
-        "commutator-sweep": "commutator norms, lemma bounds, and the residual sweep",
-        "dissipation": "Rankine-Hugoniot accounting for a two-state shock",
-        "onsager-suite": "decay-threshold verdict table plus the shock row",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
+    for name, schema in _SCHEMAS.items():
+        p = sub.add_parser(name, help=schema["description"])
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--outdir", default=None,
                        help="output directory (default: $CONSLAB_OUTDIR or .)")
@@ -728,12 +694,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         validate_config(config, args.command)
-        result = _RUNNERS[args.command](config)
-        if len(result) == 4:       # mollifier-audit also returns the field
-            report, tables, code, field = result
-        else:
-            report, tables, code = result
-            field = None
+        report, tables, code = _RUNNERS[args.command](config)
 
         outdir = Path(args.outdir or os.environ.get("CONSLAB_OUTDIR", "."))
         outdir.mkdir(parents=True, exist_ok=True)
@@ -744,11 +705,6 @@ def main(argv=None) -> int:
                     _payload(args.command, config, report))
         for suffix, (header, rows) in tables.items():
             _write_csv(outdir / f"{basename}{suffix}.csv", header, rows)
-        if args.command == "mollifier-audit" and field is not None:
-            finest = make_kernel(_sweep_epsilons(config["sweep"])[-1],
-                                 field.lattice)
-            kernel_to_csv(finest, outdir / f"{basename}_kernel.csv")
-            log.info("wrote %s", outdir / f"{basename}_kernel.csv")
         return code
     except ConslabError as exc:
         print(f"error: {exc}", file=sys.stderr)

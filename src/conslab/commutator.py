@@ -30,7 +30,8 @@ from .errors import ParameterError
 from .fields import DiscreteField, magnitude_lq_norm
 from .mollifier import MollifierKernel, axis_derivative, mollify, sweep
 from .rates import RateFit, aitken_limit, fit_loglog
-from .systems import SystemSpec, fd_jacobian, require_in_domain
+from .systems import (SystemSpec, fd_jacobian, require_in_domain,
+                      require_states)
 from .testfunctions import TestFunction
 
 
@@ -57,8 +58,7 @@ def _commutators(system: SystemSpec, field: DiscreteField,
     """Yield (kernel, [U]_eps, U on its window, entries, parts) per kernel,
     coarsest epsilon first, where parts[m] is the commutator entry
     entries[m] (affine rows and columns left out)."""
-    require_in_domain(system.domain, field.values,
-                      f"field of {system.name!r}")
+    require_states(system, field, f"field of {system.name!r}")
     entries = [(i, j)
                for i in range(system.n) if i not in system.affine_rows
                for j in range(system.k + 1) if j not in system.affine_columns]
@@ -155,9 +155,9 @@ def _max_shift_norm(field: DiscreteField, kernel: MollifierKernel,
     for off, _w in kernel.offsets():
         if all(o == 0 for o in off):
             continue
-        # ||U - U(. - Y)|| equals ||U - U(. + Y)|| on fully periodic
-        # lattices, so visit one of each opposite pair.
-        if field.periodic_time and off < tuple([0] * len(off)):
+        # ||U - U(. - Y)|| equals ||U - U(. + Y)|| on the fully periodic
+        # fields lemma_bound_audit admits, so visit one of each opposite pair.
+        if off < tuple([0] * len(off)):
             continue
         shifted = np.roll(field.values, shift=off, axis=tuple(range(lat.n_axes)))
         best = max(best, magnitude_lq_norm(field.values - shifted,

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (InconsistentShockError, ParameterError,
                      UnsupportedGeometryError)
 from .fields import DiscreteField
-from .systems import SystemSpec, require_in_domain
+from .systems import SystemSpec, require_in_domain, require_states
 from .testfunctions import TestFunction
 
 _SPEED_TOL = 1e-10
@@ -34,7 +34,7 @@ def weak_residual_system(system: SystemSpec, field: DiscreteField,
 
     Scalar test functions are applied to every state row alike.
     """
-    require_in_domain(system.domain, field.values, "weak_residual_system field")
+    require_states(system, field, "weak_residual_system field")
     row_sum = np.einsum("...ij->...j", system.G(field.values))
     vol = field.lattice.cell_volume
     out = []
@@ -47,7 +47,7 @@ def weak_residual_system(system: SystemSpec, field: DiscreteField,
 def weak_residual_companion(system: SystemSpec, field: DiscreteField,
                             testfns: Sequence[TestFunction]) -> list:
     """Lattice quadrature of -Q(U) . D_X psi per test function."""
-    require_in_domain(system.domain, field.values, "weak_residual_companion field")
+    require_states(system, field, "weak_residual_companion field")
     Q = system.Q(field.values)
     vol = field.lattice.cell_volume
     out = []

@@ -283,16 +283,14 @@ def verify_estimates(field: DiscreteField, q: float,
     )
 
 
-def kernel_to_csv(kernel: MollifierKernel, path) -> None:
-    """Dump the stencil: node offsets, physical offsets, weight."""
+def kernel_table(kernel: MollifierKernel):
+    """The stencil as a (header, rows) table: node offsets, physical
+    offsets and weight, one row per stencil node, zero weights included."""
     lat = kernel.lattice
     idx = np.argwhere(np.ones_like(kernel.profile_samples, dtype=bool))
     offs = idx - np.array(kernel.radius_nodes)
     phys = offs * np.array([lat.axis_spacing(a) for a in range(lat.n_axes)])
     w = kernel.profile_samples.reshape(-1)
-    header = ",".join([f"d{'t' if a == 0 else 'x' + str(a)}"
-                       for a in range(lat.n_axes)]
-                      + [f"off_{'t' if a == 0 else 'x' + str(a)}"
-                         for a in range(lat.n_axes)] + ["weight"])
-    np.savetxt(path, np.column_stack([offs, phys, w]), delimiter=",",
-               header=header, comments="")
+    axes = ["t"] + [f"x{a}" for a in range(1, lat.n_axes)]
+    header = [f"d{a}" for a in axes] + [f"off_{a}" for a in axes] + ["weight"]
+    return header, np.column_stack([offs, phys, w])

@@ -19,7 +19,7 @@ with the original near a prescribed range box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -107,8 +107,7 @@ def require_in_domain(domain: StateDomain, U: np.ndarray, what: str,
     ok = domain.contains(U, margin=margin)
     if bool(np.all(ok)):
         return
-    bad = np.argwhere(~ok)
-    first = tuple(bad[0])
+    first = tuple(int(i) for i in np.argwhere(~ok)[0])
     state = np.asarray(U, dtype=float)[first]
     raise DomainViolationError(
         f"{what}: state {np.array2string(state, precision=6)} at index {first} "
@@ -161,6 +160,16 @@ class SystemSpec:
     @property
     def has_analytic_jacobians(self) -> bool:
         return self.DG is not None and self.DQ is not None
+
+
+def require_states(system: SystemSpec, field, what: str) -> None:
+    """Raise ParameterError unless a field holds system.n state components
+    per node, then check its states against the system's domain."""
+    if field.value_shape != (system.n,):
+        raise ParameterError(
+            f"{what} has values of shape {field.value_shape} per node, but "
+            f"{system.name!r} has {system.n} state components")
+    require_in_domain(system.domain, field.values, what)
 
 
 def fd_jacobian(f: Evaluator, U: np.ndarray, step: float) -> np.ndarray:
@@ -282,23 +291,42 @@ class PressureLaw:
     the Euler companion laws are built from.
     """
 
-    name: str
     p: Callable
     dp: Callable
     P: Callable
     dP: Callable
     d2P: Callable
-    params: dict = field(default_factory=dict)
+
+
+def _law_params(spec, what: str, catalogue: str) -> dict:
+    """Copy of a constitutive-law mapping, its catalogue name checked."""
+    if spec is None:
+        return {}
+    if not isinstance(spec, dict):
+        raise ParameterError(f"{what} must be a mapping, got {spec!r}")
+    spec = dict(spec)
+    name = spec.pop("name", catalogue)
+    if name != catalogue:
+        raise ParameterError(
+            f"unknown {what} {name!r}; catalogue: [{catalogue!r}]")
+    return spec
+
+
+def _number(params: dict, key: str, default: float, what: str) -> float:
+    """Pop params[key] as a float, naming the parameter if it is not one."""
+    value = params.pop(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ParameterError(
+            f"{what} parameter {key!r} must be a number, got {value!r}") \
+            from None
 
 
 def make_pressure_law(spec: Optional[dict]) -> PressureLaw:
-    spec = dict(spec or {"name": "polytropic"})
-    name = spec.pop("name", "polytropic")
-    if name != "polytropic":
-        raise ParameterError(
-            f"unknown pressure law {name!r}; catalogue: ['polytropic']")
-    kappa = float(spec.pop("kappa", 1.0))
-    gamma = float(spec.pop("gamma", 2.0))
+    spec = _law_params(spec, "pressure law", "polytropic")
+    kappa = _number(spec, "kappa", 1.0, "pressure-law")
+    gamma = _number(spec, "gamma", 2.0, "pressure-law")
     if spec:
         raise ParameterError(f"unknown pressure-law parameters: {sorted(spec)}")
     if kappa <= 0:
@@ -325,30 +353,22 @@ def make_pressure_law(spec: Optional[dict]) -> PressureLaw:
     def d2P(rho):
         return kappa * (gamma - 2.0) * rho ** (gamma - 3.0)
 
-    return PressureLaw(name="polytropic", p=p, dp=dp, P=P, dP=dP, d2P=d2P,
-                       params={"kappa": kappa, "gamma": gamma})
+    return PressureLaw(p=p, dp=dp, P=P, dP=dP, d2P=d2P)
 
 
 @dataclass(frozen=True)
 class StoredEnergy:
-    """Hyperelastic stored energy W(w) with derivatives up to third order."""
+    """Hyperelastic stored energy W(w) with derivatives up to second order."""
 
-    name: str
     W: Callable
     dW: Callable
     d2W: Callable
-    d3W: Callable
-    params: dict = field(default_factory=dict)
 
 
 def make_stored_energy(spec: Optional[dict]) -> StoredEnergy:
-    spec = dict(spec or {"name": "power"})
-    name = spec.pop("name", "power")
-    if name != "power":
-        raise ParameterError(
-            f"unknown stored energy {name!r}; catalogue: ['power']")
-    amplitude = float(spec.pop("amplitude", 1.0))
-    exponent = float(spec.pop("exponent", 4.0))
+    spec = _law_params(spec, "stored energy", "power")
+    amplitude = _number(spec, "amplitude", 1.0, "stored-energy")
+    exponent = _number(spec, "exponent", 4.0, "stored-energy")
     if spec:
         raise ParameterError(f"unknown stored-energy parameters: {sorted(spec)}")
     if amplitude <= 0:
@@ -368,11 +388,7 @@ def make_stored_energy(spec: Optional[dict]) -> StoredEnergy:
     def d2W(w):
         return amplitude * (m - 1.0) * w ** (m - 2.0)
 
-    def d3W(w):
-        return amplitude * (m - 1.0) * (m - 2.0) * w ** (m - 3.0)
-
-    return StoredEnergy(name="power", W=W, dW=dW, d2W=d2W, d3W=d3W,
-                        params={"amplitude": amplitude, "exponent": m})
+    return StoredEnergy(W=W, dW=dW, d2W=d2W)
 
 
 # ---------------------------------------------------------------------------
@@ -388,30 +404,19 @@ BUILTIN_NAMES = (
 )
 
 
-def _density_domain(params: dict, what: str, coordinate: int = 0) -> StateDomain:
+def _density_domain(params: dict, n: int, what: str) -> StateDomain:
     # rho_min < 0 would let the admissible range touch rho = 0 where the
     # companion data is singular; rho_min = 0 keeps the open half space.
-    rho_min = params.pop("rho_min", 0.0)
-    rho_min = float(rho_min)
+    rho_min = _number(params, "rho_min", 0.0, f"{what} range")
     if rho_min < 0:
         raise ParameterError(
             f"{what}: density range [{rho_min}, inf) includes 0 where the "
             "multiplier is singular; rho_min must be >= 0")
     if rho_min == 0.0:
-        return StateDomain.half_space(coordinate, description=f"{what} > 0")
-    n_hint = params.get("_n", 2)
-    lower = [-np.inf] * n_hint
-    upper = [np.inf] * n_hint
-    lower[coordinate] = rho_min
+        return StateDomain.half_space(0, description=f"{what} > 0")
+    lower = [rho_min] + [-np.inf] * (n - 1)
+    upper = [np.inf] * n
     return StateDomain.box(lower, upper, description=f"{what} > {rho_min}")
-
-
-def _stack(shape, entries):
-    """Assemble an output array from a {index: value} map, zeros elsewhere."""
-    out = np.zeros(shape)
-    for idx, val in entries.items():
-        out[(...,) + idx] = val
-    return out
 
 
 def _make_burgers(params: dict) -> SystemSpec:
@@ -453,8 +458,7 @@ def _make_burgers(params: dict) -> SystemSpec:
 
 def _make_euler_velocity(params: dict) -> SystemSpec:
     law = make_pressure_law(params.pop("pressure", None))
-    domain = _density_domain({**params, "_n": 2}, "density")
-    params.pop("rho_min", None)
+    domain = _density_domain(params, 2, "density")
     if params:
         raise ParameterError(
             f"euler-compressible-1d parameters: pressure, rho_min; got {sorted(params)}")
@@ -516,8 +520,7 @@ def _make_euler_velocity(params: dict) -> SystemSpec:
 
 def _make_euler_m_form(params: dict) -> SystemSpec:
     law = make_pressure_law(params.pop("pressure", None))
-    domain = _density_domain({**params, "_n": 2}, "density")
-    params.pop("rho_min", None)
+    domain = _density_domain(params, 2, "density")
     if params:
         raise ParameterError(
             f"euler-compressible-m-form-1d parameters: pressure, rho_min; "
@@ -582,7 +585,7 @@ def _make_euler_m_form(params: dict) -> SystemSpec:
 
 def _make_elastodynamics(params: dict) -> SystemSpec:
     energy = make_stored_energy(params.pop("stored_energy", None))
-    w_min = float(params.pop("w_min", 0.0))
+    w_min = _number(params, "w_min", 0.0, "elastodynamics-1d")
     if params:
         raise ParameterError(
             f"elastodynamics-1d parameters: stored_energy, w_min; got {sorted(params)}")
@@ -599,7 +602,7 @@ def _make_elastodynamics(params: dict) -> SystemSpec:
     else:
         domain = StateDomain.box([w_min, -np.inf], [np.inf, np.inf],
                                  description=f"strain w > {w_min}")
-    dW, d2W, d3W, Wfn = energy.dW, energy.d2W, energy.d3W, energy.W
+    dW, d2W, Wfn = energy.dW, energy.d2W, energy.W
 
     # states (w, v): strain and velocity; the kinematic row w_t = v_x is affine.
     def G(U):

@@ -195,19 +195,29 @@ class ShockAlignedBump(TestFunction):
         return self._time_part().time_integral
 
 
+_CATALOGUE = {"bump": TensorBump, "time-bump": TimeBump,
+              "shock-aligned": ShockAlignedBump}
+
+
 def from_config(spec: dict) -> TestFunction:
     """Build a catalogue test function from a plain config mapping."""
     spec = dict(spec)
     kind = spec.pop("kind", None)
+    if not isinstance(kind, str) or kind not in _CATALOGUE:
+        raise ParameterError(
+            f"unknown test function kind {kind!r}; "
+            f"catalogue: {list(_CATALOGUE)}")
+    # Catalogue parameters are numbers, flags or lists of numbers.
+    for key, value in spec.items():
+        try:
+            numeric = np.asarray(value).dtype.kind in "biuf"
+        except ValueError:
+            numeric = False
+        if not numeric:
+            raise ParameterError(
+                f"test function {kind!r} parameter {key!r} must be numeric, "
+                f"got {value!r}")
     try:
-        if kind == "bump":
-            return TensorBump(**spec)
-        if kind == "time-bump":
-            return TimeBump(**spec)
-        if kind == "shock-aligned":
-            return ShockAlignedBump(**spec)
+        return _CATALOGUE[kind](**spec)
     except TypeError as exc:
         raise ParameterError(f"bad parameters for test function {kind!r}: {exc}")
-    raise ParameterError(
-        f"unknown test function kind {kind!r}; "
-        "catalogue: ['bump', 'time-bump', 'shock-aligned']")

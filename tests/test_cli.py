@@ -165,7 +165,16 @@ def test_mollifier_audit_nonlacunary_needs_alpha_ref(tmp_path, capsys):
     assert "alpha_ref is required" in capsys.readouterr().err
 
 
-def test_onsager_shock_test_function_needs_time_integral(tmp_path, capsys):
+def test_onsager_shock_test_function_needs_time_integral(tmp_path, capsys,
+                                                         monkeypatch):
+    calls = []
+    real_residual_R = conslab.cli.residual_R
+
+    def counting_residual_R(*args, **kwargs):
+        calls.append(args)
+        return real_residual_R(*args, **kwargs)
+
+    monkeypatch.setattr(conslab.cli, "residual_R", counting_residual_R)
     config = {
         "command": "onsager-suite",
         "system": {"name": "burgers"},
@@ -184,6 +193,24 @@ def test_onsager_shock_test_function_needs_time_integral(tmp_path, capsys):
     code, _ = run("onsager-suite", config, tmp_path)
     assert code == 1
     assert "time integral" in capsys.readouterr().err
+    assert calls == []  # rejected before any alpha row is computed
+
+
+def test_field_state_count_must_match_system(tmp_path, capsys):
+    config = {
+        "command": "commutator-sweep",
+        "system": {"name": "burgers"},
+        "lattice": {"n_time": 32, "n_space": 64},
+        "field": {"kind": "constant", "value": [1.0, 2.0]},
+        "sweep": {"eps_max": 0.25, "n_levels": 2},
+        "test_function": {"kind": "bump", "center": [0.5, 0.5],
+                          "radius": [0.3, 0.3]},
+    }
+    code, _ = run("commutator-sweep", config, tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "shape (2,)" in err and "has 1 state components" in err
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +366,15 @@ def test_shipped_mollifier_audit(tmp_path):
     kernel_lines = (tmp_path / "mollifier_audit_kernel.csv") \
         .read_text().splitlines()
     assert kernel_lines[0] == "dt,dx1,off_t,off_x1,weight"
-    assert len(kernel_lines) > 1
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in kernel_lines[1:]])
+    # one row per node of the (2 r_t + 1) x (2 r_x + 1) stencil
+    r_t, r_x = np.abs(rows[:, :2]).max(axis=0)
+    assert len(rows) == (2 * r_t + 1) * (2 * r_x + 1)
+    lattice = payload["report"]["lattice"]
+    cell = (lattice["extent_time"] / lattice["n_time"]) * \
+        (lattice["extent_space"] / lattice["n_space"])
+    assert rows[:, -1].sum() * cell == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dissipation_inconsistent_pair_serializes_nan_as_null(tmp_path):
@@ -402,4 +437,7 @@ def test_onsager_suite_verdicts(tmp_path):
     assert lines[0] == ("row,alpha,slope,threshold,terminal_ratio,"
                        "limit,closed_form,verdict")
     assert len(lines) == 1 + 3
+    assert lines[1].endswith(",,,no-decay-expected")
+    assert lines[2].endswith(",,,pass")
+    assert lines[-1].startswith("shock,,,,")
     assert lines[-1].endswith(",pass")

@@ -305,6 +305,18 @@ def test_domain_violation_names_the_extension(space_lattice):
         commutator_field(system, field, kernel)
 
 
+def test_residual_rejects_field_with_wrong_state_count(burgers,
+                                                       space_lattice):
+    # Burgers reads only component 0: unchecked, this sweep ran to zeros.
+    field = DiscreteField(lattice=space_lattice,
+                          values=np.ones(space_lattice.shape + (2,)))
+    kernel = make_kernel(0.0625, space_lattice, space_only=True)
+    psi = TensorBump(center=[0.5, 0.5], radius=[0.3, 0.3])
+    with pytest.raises(ParameterError,
+                       match=r"shape \(2,\).*'burgers' has 1 state"):
+        residual_R(burgers, field, [kernel], psi)
+
+
 # ---------------------------------------------------------------------------
 # good set
 

@@ -245,6 +245,16 @@ def test_elasto_companion_defect_irrational_speed(elasto):
     assert defect == pytest.approx(rate, rel=0.01)
 
 
+def test_companion_residual_rejects_field_with_wrong_state_count(elasto):
+    lat = Lattice(k=1, n_time=16, n_space=32, extent_time=1.0,
+                  extent_space=1.0)
+    scalar = make_lacunary_field(0.5, 3, 0, 0.0, lat)
+    with pytest.raises(ParameterError,
+                       match=r"shape \(1,\).*'elastodynamics-1d' has 2 state"):
+        weak_residual_companion(elasto, scalar,
+                                [TimeBump(center=0.5, radius=0.3)])
+
+
 # ---------------------------------------------------------------------------
 # report assembly
 

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from conslab import (DiscreteField, Lattice, ParameterError, ResolutionError,
-                     kernel_to_csv, lq_norm, make_kernel, make_lacunary_field,
+                     kernel_table, lq_norm, make_kernel, make_lacunary_field,
                      make_shock_field, mollify, verify_estimates)
 from conslab import _runtime
 from conslab.mollifier import axis_derivative, gradient_magnitude
@@ -309,13 +309,10 @@ def test_mollified_jump_width(burgers):
     assert mixed.any()
 
 
-def test_kernel_csv(tmp_path, small_lattice):
+def test_kernel_csv(small_lattice):
     kernel = make_kernel(0.25, small_lattice)
-    path = tmp_path / "kernel.csv"
-    kernel_to_csv(kernel, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "dt,dx1,off_t,off_x1,weight"
-    assert len(lines) == 1 + kernel.profile_samples.size
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    total = data[:, -1].sum() * kernel.cell_volume
+    header, rows = kernel_table(kernel)
+    assert ",".join(header) == "dt,dx1,off_t,off_x1,weight"
+    assert len(rows) == kernel.profile_samples.size
+    total = sum(row[-1] for row in rows) * kernel.cell_volume
     assert total == pytest.approx(1.0, abs=1e-12)

@@ -130,7 +130,8 @@ def test_m_form_agrees_with_velocity_form(rng):
 
 def test_density_domain_rejects_vacuum():
     system = make_builtin("euler-compressible-1d")
-    with pytest.raises(DomainViolationError, match="outside the admissible"):
+    with pytest.raises(DomainViolationError,
+                       match=r"at index \(0,\) is outside the admissible"):
         system_check = check_compatibility(
             system, lambda rng, count: np.tile([-0.5, 1.0], (count, 1)),
             4, method="analytic")
@@ -195,6 +196,18 @@ def test_stored_energy_derivative_chain():
                                energy.d2W(w), rtol=1e-8)
     with pytest.raises(ParameterError, match="exponent"):
         make_stored_energy({"exponent": 2.0})
+
+
+@pytest.mark.parametrize("name, params, named", [
+    ("euler-compressible-1d", {"pressure": 5}, "pressure law"),
+    ("euler-compressible-1d", {"rho_min": "abc"}, "'rho_min'"),
+    ("euler-compressible-m-form-1d", {"pressure": {"kappa": "x"}}, "'kappa'"),
+    ("elastodynamics-1d", {"stored_energy": 3}, "stored energy"),
+    ("elastodynamics-1d", {"w_min": None}, "'w_min'"),
+])
+def test_make_builtin_rejects_wrong_typed_params(name, params, named):
+    with pytest.raises(ParameterError, match=named):
+        make_builtin(name, params)
 
 
 def test_make_builtin_rejects_unknown_names_and_params():

@@ -197,3 +197,8 @@ def test_from_config_errors():
         build_testfn({"kind": "wavelet"})
     with pytest.raises(ParameterError, match="bad parameters"):
         build_testfn({"kind": "time-bump", "middle": 0.5})
+
+
+def test_from_config_rejects_non_numeric_parameter():
+    with pytest.raises(ParameterError, match="'center' must be numeric"):
+        build_testfn({"kind": "bump", "center": "ab", "radius": [0.2, 0.2]})
