@@ -324,7 +324,8 @@ def _build_lattice(spec: dict) -> Lattice:
     )
 
 
-def _resolve_speed(system: SystemSpec, spec: dict) -> float:
+def _resolve_speed(system: SystemSpec, spec: dict, key: str) -> float:
+    """The shock speed spec["speed"]; key is its path in the config."""
     if spec.get("speed", "rankine-hugoniot") != "rankine-hugoniot":
         return float(spec["speed"])
     rh = rankine_hugoniot_speed(system, spec["left"], spec["right"])
@@ -332,7 +333,7 @@ def _resolve_speed(system: SystemSpec, spec: dict) -> float:
         raise ConfigError(
             "the given states admit no common Rankine-Hugoniot speed "
             f"(per-component speeds {rh.speeds.tolist()}); "
-            "set field.speed to an explicit number instead")
+            f"set {key} to an explicit number instead")
     return rh.speed
 
 
@@ -342,7 +343,7 @@ def _build_field(spec: dict, lattice: Lattice,
     if kind == "shock":
         if system is None:
             raise ConfigError("field.kind 'shock' requires a system entry")
-        speed = _resolve_speed(system, spec)
+        speed = _resolve_speed(system, spec, "field.speed")
         return make_shock_field(system, spec["left"], spec["right"], speed,
                                 lattice)
     if kind == "lacunary":
@@ -546,7 +547,7 @@ def run_commutator_sweep(config: dict):
 def run_dissipation(config: dict):
     system = _build_system(config["system"])
     lattice = _build_lattice(config["lattice"])
-    speed = _resolve_speed(system, config)
+    speed = _resolve_speed(system, config, "speed")
     field = make_shock_field(system, config["left"], config["right"], speed,
                              lattice)
     testfns = [testfn_from_config(s) for s in config["test_functions"]]
@@ -589,6 +590,7 @@ def run_onsager_suite(config: dict):
             "shock.test_function must have a well-defined time integral "
             "(kind 'time-bump' or 'shock-aligned') so the closed-form "
             "dissipation rate is comparable")
+    shock_speed = _resolve_speed(system, shock, "shock.speed")
 
     rows = []
     failed = False
@@ -616,9 +618,9 @@ def run_onsager_suite(config: dict):
         log.info("alpha=%.3g slope=%.3f threshold=%.3f verdict=%s",
                  alpha, slope, threshold, verdict)
 
-    shock_field = _build_field(
-        {"kind": "shock", **shock},
-        _build_lattice(shock.get("lattice", config["lattice"])), system)
+    shock_field = make_shock_field(
+        system, shock["left"], shock["right"], shock_speed,
+        _build_lattice(shock.get("lattice", config["lattice"])))
     shock_kernels = [make_kernel(e, shock_field.lattice) for e in
                      _sweep_epsilons(shock.get("sweep", config["sweep"]))]
     shock_res = residual_R(system, shock_field, shock_kernels, shock_tf,

@@ -7,6 +7,15 @@ circular convolution with that stencil.  Direct stencil summation is the
 reference semantics; an FFT path computes the same circular convolution
 and is the default for speed.
 
+The FFT path has an exact shortcut for discrete traveling waves in one
+space dimension: fields whose every time row is the first row circularly
+shifted by m*t nodes, with m*n_time a multiple of n_space.  The 2-D
+spectrum of such a field lives on the line j = -p*k (mod n_time),
+p = m*n_time/n_space, so the convolution is the first row filtered by that
+line of the kernel spectrum and shifted back into every row: one 1-D
+transform pair per channel instead of a 2-D one.  The result agrees with
+the 2-D path to rounding; any other field takes the 2-D path.
+
 verify_estimates audits the three smoothing estimates that drive the
 commutator analysis: the gradient bound (slope alpha - 1), the
 approximation bound (slope alpha), and the translation bound (slope
@@ -115,14 +124,62 @@ def make_kernel(epsilon: float, lattice: Lattice,
     return MollifierKernel(epsilon, lattice, space_only=space_only)
 
 
+def _traveling_shift(flat: np.ndarray) -> Optional[int]:
+    """Node shift m in [0, n_space) with flat[t] == roll(flat[0], m*t)
+    exactly for every row t and m*n_time a multiple of n_space, or None.
+    flat is (n_time, n_space, channels)."""
+    n_time, n = flat.shape[:2]
+    row0, row1 = flat[0], flat[1]
+    # Lags whose circular cross-correlation of rows 0 and 1 ties with the
+    # maximum (a profile with a shorter period ties at several lags).
+    corr = sfft.irfft(np.sum(sfft.rfft(row1, axis=0)
+                             * np.conj(sfft.rfft(row0, axis=0)), axis=-1), n=n)
+    tol = 1e-9 * np.sqrt(np.sum(row0 * row0) * np.sum(row1 * row1))
+    lags = np.flatnonzero(corr >= corr.max() - tol)
+    # An exact shift also matches at node 0; this keeps wide ties cheap.
+    lags = lags[np.all(row0[(-lags) % n] == row1[0], axis=-1)]
+    m = next((int(s) for s in lags
+              if np.array_equal(np.roll(row0, s, axis=0), row1)), None)
+    if m is None or (m * n_time) % n:
+        return None
+    doubled = np.concatenate([row0, row0])
+    for t in range(2, n_time):
+        s = (m * t) % n
+        if not np.array_equal(flat[t], doubled[n - s:2 * n - s]):
+            return None
+    return m
+
+
+def _convolve_line(flat: np.ndarray, m: int,
+                   kernel: MollifierKernel) -> np.ndarray:
+    """Convolution of the traveling wave flat[t] = roll(flat[0], m*t): its
+    2-D spectrum lives on the line j = -p*k, p = m*n_time/n_space."""
+    n_time, n = flat.shape[:2]
+    p = m * n_time // n
+    k = np.arange(n // 2 + 1)
+    line = kernel.spectrum()[(-p * k) % n_time, k] * kernel.cell_volume
+    workers = get_workers()
+    profile = sfft.irfft(sfft.rfft(flat[0], axis=0, workers=workers)
+                         * line[:, None], n=n, axis=0, workers=workers)
+    doubled = np.concatenate([profile, profile])
+    out = np.empty_like(flat)
+    for t in range(n_time):
+        s = (m * t) % n
+        out[t] = doubled[n - s:2 * n - s]
+    return out
+
+
 def _convolve_fft(values: np.ndarray, kernel: MollifierKernel) -> np.ndarray:
-    lat_axes = kernel.lattice.n_axes
-    shape = kernel.lattice.shape
+    lat = kernel.lattice
+    shape = lat.shape
+    flat = values.reshape(shape + (-1,))
+    m = _traveling_shift(flat) if lat.k == 1 else None
+    if m is not None:
+        return _convolve_line(flat, m, kernel).reshape(values.shape)
     spec = kernel.spectrum()
     out = np.empty_like(values)
-    flat = values.reshape(shape + (-1,))
     oflat = out.reshape(shape + (-1,))
-    axes = tuple(range(lat_axes))
+    axes = tuple(range(lat.n_axes))
     workers = get_workers()
     for c in range(flat.shape[-1]):
         fhat = sfft.rfftn(flat[..., c], axes=axes, workers=workers)
@@ -153,7 +210,11 @@ def mollify(field: DiscreteField, kernel: MollifierKernel,
 
     method: "fft" (default via "auto") and "direct" compute the same
     circular convolution; "direct" is the reference stencil summation with
-    exact shift equivariance.
+    exact shift equivariance.  With "fft", a field on a k = 1 lattice whose
+    rows are exact circular shifts values[t] == roll(values[0], m*t)
+    (every channel), with m*n_time a multiple of n_space, is convolved
+    along its single spectral line: a 1-D transform pair of row 0 shifted
+    into every row.  It agrees with the 2-D transform to rounding.
     """
     if kernel.lattice != field.lattice:
         raise ParameterError("kernel was built for a different lattice")

@@ -425,7 +425,11 @@ def _make_burgers(params: dict) -> SystemSpec:
 
     def G(U):
         u = U[..., 0]
-        return np.stack([u, 0.5 * u * u], axis=-1)[..., None, :]
+        out = np.empty(U.shape[:-1] + (1, 2))
+        out[..., 0, 0] = u
+        np.multiply(0.5, u, out=out[..., 0, 1])
+        out[..., 0, 1] *= u
+        return out
 
     def DG(U):
         u = U[..., 0]

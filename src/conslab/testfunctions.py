@@ -13,7 +13,7 @@ interfaces; the plateau isolates one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +36,20 @@ class TestFunction:
         raise NotImplementedError
 
 
+def _require_numeric(testfn) -> None:
+    # Catalogue parameters are numbers, flags or sequences of numbers.
+    for f in fields(testfn):
+        value = getattr(testfn, f.name)
+        try:
+            numeric = np.asarray(value).dtype.kind in "biuf"
+        except ValueError:
+            numeric = False
+        if not numeric:
+            raise ParameterError(
+                f"{type(testfn).__name__} parameter {f.name!r} must be "
+                f"numeric, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TensorBump(TestFunction):
     """amplitude * prod_a bump((z_a - center_a)/radius_a) over all axes."""
@@ -43,6 +57,9 @@ class TensorBump(TestFunction):
     center: Sequence[float]
     radius: Sequence[float]
     amplitude: float = 1.0
+
+    def __post_init__(self):
+        _require_numeric(self)
 
     def evaluate(self, lattice: Lattice, periodic_time: bool = True):
         center = np.asarray(self.center, dtype=float)
@@ -105,6 +122,9 @@ class TimeBump(TestFunction):
     amplitude: float = 1.0
     unit_integral: bool = False
 
+    def __post_init__(self):
+        _require_numeric(self)
+
     def _profile(self, t: np.ndarray, extent: float, periodic_time: bool):
         if self.radius <= 0:
             raise ParameterError("time radius must be positive")
@@ -159,6 +179,9 @@ class ShockAlignedBump(TestFunction):
     amplitude: float = 1.0
     unit_time_integral: bool = True
 
+    def __post_init__(self):
+        _require_numeric(self)
+
     def _time_part(self):
         return TimeBump(center=self.time_center, radius=self.time_radius,
                         amplitude=self.amplitude,
@@ -207,16 +230,6 @@ def from_config(spec: dict) -> TestFunction:
         raise ParameterError(
             f"unknown test function kind {kind!r}; "
             f"catalogue: {list(_CATALOGUE)}")
-    # Catalogue parameters are numbers, flags or lists of numbers.
-    for key, value in spec.items():
-        try:
-            numeric = np.asarray(value).dtype.kind in "biuf"
-        except ValueError:
-            numeric = False
-        if not numeric:
-            raise ParameterError(
-                f"test function {kind!r} parameter {key!r} must be numeric, "
-                f"got {value!r}")
     try:
         return _CATALOGUE[kind](**spec)
     except TypeError as exc:

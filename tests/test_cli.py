@@ -148,7 +148,40 @@ def test_rh_speed_resolution_rejects_inconsistent_pair(tmp_path, capsys):
     }
     code, _ = run("dissipation", config, tmp_path)
     assert code == 1
-    assert "no common Rankine-Hugoniot speed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "no common Rankine-Hugoniot speed" in err
+    # the speed of a dissipation config is the top-level key
+    assert "set speed to an explicit number" in err
+
+
+# The same inconsistent pair where the speed sits under another key.
+INCONSISTENT = {"left": [1.0, 0.3], "right": [1.5, 0.1],
+                "speed": "rankine-hugoniot"}
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("onsager-suite",
+     {"lattice": {"n_time": 32, "n_space": 64},
+      "sweep": {"eps_max": 0.25, "n_levels": 2}, "alphas": [0.6],
+      "test_function": {"kind": "bump", "center": [0.5, 0.5],
+                        "radius": [0.3, 0.3]},
+      "shock": {**INCONSISTENT, "test_function": {
+          "kind": "time-bump", "center": 0.5, "radius": 0.3}}},
+     "shock.speed"),
+    ("besov",
+     {"lattice": {"n_time": 32, "n_space": 64},
+      "field": {"kind": "shock", **INCONSISTENT}},
+     "field.speed"),
+], ids=["onsager-suite", "besov"])
+def test_rh_speed_error_names_the_config_key(tmp_path, capsys, command,
+                                             config, key):
+    config = {"command": command, "system": {"name": "elastodynamics-1d"},
+              **config}
+    code, _ = run(command, config, tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "no common Rankine-Hugoniot speed" in err
+    assert f"set {key} to an explicit number" in err
 
 
 def test_mollifier_audit_nonlacunary_needs_alpha_ref(tmp_path, capsys):

@@ -7,7 +7,7 @@ import oracles
 from conslab import (DiscreteField, Lattice, ParameterError, ResolutionError,
                      kernel_table, lq_norm, make_kernel, make_lacunary_field,
                      make_shock_field, mollify, verify_estimates)
-from conslab import _runtime
+from conslab import _runtime, mollifier
 from conslab.mollifier import axis_derivative, gradient_magnitude
 
 
@@ -167,18 +167,94 @@ def test_mollify_trims_nonperiodic_time(rng):
 
 
 def test_mollify_bitwise_identical_across_workers(rng):
-    # the worker count only splits the FFTs across threads
+    # the worker count only splits the FFTs across threads; the traveling
+    # wave takes the line-spectrum path
     lat = Lattice(k=1, n_time=64, n_space=128, extent_time=1.0,
                   extent_space=1.0)
-    field = DiscreteField(lattice=lat, values=rng.normal(size=lat.shape + (2,)))
-    results = []
-    try:
-        for workers in (1, 4):
-            _runtime.set_workers(workers)
-            results.append(mollify(field, make_kernel(0.125, lat)).values)
-    finally:
-        _runtime.set_workers(1)
-    assert np.array_equal(results[0], results[1])
+    for field in (DiscreteField(lattice=lat,
+                                values=rng.normal(size=lat.shape + (2,))),
+                  make_lacunary_field(0.6, 5, 3, 1.0, lat)):
+        results = []
+        try:
+            for workers in (1, 4):
+                _runtime.set_workers(workers)
+                results.append(mollify(field, make_kernel(0.125, lat)).values)
+        finally:
+            _runtime.set_workers(1)
+        assert np.array_equal(results[0], results[1])
+
+
+# ---------------------------------------------------------------------------
+# line-spectrum path for discrete traveling waves
+
+
+LINE_LATTICE = Lattice(k=1, n_time=32, n_space=64, extent_time=1.0,
+                       extent_space=1.0)
+
+
+def _shift(field):
+    return mollifier._traveling_shift(
+        field.values.reshape(field.lattice.shape + (-1,)))
+
+
+def _rolled(profile, m, n_time, periodic_time=True):
+    # values[t] = roll(profile, m*t): an exact discrete traveling wave
+    lat = Lattice(k=1, n_time=n_time, n_space=profile.shape[0],
+                  extent_time=1.0, extent_space=1.0)
+    values = np.stack([np.roll(profile, m * t, axis=0)
+                       for t in range(n_time)])
+    return DiscreteField(lattice=lat, values=values,
+                         periodic_time=periodic_time)
+
+
+@pytest.mark.parametrize("case", ["m>0", "m<0", "m=0", "two channels",
+                                  "trimmed"])
+def test_line_path_matches_direct(case, rng):
+    if case == "two channels":
+        field, m = _rolled(rng.normal(size=(64, 2)), 6, 32), 6
+    elif case == "trimmed":
+        field, m = _rolled(rng.normal(size=(32, 1)), -2, 64,
+                           periodic_time=False), 30
+    else:
+        speed, m = {"m>0": (1.0, 2), "m<0": (-2.0, 60), "m=0": (0.0, 0)}[case]
+        field = make_lacunary_field(0.6, 4, 3, speed, LINE_LATTICE)
+    # the lacunary profile has period n_space/2, so the shift found may
+    # differ from m by n_space/2; both are exact
+    assert _shift(field) % (field.lattice.n_space // 2) == \
+        m % (field.lattice.n_space // 2)
+    kernel = make_kernel(0.25, field.lattice)
+    got = mollify(field, kernel, method="fft")
+    want = mollify(field, kernel, method="direct")
+    assert got.lattice == want.lattice
+    np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
+
+
+def _perturbed_lacunary():
+    values = np.array(make_lacunary_field(0.6, 4, 3, 1.0,
+                                          LINE_LATTICE).values)
+    values[17, 5, 0] = np.nextafter(values[17, 5, 0], np.inf)
+    return DiscreteField(lattice=LINE_LATTICE, values=values)
+
+
+@pytest.mark.parametrize("make_field", [
+    # the shock moves half a node per step
+    lambda burgers, rng: make_shock_field(
+        burgers, [1.0], [0.0], 0.5,
+        Lattice(k=1, n_time=128, n_space=64, extent_time=1.0,
+                extent_space=1.0)),
+    # one value of one row is off by one ulp
+    lambda burgers, rng: _perturbed_lacunary(),
+    # exact shifts, but 3 * n_time is not a multiple of n_space
+    lambda burgers, rng: _rolled(rng.normal(size=(64, 1)), 3, 32),
+], ids=["half-node shock", "perturbed row", "aperiodic shift"])
+def test_line_path_fallback_is_the_2d_path(make_field, burgers, rng,
+                                           monkeypatch):
+    field = make_field(burgers, rng)
+    assert _shift(field) is None
+    kernel = make_kernel(0.25, field.lattice)
+    got = mollify(field, kernel).values
+    monkeypatch.setattr(mollifier, "_traveling_shift", lambda flat: None)
+    assert np.array_equal(got, mollify(field, kernel).values)
 
 
 # ---------------------------------------------------------------------------

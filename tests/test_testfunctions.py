@@ -199,6 +199,20 @@ def test_from_config_errors():
         build_testfn({"kind": "time-bump", "middle": 0.5})
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: TensorBump(center="ab", radius=[0.3, 0.3]), "center"),
+    (lambda: TensorBump(center=[0.5, 0.5], radius=[0.3, None]), "radius"),
+    (lambda: TimeBump(center=0.5, radius="wide"), "radius"),
+    (lambda: ShockAlignedBump(speed=0.5, xi_center=0.5, inner_radius=0.1,
+                              outer_radius=0.2, time_center="now",
+                              time_radius=0.3), "time_center"),
+], ids=["TensorBump.center", "TensorBump.radius", "TimeBump.radius",
+        "ShockAlignedBump.time_center"])
+def test_direct_construction_rejects_non_numeric_parameter(build, name):
+    with pytest.raises(ParameterError, match=f"{name!r} must be numeric"):
+        build()
+
+
 def test_from_config_rejects_non_numeric_parameter():
     with pytest.raises(ParameterError, match="'center' must be numeric"):
         build_testfn({"kind": "bump", "center": "ab", "radius": [0.2, 0.2]})
