@@ -146,9 +146,6 @@ _OUTPUT = {
     "additionalProperties": False,
 }
 
-_METHOD = {"enum": ["auto", "fft", "direct"]}
-
-
 def _command_schema(description: str, extra_required,
                     extra_properties) -> dict:
     # validate_config matches "command" against the invoked name itself.
@@ -215,7 +212,6 @@ _SCHEMAS = {
             "sweep": _SWEEP,
             "q": _NUMBER_POS,
             "alpha_ref": {"type": "number"},
-            "method": _METHOD,
         },
     ),
     "commutator-sweep": _command_schema(
@@ -229,7 +225,6 @@ _SCHEMAS = {
             "sweep": _SWEEP,
             "q": _NUMBER_POS,
             "test_function": _TESTFN,
-            "method": _METHOD,
         },
     ),
     "dissipation": _command_schema(
@@ -274,19 +269,18 @@ _SCHEMAS = {
                 },
                 "additionalProperties": False,
             },
-            "slope_margin": _NUMBER_POS,
-            "limit_rtol": _NUMBER_POS,
-            "stability_window": _NUMBER_POS,
-            "method": _METHOD,
         },
     ),
 }
 
 
 def load_config(path) -> dict:
+    def reject(literal):
+        raise ConfigError(f"{path}: {literal} is not a JSON number")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
@@ -504,8 +498,7 @@ def run_mollifier_audit(config: dict):
             raise ConfigError(
                 "alpha_ref is required unless the field is lacunary")
         alpha_ref = config["field"]["alpha"]
-    audit = verify_estimates(field, config.get("q", 3.0), epsilons,
-                             alpha_ref, method=config.get("method", "auto"))
+    audit = verify_estimates(field, config.get("q", 3.0), epsilons, alpha_ref)
     rows = [[e, g, a, t] for e, g, a, t in
             zip(audit.epsilons, audit.gradient_norms,
                 audit.approximation_norms, audit.translation_norms)]
@@ -529,11 +522,10 @@ def run_commutator_sweep(config: dict):
     epsilons = _sweep_epsilons(config["sweep"])
     kernels = [make_kernel(e, field.lattice) for e in epsilons]
     q = config.get("q", 3.0)
-    method = config.get("method", "auto")
     testfn = testfn_from_config(config["test_function"])
 
-    sweep = lemma_bound_audit(system, field, kernels, q, method=method)
-    residual = residual_R(system, field, kernels, testfn, method=method)
+    sweep = lemma_bound_audit(system, field, kernels, q)
+    residual = residual_R(system, field, kernels, testfn)
     rows = [[e, w, b, i1, i2, t] for e, w, b, i1, i2, t in
             zip(epsilons, sweep.commutator_Lq_norms,
                 sweep.lemma_bound_values, residual.I1, residual.I2,
@@ -564,23 +556,25 @@ def run_dissipation(config: dict):
     return out, {"": (header, rows)}, 0
 
 
+# onsager-suite acceptance tolerances (see run_onsager_suite).
+SLOPE_MARGIN = 0.15
+LIMIT_RTOL = 0.05
+STABILITY_WINDOW = 0.10
+
+
 def run_onsager_suite(config: dict):
     """Theorem-style summary: residual decay per alpha, plus the shock row.
 
     A lacunary row passes when its fitted |R| slope clears 3*alpha - 1 minus
-    the slope margin; rows with alpha <= 1/3 carry no prediction and are
+    SLOPE_MARGIN (0.15); rows with alpha <= 1/3 carry no prediction and are
     flagged rather than judged.  The shock row passes when the extrapolated
-    limit matches the closed-form dissipation rate and the last three sweep
-    values agree within the stability window.
+    limit matches the closed-form dissipation rate within relative error
+    LIMIT_RTOL (0.05) and the last three sweep values spread, relative to
+    their mean, by less than STABILITY_WINDOW (0.10).
     """
     system = _build_system(config["system"])
     lattice = _build_lattice(config["lattice"])
     epsilons = _sweep_epsilons(config["sweep"])
-    q = config.get("q", 3.0)
-    method = config.get("method", "auto")
-    margin = config.get("slope_margin", 0.15)
-    limit_rtol = config.get("limit_rtol", 0.05)
-    window = config.get("stability_window", 0.10)
     lac = config.get("lacunary", {"n_octaves": 10, "seed": 7})
     testfn = testfn_from_config(config["test_function"])
     shock = config["shock"]
@@ -598,7 +592,7 @@ def run_onsager_suite(config: dict):
         field = _build_field({"kind": "lacunary", "alpha": alpha, **lac},
                              lattice, system)
         kernels = [make_kernel(e, field.lattice) for e in epsilons]
-        residual = residual_R(system, field, kernels, testfn, method=method)
+        residual = residual_R(system, field, kernels, testfn)
         threshold = 3.0 * alpha - 1.0
         slope = residual.rate_fit.slope
         terminal = abs(residual.total[-1]) / max(abs(residual.total[0]),
@@ -608,7 +602,7 @@ def run_onsager_suite(config: dict):
         elif residual.rate_fit.degenerate:
             verdict = "fail"
         else:
-            verdict = "pass" if slope >= threshold - margin else "fail"
+            verdict = "pass" if slope >= threshold - SLOPE_MARGIN else "fail"
         failed = failed or verdict == "fail"
         rows.append({
             "row": "lacunary", "alpha": alpha, "slope": slope,
@@ -623,8 +617,7 @@ def run_onsager_suite(config: dict):
         _build_lattice(shock.get("lattice", config["lattice"])))
     shock_kernels = [make_kernel(e, shock_field.lattice) for e in
                      _sweep_epsilons(shock.get("sweep", config["sweep"]))]
-    shock_res = residual_R(system, shock_field, shock_kernels, shock_tf,
-                           method=method)
+    shock_res = residual_R(system, shock_field, shock_kernels, shock_tf)
     closed = shock_dissipation_rate(system, shock["left"],
                                     shock["right"]) * shock_tf.time_integral
     limit = shock_res.limit_estimate
@@ -632,7 +625,7 @@ def run_onsager_suite(config: dict):
     spread = float((tail.max() - tail.min()) / np.mean(tail)) \
         if len(tail) == 3 and np.mean(tail) > 0 else float("inf")
     rel_err = abs(limit - closed) / max(abs(closed), np.finfo(float).tiny)
-    shock_ok = rel_err <= limit_rtol and spread < window
+    shock_ok = rel_err <= LIMIT_RTOL and spread < STABILITY_WINDOW
     failed = failed or not shock_ok
     rows.append({
         "row": "shock", "alpha": None, "slope": None, "threshold": None,

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .fields import DiscreteField, magnitude_lq_norm
+from .fields import DiscreteField, magnitude_lq_norm, require_q
 from .mollifier import MollifierKernel, axis_derivative, mollify, sweep
 from .rates import RateFit, aitken_limit, fit_loglog
 from .systems import (SystemSpec, fd_jacobian, require_in_domain,
@@ -37,7 +37,7 @@ from .testfunctions import TestFunction
 
 def _commutator(system: SystemSpec, field: DiscreteField,
                 kernel: MollifierKernel, mollified: DiscreteField,
-                entries, method: str) -> list:
+                entries) -> list:
     """One lattice array per commutator entry in `entries`.  The flux
     temporaries die with this frame, so no sweep holds them across eps."""
     if not entries:
@@ -47,14 +47,14 @@ def _commutator(system: SystemSpec, field: DiscreteField,
         DiscreteField(lattice=field.lattice,
                       values=system.G(field.values)[..., rows, cols],
                       periodic_time=field.periodic_time),
-        kernel, method=method).values
+        kernel).values
     G_of_mollified = system.G(mollified.values)
     return [G_of_mollified[..., i, j] - smoothed_G[..., m]
             for m, (i, j) in enumerate(entries)]
 
 
 def _commutators(system: SystemSpec, field: DiscreteField,
-                 kernels: Sequence[MollifierKernel], method: str):
+                 kernels: Sequence[MollifierKernel]):
     """Yield (kernel, [U]_eps, U on its window, entries, parts) per kernel,
     coarsest epsilon first, where parts[m] is the commutator entry
     entries[m] (affine rows and columns left out)."""
@@ -62,19 +62,18 @@ def _commutators(system: SystemSpec, field: DiscreteField,
     entries = [(i, j)
                for i in range(system.n) if i not in system.affine_rows
                for j in range(system.k + 1) if j not in system.affine_columns]
-    for kernel, mollified, window in sweep(field, kernels, method):
+    for kernel, mollified, window in sweep(field, kernels):
         require_in_domain(
             system.domain, mollified.values,
             f"mollified field of {system.name!r} at eps {kernel.epsilon:g} "
             "(replace the system with extend_to_compact_range(...) over the "
             "field's range box)")
         yield (kernel, mollified, window, entries,
-               _commutator(system, field, kernel, mollified, entries, method))
+               _commutator(system, field, kernel, mollified, entries))
 
 
 def commutator_field(system: SystemSpec, field: DiscreteField,
-                     kernel: MollifierKernel,
-                     method: str = "auto") -> DiscreteField:
+                     kernel: MollifierKernel) -> DiscreteField:
     """G([U]_eps) - [G(U)]_eps as a matrix-valued field (n x (k+1) per node).
 
     Affine columns and rows are exact zeros by construction.  Raises a
@@ -83,7 +82,7 @@ def commutator_field(system: SystemSpec, field: DiscreteField,
     first.
     """
     _, mollified, _, entries, parts = next(
-        _commutators(system, field, [kernel], method))
+        _commutators(system, field, [kernel]))
     out = np.zeros(mollified.lattice.shape + (system.n, system.k + 1))
     for (i, j), part in zip(entries, parts):
         out[..., i, j] = part
@@ -110,16 +109,15 @@ class CommutatorSweep:
 
 
 def lemma_bound_audit(system: SystemSpec, field: DiscreteField,
-                      kernels: Sequence[MollifierKernel], q: float,
-                      method: str = "auto") -> CommutatorSweep:
+                      kernels: Sequence[MollifierKernel],
+                      q: float) -> CommutatorSweep:
     """Measure ||W||_{L^q} against the square-difference bound per epsilon.
 
     The sup over kernel-support shifts is realized exactly as a max over
     all nonzero stencil offsets, so the cost grows with the stencil size;
     intended for audit-scale lattices.
     """
-    if q < 1:
-        raise ParameterError(f"q must be >= 1, got {q}")
+    require_q(q)
     if not field.periodic_time:
         raise ParameterError(
             "lemma_bound_audit requires a fully periodic field (the shift "
@@ -127,7 +125,7 @@ def lemma_bound_audit(system: SystemSpec, field: DiscreteField,
     n_axes = field.lattice.n_axes
     eps, lhs, bounds = [], [], []
     for kernel, mollified, window, _, parts in _commutators(system, field,
-                                                            kernels, method):
+                                                            kernels):
         vol = mollified.lattice.cell_volume
         lhs.append(magnitude_lq_norm(np.stack(parts, axis=-1), n_axes, q, vol)
                    if parts else 0.0)
@@ -184,7 +182,7 @@ class ResidualReport:
 
 def residual_R(system: SystemSpec, field: DiscreteField,
                kernels: Sequence[MollifierKernel], testfn: TestFunction,
-               method: str = "auto", fd_step: float = 1e-5) -> ResidualReport:
+               fd_step: float = 1e-5) -> ResidualReport:
     """Integrate the mollified companion-law defect against a test function.
 
     Per epsilon: I1 pairs the commutator with the multiplier derivative
@@ -195,7 +193,7 @@ def residual_R(system: SystemSpec, field: DiscreteField,
     eps, I1s, I2s, totals = [], [], [], []
     test_cache = {}
     for kernel, mollified, _, entries, parts in _commutators(system, field,
-                                                             kernels, method):
+                                                             kernels):
         lat = mollified.lattice
         key = (lat, mollified.periodic_time)
         if key not in test_cache:
@@ -229,11 +227,11 @@ def residual_R(system: SystemSpec, field: DiscreteField,
 
 
 def good_set_measure(field: DiscreteField, kernel: MollifierKernel,
-                     delta: float, method: str = "auto") -> float:
+                     delta: float) -> float:
     """Fraction of lattice nodes where |U - [U]_eps| < delta."""
     if delta <= 0:
         raise ParameterError(f"delta must be positive, got {delta}")
-    _, mollified, window = next(sweep(field, [kernel], method))
+    _, mollified, window = next(sweep(field, [kernel]))
     diff = mollified.values - window
     mag = np.sqrt(np.einsum("...i,...i->...", diff, diff))
     return float(np.mean(mag < delta))

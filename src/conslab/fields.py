@@ -222,6 +222,7 @@ def shift_difference_norm(field: DiscreteField, axis: int, nodes: int,
     """L^q norm of U(. + shift) - U(.) for a shift of `nodes` lattice nodes
     along one axis.  Periodic axes wrap; a non-periodic time axis restricts
     to the overlap window."""
+    require_q(q)
     if nodes < 1:
         raise ParameterError("shift must be >= 1 node")
     v = field.values
@@ -233,6 +234,12 @@ def shift_difference_norm(field: DiscreteField, axis: int, nodes: int,
         diff = np.roll(v, -nodes, axis=axis) - v
     return magnitude_lq_norm(diff, field.lattice.n_axes, q,
                              field.lattice.cell_volume)
+
+
+def require_q(q: float) -> None:
+    """Raise ParameterError unless the integrability exponent q is >= 1."""
+    if not q >= 1:
+        raise ParameterError(f"q must be >= 1, got {q}")
 
 
 def magnitude_lq_norm(values: np.ndarray, n_axes: int, q: float,
@@ -272,8 +279,7 @@ def estimate_besov(field: DiscreteField, q: float, n_shifts: int = 9) -> BesovEs
     when within its extent), and the reported norm is the max over axes.
     The regression drops the smallest and largest shift.
     """
-    if q < 1:
-        raise ParameterError(f"q must be >= 1, got {q}")
+    require_q(q)
     if n_shifts < 3:
         raise ParameterError("n_shifts must be >= 3")
     lat = field.lattice

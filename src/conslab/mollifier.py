@@ -4,8 +4,8 @@ The kernel is the classic compactly supported bump exp(-1/(1-|X/eps|^2))
 sampled on the lattice stencil of radius eps and renormalized so the
 discrete sum times the cell volume is exactly one; mollification is then
 circular convolution with that stencil.  Direct stencil summation is the
-reference semantics; an FFT path computes the same circular convolution
-and is the default for speed.
+reference semantics; the FFT path computes the same circular convolution
+and is the one every epsilon sweep uses.
 
 The FFT path has an exact shortcut for discrete traveling waves in one
 space dimension: fields whose every time row is the first row circularly
@@ -33,7 +33,7 @@ from scipy import fft as sfft
 from ._bumps import bump
 from ._runtime import get_workers
 from .errors import ParameterError, ResolutionError
-from .fields import (DiscreteField, Lattice, magnitude_lq_norm,
+from .fields import (DiscreteField, Lattice, magnitude_lq_norm, require_q,
                      shift_difference_norm)
 from .rates import RateFit, fit_loglog
 
@@ -49,8 +49,9 @@ class MollifierKernel:
 
     def __init__(self, epsilon: float, lattice: Lattice,
                  space_only: bool = False):
-        if epsilon <= 0:
-            raise ParameterError(f"epsilon must be positive, got {epsilon}")
+        if not 0 < epsilon < np.inf:
+            raise ParameterError(
+                f"epsilon must be positive and finite, got {epsilon}")
         spacings = [lattice.h_space] * lattice.k if space_only else \
             [lattice.h_time] + [lattice.h_space] * lattice.k
         h_coarse = max(spacings)
@@ -200,7 +201,7 @@ def _convolve_direct(values: np.ndarray, kernel: MollifierKernel) -> np.ndarray:
 
 
 def mollify(field: DiscreteField, kernel: MollifierKernel,
-            method: str = "auto") -> DiscreteField:
+            method: str = "fft") -> DiscreteField:
     """Convolve a field with the kernel.
 
     Fully periodic fields (space always, time via periodic_time) return a
@@ -208,18 +209,16 @@ def mollify(field: DiscreteField, kernel: MollifierKernel,
     convolved circularly and then trimmed by the kernel's time radius at
     both ends, so every surviving node saw only legitimate neighbors.
 
-    method: "fft" (default via "auto") and "direct" compute the same
-    circular convolution; "direct" is the reference stencil summation with
-    exact shift equivariance.  With "fft", a field on a k = 1 lattice whose
-    rows are exact circular shifts values[t] == roll(values[0], m*t)
-    (every channel), with m*n_time a multiple of n_space, is convolved
-    along its single spectral line: a 1-D transform pair of row 0 shifted
-    into every row.  It agrees with the 2-D transform to rounding.
+    method: "fft" (the default; every epsilon sweep uses it) and "direct"
+    compute the same circular convolution; "direct" is the reference
+    stencil summation with exact shift equivariance.  With "fft", a field
+    on a k = 1 lattice whose rows are exact circular shifts values[t] ==
+    roll(values[0], m*t) (every channel), m*n_time a multiple of n_space,
+    is convolved along its single spectral line: a 1-D transform pair of
+    row 0 shifted into every row, equal to the 2-D transform to rounding.
     """
     if kernel.lattice != field.lattice:
         raise ParameterError("kernel was built for a different lattice")
-    if method == "auto":
-        method = "fft"
     if method not in ("fft", "direct"):
         raise ParameterError(f"unknown method {method!r}")
 
@@ -243,14 +242,13 @@ def mollify(field: DiscreteField, kernel: MollifierKernel,
                          periodic_time=False)
 
 
-def sweep(field: DiscreteField, kernels: Sequence[MollifierKernel],
-          method: str):
+def sweep(field: DiscreteField, kernels: Sequence[MollifierKernel]):
     """Yield (kernel, [U]_eps, window) per kernel, coarsest epsilon first;
     window is U on the lattice of [U]_eps, the time slab a trim keeps."""
     if not kernels:
         raise ParameterError("empty kernel sweep")
     for kernel in sorted(kernels, key=lambda k: -k.epsilon):
-        mollified = mollify(field, kernel, method=method)
+        mollified = mollify(field, kernel)
         n_keep = mollified.lattice.n_time
         r_t = (field.lattice.n_time - n_keep) // 2
         yield kernel, mollified, field.values[r_t:r_t + n_keep]
@@ -258,6 +256,7 @@ def sweep(field: DiscreteField, kernels: Sequence[MollifierKernel],
 
 def lq_norm(field: DiscreteField, q: float) -> float:
     """L^q norm of the pointwise Euclidean magnitude over the lattice."""
+    require_q(q)
     return magnitude_lq_norm(field.values, field.lattice.n_axes, q,
                              field.lattice.cell_volume)
 
@@ -307,9 +306,10 @@ class MollifierAudit:
 
 
 def verify_estimates(field: DiscreteField, q: float,
-                     epsilons: Sequence[float], alpha_ref: float,
-                     method: str = "auto") -> MollifierAudit:
+                     epsilons: Sequence[float],
+                     alpha_ref: float) -> MollifierAudit:
     """Measure the three mollification estimates across an epsilon sweep."""
+    require_q(q)
     if len(epsilons) < 4:
         raise ParameterError("need at least 4 epsilons for stable fits")
     if not 0.0 < alpha_ref < 1.0:
@@ -317,7 +317,7 @@ def verify_estimates(field: DiscreteField, q: float,
     lat = field.lattice
     kernels = [make_kernel(e, lat) for e in epsilons]
     eps, grad_norms, diff_norms, trans_norms = [], [], [], []
-    for kernel, smoothed, window in sweep(field, kernels, method):
+    for kernel, smoothed, window in sweep(field, kernels):
         e = kernel.epsilon
         vol = smoothed.lattice.cell_volume
         eps.append(e)

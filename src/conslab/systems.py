@@ -38,23 +38,21 @@ Evaluator = Callable[[np.ndarray], np.ndarray]
 class StateDomain:
     """Open set of admissible states with a pure membership test.
 
-    kind is one of "all-space", "box", "half-space-positive-coordinate",
-    "predicate".  Box bounds may be infinite on one side.
+    Either the open box lower < U < upper, whose bounds may be infinite
+    and broadcast over components (all_space() is (-inf,) / (inf,)), or
+    the set where predicate holds.
     """
 
-    kind: str
     lower: Optional[tuple] = None
     upper: Optional[tuple] = None
-    coordinate: Optional[int] = None
     predicate: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    description: str = ""
 
     @staticmethod
     def all_space() -> "StateDomain":
-        return StateDomain(kind="all-space", description="all of R^n")
+        return StateDomain.box([-np.inf], [np.inf])
 
     @staticmethod
-    def box(lower, upper, description: str = "") -> "StateDomain":
+    def box(lower, upper) -> "StateDomain":
         lower = tuple(float(v) for v in lower)
         upper = tuple(float(v) for v in upper)
         if len(lower) != len(upper):
@@ -62,43 +60,35 @@ class StateDomain:
         for i, (lo, hi) in enumerate(zip(lower, upper)):
             if not lo < hi:
                 raise ParameterError(f"box bound {i} empty: [{lo}, {hi}]")
-        return StateDomain(kind="box", lower=lower, upper=upper,
-                           description=description)
+        return StateDomain(lower=lower, upper=upper)
 
     @staticmethod
-    def half_space(coordinate: int, description: str = "") -> "StateDomain":
-        """Open half space {U : U[coordinate] > 0}."""
-        return StateDomain(kind="half-space-positive-coordinate",
-                           coordinate=int(coordinate), description=description)
-
-    @staticmethod
-    def from_predicate(predicate, description: str = "") -> "StateDomain":
-        return StateDomain(kind="predicate", predicate=predicate,
-                           description=description)
+    def from_predicate(predicate) -> "StateDomain":
+        return StateDomain(predicate=predicate)
 
     def contains(self, U: np.ndarray, margin: float = 0.0) -> np.ndarray:
         """Vectorized membership of states shaped (..., n).
 
         With margin > 0 the test is for distance > margin from the
-        boundary along each coordinate (boxes and half spaces only; for
-        predicate domains the margin is ignored beyond plain membership).
+        boundary along each coordinate (boxes only; for predicate domains
+        the margin is ignored beyond plain membership).  Only finite box
+        bounds are compared, so all of state space costs no comparison.
         """
         U = np.asarray(U, dtype=float)
-        if self.kind == "all-space":
-            return np.ones(U.shape[:-1], dtype=bool)
-        if self.kind == "box":
-            lo = np.asarray(self.lower) + margin
-            hi = np.asarray(self.upper) - margin
-            return np.all((U > lo) & (U < hi), axis=-1)
-        if self.kind == "half-space-positive-coordinate":
-            return U[..., self.coordinate] > margin
-        if self.kind == "predicate":
+        if self.predicate is not None:
             out = np.asarray(self.predicate(U))
             if out.shape != U.shape[:-1]:
                 raise ParameterError(
                     "domain predicate must map (..., n) states to (...) booleans")
             return out
-        raise ParameterError(f"unknown domain kind {self.kind!r}")
+        lo = np.broadcast_to(self.lower, U.shape[-1:])
+        hi = np.broadcast_to(self.upper, U.shape[-1:])
+        ok = np.ones(U.shape[:-1], dtype=bool)
+        for i in np.flatnonzero(np.isfinite(lo)):
+            ok &= U[..., i] > lo[i] + margin
+        for i in np.flatnonzero(np.isfinite(hi)):
+            ok &= U[..., i] < hi[i] - margin
+        return ok
 
 
 def require_in_domain(domain: StateDomain, U: np.ndarray, what: str,
@@ -412,11 +402,7 @@ def _density_domain(params: dict, n: int, what: str) -> StateDomain:
         raise ParameterError(
             f"{what}: density range [{rho_min}, inf) includes 0 where the "
             "multiplier is singular; rho_min must be >= 0")
-    if rho_min == 0.0:
-        return StateDomain.half_space(0, description=f"{what} > 0")
-    lower = [rho_min] + [-np.inf] * (n - 1)
-    upper = [np.inf] * n
-    return StateDomain.box(lower, upper, description=f"{what} > {rho_min}")
+    return StateDomain.box([rho_min] + [-np.inf] * (n - 1), [np.inf] * n)
 
 
 def _make_burgers(params: dict) -> SystemSpec:
@@ -601,11 +587,7 @@ def _make_elastodynamics(params: dict) -> SystemSpec:
     # deformations) is not convex in general; the half line stands in for
     # it, and the extension path must be used whenever mollified states
     # could leave the range of the data.
-    if w_min == 0.0:
-        domain = StateDomain.half_space(0, description="strain w > 0")
-    else:
-        domain = StateDomain.box([w_min, -np.inf], [np.inf, np.inf],
-                                 description=f"strain w > {w_min}")
+    domain = StateDomain.box([w_min, -np.inf], [np.inf, np.inf])
     dW, d2W, Wfn = energy.dW, energy.d2W, energy.W
 
     # states (w, v): strain and velocity; the kinematic row w_t = v_x is affine.
@@ -890,7 +872,7 @@ def extend_to_compact_range(system: SystemSpec, range_box, delta: float) -> Syst
         raise ParameterError(f"delta must be positive, got {delta}")
 
     lo2, hi2 = lower - 2.0 * delta, upper + 2.0 * delta
-    _check_box_inside(system.domain, lo2, hi2, delta)
+    _check_box_inside(system.domain, lo2, hi2)
 
     def cutoff(U):
         """chi(U) in [0, 1] with per-component factors; also the gradient."""
@@ -952,13 +934,11 @@ def extend_to_compact_range(system: SystemSpec, range_box, delta: float) -> Syst
     return ext
 
 
-def _check_box_inside(domain: StateDomain, lo2, hi2, delta: float) -> None:
+def _check_box_inside(domain: StateDomain, lo2, hi2) -> None:
     n = lo2.size
-    if domain.kind == "all-space":
-        return
-    if domain.kind == "box":
-        dlo = np.asarray(domain.lower)
-        dhi = np.asarray(domain.upper)
+    if domain.predicate is None:
+        dlo = np.broadcast_to(domain.lower, (n,))
+        dhi = np.broadcast_to(domain.upper, (n,))
         for i in range(n):
             if lo2[i] <= dlo[i]:
                 raise GeometryError(
@@ -968,13 +948,6 @@ def _check_box_inside(domain: StateDomain, lo2, hi2, delta: float) -> None:
                 raise GeometryError(
                     f"2*delta enlargement exits the domain at the upper face of "
                     f"component {i}: {hi2[i]:g} >= {dhi[i]:g}")
-        return
-    if domain.kind == "half-space-positive-coordinate":
-        c = domain.coordinate
-        if lo2[c] <= 0.0:
-            raise GeometryError(
-                f"2*delta enlargement exits the domain at the lower face of "
-                f"component {c}: {lo2[c]:g} <= 0")
         return
     # predicate domains admit no exact geometric test; check the corners
     # and the center of the enlarged box.

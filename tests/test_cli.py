@@ -117,6 +117,31 @@ def test_schema_rejects_unknown_system(tmp_path, capsys):
     assert "is not one of" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+def test_config_rejects_non_finite_literals(tmp_path, capsys, literal):
+    # Python's json accepts these literals; the schema would pass them on
+    path = tmp_path / "inf.json"
+    path.write_text(
+        '{"command": "mollifier-audit", '
+        '"lattice": {"n_time": 64, "n_space": 256}, '
+        '"field": {"kind": "lacunary", "alpha": 0.5, "n_octaves": 5, '
+        f'"seed": 0}}, "sweep": {{"eps_max": {literal}, "n_levels": 4}}}}',
+        encoding="utf-8")
+    assert main(["mollifier-audit", "--config", str(path),
+                 "--outdir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{literal} is not a JSON number" in err
+
+
+def test_commutator_sweep_has_no_method_key(tmp_path, capsys):
+    config = json.loads((CONFIG_DIR / "commutator_sweep.json").read_text())
+    config["method"] = "fft"
+    code, _ = run("commutator-sweep", config, tmp_path)
+    assert code == 1
+    assert "'method'" in capsys.readouterr().err
+
+
 def test_threads_must_be_positive(tmp_path, capsys):
     path = write_config(tmp_path, SMALL_BESOV)
     assert main(["besov", "--config", str(path), "--threads", "0"]) == 1
@@ -361,6 +386,36 @@ def test_shipped_commutator_sweep(tmp_path):
     sweep = payload["report"]["sweep"]
     assert all(w <= b for w, b in zip(sweep["commutator_Lq_norms"],
                                       sweep["lemma_bound_values"]))
+
+
+def test_commutator_sweep_extension_key(tmp_path):
+    # C8 elastodynamics shock: the mollified states stay inside the delta
+    # enlargement, where the extension is the identity
+    s = float(np.sqrt((1.2 ** 3 - 1.0) / 0.2))
+    config = {
+        "command": "commutator-sweep",
+        "system": {"name": "elastodynamics-1d"},
+        "lattice": {"n_time": 128, "n_space": 256},
+        "field": {"kind": "shock", "left": [1.0, 0.1 * s],
+                  "right": [1.2, -0.1 * s], "speed": s},
+        "sweep": {"eps_max": 0.125, "n_levels": 2},
+        "test_function": {"kind": "shock-aligned", "speed": s,
+                          "xi_center": 0.5, "inner_radius": 0.1,
+                          "outer_radius": 0.3, "time_center": 0.5,
+                          "time_radius": 0.4},
+    }
+    code, outdir = run("commutator-sweep", config, tmp_path,
+                       "--basename", "raw")
+    assert code == 0
+    extended = dict(config, extension={"lower": [1.0, -1.0],
+                                       "upper": [2.0, 1.0], "delta": 0.25})
+    code, _ = run("commutator-sweep", extended, tmp_path, "--basename", "ext")
+    assert code == 0
+    raw = load_report(outdir, "raw")["report"]["residual"]
+    ext = load_report(outdir, "ext")["report"]["residual"]
+    assert len(ext["total"]) == 2 and all(t != 0.0 for t in raw["total"])
+    np.testing.assert_allclose(ext["total"], raw["total"], rtol=0,
+                               atol=1e-10)
 
 
 def test_shipped_dissipation(tmp_path):

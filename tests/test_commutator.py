@@ -1,5 +1,7 @@
 """Nonlinear commutator, square-difference bound, companion-law residual."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -276,15 +278,35 @@ def test_residual_identical_between_raw_and_extended_system(elasto):
     assert wrapped.I1[0] == pytest.approx(raw.I1[0], abs=1e-10)
 
 
+def test_residual_finite_difference_DB_matches_analytic(elasto):
+    # elastodynamics has a non-affine multiplier row, so the DB fallback
+    # contributes nonzero entries to I1
+    s = np.sqrt((1.2 ** 3 - 1.0) / 0.2)
+    lat = Lattice(k=1, n_time=64, n_space=128, extent_time=1.0,
+                  extent_space=1.0)
+    field = make_shock_field(elasto, [1.0, 0.1 * s], [1.2, -0.1 * s], s, lat)
+    T = field.lattice.extent_time
+    bump = ShockAlignedBump(speed=s, xi_center=0.5, inner_radius=0.1,
+                            outer_radius=0.3, time_center=0.5 * T,
+                            time_radius=0.4 * T)
+    kernels = [make_kernel(e, field.lattice) for e in (1 / 4, 1 / 8)]
+    analytic = residual_R(elasto, field, kernels, bump)
+    fd = residual_R(dataclasses.replace(elasto, DB=None), field, kernels,
+                    bump)
+    assert np.all(analytic.I1 != 0.0)
+    np.testing.assert_allclose(fd.I1, analytic.I1, rtol=1e-8, atol=0)
+    np.testing.assert_allclose(fd.total, analytic.total, rtol=1e-8, atol=0)
+
+
 def test_domain_violation_names_the_extension(space_lattice):
     # genuinely non-convex admissible set: an annulus; the two states sit
     # inside but their mollification crosses the hole
     def norm(U):
         return np.sqrt(np.einsum("...i,...i->...", U, U))
 
+    # annulus 0.5 < |U| < 3
     domain = StateDomain.from_predicate(
-        lambda U: (norm(U) > 0.5) & (norm(U) < 3.0),
-        description="annulus 0.5 < |U| < 3")
+        lambda U: (norm(U) > 0.5) & (norm(U) < 3.0))
 
     def G(U):
         return np.stack([U, U], axis=-1)

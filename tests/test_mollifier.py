@@ -6,7 +6,8 @@ import pytest
 import oracles
 from conslab import (DiscreteField, Lattice, ParameterError, ResolutionError,
                      kernel_table, lq_norm, make_kernel, make_lacunary_field,
-                     make_shock_field, mollify, verify_estimates)
+                     make_shock_field, mollify, shift_difference_norm,
+                     verify_estimates)
 from conslab import _runtime, mollifier
 from conslab.mollifier import axis_derivative, gradient_magnitude
 
@@ -51,6 +52,17 @@ def test_kernel_resolution_guards(small_lattice):
         make_kernel(0.1, small_lattice)  # < 4 nodes per radius
     with pytest.raises(ResolutionError, match="stencil spans"):
         make_kernel(0.8, small_lattice)  # stencil wider than the lattice
+
+
+@pytest.mark.parametrize("epsilon", [np.inf, np.nan])
+def test_kernel_rejects_non_finite_epsilon(small_lattice, epsilon):
+    with pytest.raises(ParameterError, match="finite"):
+        make_kernel(epsilon, small_lattice)
+
+
+def test_mollify_takes_fft_or_direct_only(small_field, small_lattice):
+    with pytest.raises(ParameterError, match="unknown method 'auto'"):
+        mollify(small_field, make_kernel(0.2, small_lattice), method="auto")
 
 
 def test_space_only_kernel(small_lattice):
@@ -366,6 +378,17 @@ def test_estimates_validation(small_field):
         verify_estimates(small_field, 2.0, [0.3, 0.25, 0.2], 0.5)
     with pytest.raises(ParameterError, match="alpha_ref"):
         verify_estimates(small_field, 2.0, [0.35, 0.3, 0.25, 0.2], 1.5)
+
+
+@pytest.mark.parametrize("q", [0.0, -1.0, 0.5, np.nan])
+@pytest.mark.parametrize("call", [
+    lambda f, q: verify_estimates(f, q, [0.35, 0.3, 0.25, 0.2], 0.5),
+    lambda f, q: lq_norm(f, q),
+    lambda f, q: shift_difference_norm(f, 1, 2, q),
+], ids=["verify_estimates", "lq_norm", "shift_difference_norm"])
+def test_q_below_one_rejected(small_field, call, q):
+    with pytest.raises(ParameterError, match="q must be >= 1"):
+        call(small_field, q)
 
 
 def test_mollified_jump_width(burgers):
