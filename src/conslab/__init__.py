@@ -16,10 +16,10 @@ from .errors import (ConfigError, ConslabError, DomainViolationError,
                      GeometryError, InconsistentShockError, ParameterError,
                      ResolutionError, TestSupportError,
                      UnsupportedGeometryError)
-from .fields import (BesovEstimate, DiscreteField, Lattice, estimate_besov,
-                     field_to_csv, lacunary_profile, load_field,
-                     make_lacunary_field, make_shock_field, save_field,
-                     shift_difference_norm)
+from .fields import (BesovEstimate, DiscreteField, Lattice, TravelingField,
+                     estimate_besov, field_to_csv, lacunary_profile,
+                     load_field, make_lacunary_field, make_shock_field,
+                     save_field, shift_difference_norm)
 from .mollifier import (MollifierAudit, MollifierKernel, kernel_table,
                         lq_norm, make_kernel, mollify, verify_estimates)
 from .rates import RateFit, aitken_limit, fit_loglog

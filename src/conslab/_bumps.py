@@ -59,11 +59,12 @@ def _g_deriv(s: np.ndarray) -> np.ndarray:
 def smoothstep(s: np.ndarray) -> np.ndarray:
     """C-infinity monotone transition: 0 for s <= 0, 1 for s >= 1."""
     s = np.asarray(s, dtype=float)
-    a, b = _g(s), _g(1.0 - s)
     out = np.zeros_like(s)
     out[s >= 1.0] = 1.0
     mid = (s > 0.0) & (s < 1.0)
-    out[mid] = a[mid] / (a[mid] + b[mid])
+    sm = s[mid]
+    a, b = _g(sm), _g(1.0 - sm)
+    out[mid] = a / (a + b)
     return out
 
 

@@ -278,9 +278,15 @@ def load_config(path) -> dict:
     def reject(literal):
         raise ConfigError(f"{path}: {literal} is not a JSON number")
 
+    def finite(literal):
+        value = float(literal)
+        if not np.isfinite(value):
+            raise ConfigError(f"{path}: {literal} overflows a double")
+        return value
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh, parse_constant=reject)
+            config = json.load(fh, parse_constant=reject, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(config, dict):

@@ -17,6 +17,11 @@ so that I1 + I2 equals -integral Q([U]_eps) . D_X psi for exact weak
 solutions.  The leading minus comes from the integration by parts that
 moves the divergence off the commutator; with it, admissible shocks
 produce negative totals matching their dissipation rate.
+
+Everything here runs on the field's nodes (see fields): on a
+TravelingField the commutator, the multiplier and every norm live on the
+n_space profile nodes, and the integrals pair them with the shear averages
+of psi and D_X psi.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .fields import DiscreteField, magnitude_lq_norm, require_q
+from .fields import Field, magnitude_lq_norm, require_q
 from .mollifier import MollifierKernel, axis_derivative, mollify, sweep
 from .rates import RateFit, aitken_limit, fit_loglog
 from .systems import (SystemSpec, fd_jacobian, require_in_domain,
@@ -35,25 +40,23 @@ from .systems import (SystemSpec, fd_jacobian, require_in_domain,
 from .testfunctions import TestFunction
 
 
-def _commutator(system: SystemSpec, field: DiscreteField,
-                kernel: MollifierKernel, mollified: DiscreteField,
+def _commutator(system: SystemSpec, field: Field,
+                kernel: MollifierKernel, mollified: Field,
                 entries) -> list:
-    """One lattice array per commutator entry in `entries`.  The flux
+    """One node array per commutator entry in `entries`.  The flux
     temporaries die with this frame, so no sweep holds them across eps."""
     if not entries:
         return []
     rows, cols = zip(*entries)
     smoothed_G = mollify(
-        DiscreteField(lattice=field.lattice,
-                      values=system.G(field.values)[..., rows, cols],
-                      periodic_time=field.periodic_time),
-        kernel).values
-    G_of_mollified = system.G(mollified.values)
+        field.with_nodes(system.G(field.nodes)[..., rows, cols]),
+        kernel).nodes
+    G_of_mollified = system.G(mollified.nodes)
     return [G_of_mollified[..., i, j] - smoothed_G[..., m]
             for m, (i, j) in enumerate(entries)]
 
 
-def _commutators(system: SystemSpec, field: DiscreteField,
+def _commutators(system: SystemSpec, field: Field,
                  kernels: Sequence[MollifierKernel]):
     """Yield (kernel, [U]_eps, U on its window, entries, parts) per kernel,
     coarsest epsilon first, where parts[m] is the commutator entry
@@ -64,7 +67,7 @@ def _commutators(system: SystemSpec, field: DiscreteField,
                for j in range(system.k + 1) if j not in system.affine_columns]
     for kernel, mollified, window in sweep(field, kernels):
         require_in_domain(
-            system.domain, mollified.values,
+            system.domain, mollified.nodes,
             f"mollified field of {system.name!r} at eps {kernel.epsilon:g} "
             "(replace the system with extend_to_compact_range(...) over the "
             "field's range box)")
@@ -72,9 +75,10 @@ def _commutators(system: SystemSpec, field: DiscreteField,
                _commutator(system, field, kernel, mollified, entries))
 
 
-def commutator_field(system: SystemSpec, field: DiscreteField,
-                     kernel: MollifierKernel) -> DiscreteField:
-    """G([U]_eps) - [G(U)]_eps as a matrix-valued field (n x (k+1) per node).
+def commutator_field(system: SystemSpec, field: Field,
+                     kernel: MollifierKernel) -> Field:
+    """G([U]_eps) - [G(U)]_eps as a matrix-valued field (n x (k+1) per
+    node), of the form of [U]_eps.
 
     Affine columns and rows are exact zeros by construction.  Raises a
     domain violation when the field or its mollification leaves a bounded
@@ -83,11 +87,11 @@ def commutator_field(system: SystemSpec, field: DiscreteField,
     """
     _, mollified, _, entries, parts = next(
         _commutators(system, field, [kernel]))
-    out = np.zeros(mollified.lattice.shape + (system.n, system.k + 1))
+    nodes = mollified.nodes
+    out = np.zeros(nodes.shape[:-1] + (system.n, system.k + 1))
     for (i, j), part in zip(entries, parts):
         out[..., i, j] = part
-    return DiscreteField(lattice=mollified.lattice, values=out,
-                         periodic_time=mollified.periodic_time)
+    return mollified.with_nodes(out)
 
 
 @dataclass(frozen=True)
@@ -108,14 +112,16 @@ class CommutatorSweep:
     rate_fit: RateFit
 
 
-def lemma_bound_audit(system: SystemSpec, field: DiscreteField,
+def lemma_bound_audit(system: SystemSpec, field: Field,
                       kernels: Sequence[MollifierKernel],
                       q: float) -> CommutatorSweep:
     """Measure ||W||_{L^q} against the square-difference bound per epsilon.
 
     The sup over kernel-support shifts is realized exactly as a max over
     all nonzero stencil offsets, so the cost grows with the stencil size;
-    intended for audit-scale lattices.
+    intended for audit-scale lattices.  On a TravelingField an offset
+    (a, c) is the profile shift c - m*a, and each distinct one is visited
+    once.
     """
     require_q(q)
     if not field.periodic_time:
@@ -126,10 +132,10 @@ def lemma_bound_audit(system: SystemSpec, field: DiscreteField,
     eps, lhs, bounds = [], [], []
     for kernel, mollified, window, _, parts in _commutators(system, field,
                                                             kernels):
-        vol = mollified.lattice.cell_volume
+        vol = mollified.node_volume
         lhs.append(magnitude_lq_norm(np.stack(parts, axis=-1), n_axes, q, vol)
                    if parts else 0.0)
-        approx = magnitude_lq_norm(mollified.values - window, n_axes,
+        approx = magnitude_lq_norm(mollified.nodes - window, n_axes,
                                    2.0 * q, vol)
         shift_sup = _max_shift_norm(field, kernel, 2.0 * q)
         bounds.append(approx ** 2 + shift_sup ** 2)
@@ -145,10 +151,11 @@ def lemma_bound_audit(system: SystemSpec, field: DiscreteField,
                            rate_fit=fit_loglog(eps, lhs))
 
 
-def _max_shift_norm(field: DiscreteField, kernel: MollifierKernel,
+def _max_shift_norm(field: Field, kernel: MollifierKernel,
                     q: float) -> float:
-    lat = field.lattice
-    vol = lat.cell_volume
+    n_axes = field.lattice.n_axes
+    nodes = field.nodes
+    seen = set()
     best = 0.0
     for off, _w in kernel.offsets():
         if all(o == 0 for o in off):
@@ -157,9 +164,15 @@ def _max_shift_norm(field: DiscreteField, kernel: MollifierKernel,
         # fields lemma_bound_audit admits, so visit one of each opposite pair.
         if off < tuple([0] * len(off)):
             continue
-        shifted = np.roll(field.values, shift=off, axis=tuple(range(lat.n_axes)))
-        best = max(best, magnitude_lq_norm(field.values - shifted,
-                                           lat.n_axes, q, vol))
+        # On a TravelingField many offsets move the profile alike.
+        shift = tuple(int(s) % n for s, n in
+                      zip(field.node_roll(off), nodes.shape))
+        if shift in seen:
+            continue
+        seen.add(shift)
+        shifted = np.roll(nodes, shift=shift, axis=tuple(range(n_axes)))
+        best = max(best, magnitude_lq_norm(nodes - shifted, n_axes, q,
+                                           field.node_volume))
     return best
 
 
@@ -180,7 +193,7 @@ class ResidualReport:
     limit_estimate: float
 
 
-def residual_R(system: SystemSpec, field: DiscreteField,
+def residual_R(system: SystemSpec, field: Field,
                kernels: Sequence[MollifierKernel], testfn: TestFunction,
                fd_step: float = 1e-5) -> ResidualReport:
     """Integrate the mollified companion-law defect against a test function.
@@ -194,17 +207,17 @@ def residual_R(system: SystemSpec, field: DiscreteField,
     test_cache = {}
     for kernel, mollified, _, entries, parts in _commutators(system, field,
                                                              kernels):
-        lat = mollified.lattice
-        key = (lat, mollified.periodic_time)
+        key = (mollified.lattice, mollified.periodic_time)
         if key not in test_cache:
-            test_cache[key] = testfn.evaluate(lat, mollified.periodic_time)
+            test_cache[key] = tuple(map(mollified.node_mean,
+                                        testfn.evaluate(*key)))
         psi, dpsi = test_cache[key]
-        vol = lat.cell_volume
-        B = system.B(mollified.values)
+        vol = mollified.node_volume
+        B = system.B(mollified.nodes)
         if system.DB is not None:
-            DB = system.DB(mollified.values)
+            DB = system.DB(mollified.nodes)
         else:
-            DB = fd_jacobian(system.B, mollified.values, fd_step)
+            DB = fd_jacobian(system.B, mollified.nodes, fd_step)
         deriv_cache = {}
         I1 = 0.0
         I2 = 0.0
@@ -226,12 +239,12 @@ def residual_R(system: SystemSpec, field: DiscreteField,
                           limit_estimate=aitken_limit(totals))
 
 
-def good_set_measure(field: DiscreteField, kernel: MollifierKernel,
+def good_set_measure(field: Field, kernel: MollifierKernel,
                      delta: float) -> float:
     """Fraction of lattice nodes where |U - [U]_eps| < delta."""
     if delta <= 0:
         raise ParameterError(f"delta must be positive, got {delta}")
     _, mollified, window = next(sweep(field, [kernel]))
-    diff = mollified.values - window
+    diff = mollified.nodes - window
     mag = np.sqrt(np.einsum("...i,...i->...", diff, diff))
     return float(np.mean(mag < delta))

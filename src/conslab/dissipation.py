@@ -21,39 +21,40 @@ import numpy as np
 
 from .errors import (InconsistentShockError, ParameterError,
                      UnsupportedGeometryError)
-from .fields import DiscreteField
+from .fields import Field
 from .systems import SystemSpec, require_in_domain, require_states
 from .testfunctions import TestFunction
 
 _SPEED_TOL = 1e-10
 
 
-def weak_residual_system(system: SystemSpec, field: DiscreteField,
+def weak_residual_system(system: SystemSpec, field: Field,
                          testfns: Sequence[TestFunction]) -> list:
-    """Lattice quadrature of G(U) : D_X psi per test function.
+    """Lattice quadrature of G(U) : D_X psi per test function, summed over
+    the field's nodes against the node mean of D_X psi.
 
     Scalar test functions are applied to every state row alike.
     """
     require_states(system, field, "weak_residual_system field")
-    row_sum = np.einsum("...ij->...j", system.G(field.values))
-    vol = field.lattice.cell_volume
+    row_sum = np.einsum("...ij->...j", system.G(field.nodes))
+    vol = field.node_volume
     out = []
     for tf in testfns:
         _psi, dpsi = tf.evaluate(field.lattice, field.periodic_time)
-        out.append(float(np.sum(row_sum * dpsi) * vol))
+        out.append(float(np.sum(row_sum * field.node_mean(dpsi)) * vol))
     return out
 
 
-def weak_residual_companion(system: SystemSpec, field: DiscreteField,
+def weak_residual_companion(system: SystemSpec, field: Field,
                             testfns: Sequence[TestFunction]) -> list:
     """Lattice quadrature of -Q(U) . D_X psi per test function."""
     require_states(system, field, "weak_residual_companion field")
-    Q = system.Q(field.values)
-    vol = field.lattice.cell_volume
+    Q = system.Q(field.nodes)
+    vol = field.node_volume
     out = []
     for tf in testfns:
         _psi, dpsi = tf.evaluate(field.lattice, field.periodic_time)
-        out.append(float(-np.sum(Q * dpsi) * vol))
+        out.append(float(-np.sum(Q * field.node_mean(dpsi)) * vol))
     return out
 
 
@@ -148,7 +149,7 @@ class DissipationReport:
     consistent: bool
 
 
-def build_dissipation_report(system: SystemSpec, field: DiscreteField,
+def build_dissipation_report(system: SystemSpec, field: Field,
                              U_left, U_right,
                              testfns: Sequence[TestFunction]) -> DissipationReport:
     rh = rankine_hugoniot_speed(system, U_left, U_right)

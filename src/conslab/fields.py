@@ -6,12 +6,22 @@ the package studies: exact traveling-shock weak solutions and synthetic
 lacunary (Weierstrass-type) fields with a prescribed Besov regularity
 exponent.  The Besov estimator measures that exponent back from finite
 differences.
+
+A DiscreteField stores every lattice node; a TravelingField, an exact
+discrete traveling wave, stores one profile.  Consumers work through the
+node protocol both share: `nodes` (the distinct node values, lattice axes
+first), `node_volume` (the lattice volume one node stands for),
+`node_roll` (a lattice shift as a shift of the nodes), `node_mean` (a
+lattice array averaged onto the nodes, turning lattice integrals into node
+sums) and `with_nodes` (the same form with new node values).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Optional, Union
 
 import numpy as np
 
@@ -113,6 +123,108 @@ class DiscreteField:
         flat = self.values.reshape(self.lattice.shape + (-1,))
         return np.sqrt(np.einsum("...i,...i->...", flat, flat))
 
+    # node protocol: every lattice node is a node of its own
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.values
+
+    @property
+    def node_volume(self) -> float:
+        return self.lattice.cell_volume
+
+    def node_roll(self, offset) -> tuple:
+        return tuple(offset)
+
+    def node_mean(self, arr: np.ndarray) -> np.ndarray:
+        return arr
+
+    def with_nodes(self, nodes: np.ndarray) -> "DiscreteField":
+        return DiscreteField(lattice=self.lattice, values=nodes,
+                             periodic_time=self.periodic_time)
+
+
+@dataclass(frozen=True)
+class TravelingField:
+    """Exact discrete traveling wave on a k = 1 lattice: values[t] =
+    roll(profile, shift*t), so U(t, x) = profile(xi) with xi = x - shift*t
+    in node units.  shift*n_time must be a multiple of n_space, which
+    makes the wave time-periodic.
+
+    profile has shape (n_space,) + value_shape.  Its node is the time-0
+    row, profile[None], and stands for n_time lattice cells; `values`
+    materializes the full array on first use.
+    """
+
+    lattice: Lattice
+    profile: np.ndarray
+    shift: int
+    periodic_time = True
+
+    def __post_init__(self):
+        profile = np.asarray(self.profile, dtype=float)
+        lat = self.lattice
+        if lat.k != 1 or profile.ndim < 2 or profile.shape[0] != lat.n_space:
+            raise ParameterError(
+                f"a traveling profile of shape {profile.shape} does not fit "
+                f"a k = 1 lattice with {lat.n_space} nodes per row")
+        if not np.all(np.isfinite(profile)):
+            raise ParameterError("field values must be finite")
+        if (self.shift * lat.n_time) % lat.n_space:
+            raise ParameterError(
+                f"shift {self.shift} per step is not time-periodic on "
+                f"{lat.n_time} x {lat.n_space} nodes")
+        view = profile.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "profile", view)
+        object.__setattr__(self, "shift", int(self.shift))
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        lat = self.lattice
+        shifts = (np.arange(lat.n_time) * self.shift) % lat.n_space
+        idx = (np.arange(lat.n_space)[None, :] - shifts[:, None]) % lat.n_space
+        values = self.profile[idx]
+        values.flags.writeable = False
+        return values
+
+    @property
+    def value_shape(self) -> tuple:
+        return self.profile.shape[1:]
+
+    @property
+    def n(self) -> int:
+        return self.value_shape[0]
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.profile[None]
+
+    @property
+    def node_volume(self) -> float:
+        return self.lattice.n_time * self.lattice.cell_volume
+
+    def node_roll(self, offset) -> tuple:
+        # U(t - a, x - c) = profile(xi - (c - shift*a))
+        a, c = offset
+        return (0, c - self.shift * a)
+
+    def node_mean(self, arr: np.ndarray) -> np.ndarray:
+        """Shear average (1/n_time) sum_t arr[t, xi + shift*t]."""
+        n = self.lattice.n_space
+        out = np.zeros(arr.shape[1:])
+        for t, row in enumerate(arr):
+            s = (self.shift * t) % n
+            out[:n - s] += row[s:]
+            out[n - s:] += row[:s]
+        return (out / self.lattice.n_time)[None]
+
+    def with_nodes(self, nodes: np.ndarray) -> "TravelingField":
+        return TravelingField(lattice=self.lattice, profile=nodes[0],
+                              shift=self.shift)
+
+
+Field = Union[DiscreteField, TravelingField]
+
 
 def _adjust_extent_time(lattice: Lattice, speed: float) -> Lattice:
     # Traveling waves are time-periodic only when speed * extent_time is an
@@ -128,8 +240,14 @@ def _adjust_extent_time(lattice: Lattice, speed: float) -> Lattice:
     return replace(lattice, extent_time=adjusted)
 
 
+def _node_shift(lattice: Lattice, speed: float) -> Optional[int]:
+    """Nodes a wave of this speed moves per time step, if an integer."""
+    shift = speed * lattice.h_time / lattice.h_space
+    return round(shift) if abs(shift - round(shift)) < 1e-9 else None
+
+
 def make_shock_field(system: SystemSpec, U_left, U_right, speed: float,
-                     lattice: Lattice) -> DiscreteField:
+                     lattice: Lattice) -> Field:
     """Traveling two-state field: U_left where (x - speed*t) mod L is in
     [0, L/2), U_right otherwise.
 
@@ -139,6 +257,12 @@ def make_shock_field(system: SystemSpec, U_left, U_right, speed: float,
     Rankine-Hugoniot speed this is an exact weak solution.  The lattice
     extent_time is snapped so the wave is exactly time-periodic; read it
     back from the returned field.
+
+    The left/right test runs in floating point.  When the wave moves an
+    integer number m of nodes per step and every row of that test is row
+    0 rolled by m*t, the result is a TravelingField; otherwise (a
+    fractional shift, or rows that rounding sets apart) it is a
+    DiscreteField.  Either way the values are those of the test.
     """
     if lattice.k != 1:
         raise UnsupportedGeometryError(
@@ -158,6 +282,14 @@ def make_shock_field(system: SystemSpec, U_left, U_right, speed: float,
     L = lattice.extent_space
     t = lattice.times()
     x = lattice.space_nodes()
+    m = _node_shift(lattice, speed)
+    row0 = (x - speed * t[0]) % L < 0.5 * L
+    if m is not None and all(
+            np.array_equal((x - speed * t[i]) % L < 0.5 * L,
+                           np.roll(row0, m * i))
+            for i in range(1, lattice.n_time)):
+        return TravelingField(lattice=lattice, shift=m,
+                              profile=np.where(row0[:, None], U_left, U_right))
     xi = (x[None, :] - speed * t[:, None]) % L
     left = xi < 0.5 * L
     values = np.where(left[..., None], U_left, U_right)
@@ -178,9 +310,18 @@ def lacunary_profile(alpha: float, n_octaves: int, seed: int, period: float,
 
 def make_lacunary_field(alpha: float, n_octaves: int, seed: int,
                         travel_speed: float, lattice: Lattice,
-                        amplitude: float = 1.0) -> DiscreteField:
+                        amplitude: float = 1.0) -> Field:
     """Scalar traveling field U(t, x) = f(x - travel_speed * t) where f is
-    the lacunary profile with exact Besov/Hoelder exponent alpha."""
+    the lacunary profile with exact Besov/Hoelder exponent alpha.
+
+    The lattice extent_time is snapped so the wave is time-periodic.  When
+    the wave then moves an integer number of nodes per time step, every
+    time slice is an exact circular shift of the sampled profile and the
+    result is a TravelingField; otherwise it is a DiscreteField sampled at
+    x - travel_speed * t.
+    """
+    if not np.isfinite(travel_speed):
+        raise ParameterError("travel_speed must be finite")
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
     if lattice.k != 1:
@@ -199,17 +340,13 @@ def make_lacunary_field(alpha: float, n_octaves: int, seed: int,
     t = lattice.times()
     x = lattice.space_nodes()
 
-    shift_per_step = travel_speed * lattice.h_time / lattice.h_space
-    if abs(shift_per_step - round(shift_per_step)) < 1e-9:
-        # The wave moves an integer number of nodes per time step, so each
-        # time slice is an exact circular shift of the base profile.
+    m = _node_shift(lattice, travel_speed)
+    if m is not None:
         profile = lacunary_profile(alpha, n_octaves, seed, L, amplitude, x)
-        shifts = (np.arange(lattice.n_time) * round(shift_per_step)) % lattice.n_space
-        idx = (np.arange(lattice.n_space)[None, :] - shifts[:, None]) % lattice.n_space
-        values = profile[idx]
-    else:
-        xi = x[None, :] - travel_speed * t[:, None]
-        values = lacunary_profile(alpha, n_octaves, seed, L, amplitude, xi)
+        return TravelingField(lattice=lattice, profile=profile[:, None],
+                              shift=m)
+    xi = x[None, :] - travel_speed * t[:, None]
+    values = lacunary_profile(alpha, n_octaves, seed, L, amplitude, xi)
     return DiscreteField(lattice=lattice, values=values[..., None])
 
 
@@ -217,7 +354,7 @@ def make_lacunary_field(alpha: float, n_octaves: int, seed: int,
 # Besov estimation
 
 
-def shift_difference_norm(field: DiscreteField, axis: int, nodes: int,
+def shift_difference_norm(field: Field, axis: int, nodes: int,
                           q: float) -> float:
     """L^q norm of U(. + shift) - U(.) for a shift of `nodes` lattice nodes
     along one axis.  Periodic axes wrap; a non-periodic time axis restricts
@@ -225,15 +362,17 @@ def shift_difference_norm(field: DiscreteField, axis: int, nodes: int,
     require_q(q)
     if nodes < 1:
         raise ParameterError("shift must be >= 1 node")
-    v = field.values
+    v = field.nodes
+    n_axes = field.lattice.n_axes
     if axis == 0 and not field.periodic_time:
         if nodes >= field.lattice.n_time:
             raise ResolutionError("shift exceeds the time extent")
         diff = v[nodes:] - v[:-nodes]
     else:
-        diff = np.roll(v, -nodes, axis=axis) - v
-    return magnitude_lq_norm(diff, field.lattice.n_axes, q,
-                             field.lattice.cell_volume)
+        offset = -nodes * np.eye(n_axes, dtype=int)[axis]
+        diff = np.roll(v, field.node_roll(offset),
+                       axis=tuple(range(n_axes))) - v
+    return magnitude_lq_norm(diff, n_axes, q, field.node_volume)
 
 
 def require_q(q: float) -> None:
@@ -270,7 +409,7 @@ class BesovEstimate:
     seminorm_proxy: float
 
 
-def estimate_besov(field: DiscreteField, q: float, n_shifts: int = 9) -> BesovEstimate:
+def estimate_besov(field: Field, q: float, n_shifts: int = 9) -> BesovEstimate:
     """Estimate the Besov exponent from dyadic shift differences.
 
     Shift magnitudes are 2*h_space*2^i capped at one eighth of the
@@ -323,7 +462,7 @@ def estimate_besov(field: DiscreteField, q: float, n_shifts: int = 9) -> BesovEs
 # serialization
 
 
-def save_field(field: DiscreteField, path) -> None:
+def save_field(field: Field, path) -> None:
     """Write a state field to the flat binary container (little endian)."""
     if len(field.value_shape) != 1:
         raise ParameterError("only state fields (one value axis) serialize")
@@ -361,7 +500,7 @@ def load_field(path) -> DiscreteField:
                          periodic_time=bool(periodic))
 
 
-def field_to_csv(field: DiscreteField, path, max_nodes: int = 2_000_000) -> None:
+def field_to_csv(field: Field, path, max_nodes: int = 2_000_000) -> None:
     """One row per lattice node: time, space coordinates, state components.
     Intended for small fields; larger ones should use the binary container."""
     if len(field.value_shape) != 1:

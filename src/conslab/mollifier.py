@@ -7,14 +7,14 @@ circular convolution with that stencil.  Direct stencil summation is the
 reference semantics; the FFT path computes the same circular convolution
 and is the one every epsilon sweep uses.
 
-The FFT path has an exact shortcut for discrete traveling waves in one
-space dimension: fields whose every time row is the first row circularly
-shifted by m*t nodes, with m*n_time a multiple of n_space.  The 2-D
-spectrum of such a field lives on the line j = -p*k (mod n_time),
-p = m*n_time/n_space, so the convolution is the first row filtered by that
-line of the kernel spectrum and shifted back into every row: one 1-D
-transform pair per channel instead of a 2-D one.  The result agrees with
-the 2-D path to rounding; any other field takes the 2-D path.
+A TravelingField (an exact discrete traveling wave in one space
+dimension, values[t] = roll(profile, m*t) with m*n_time a multiple of
+n_space) stays compact.  Its 2-D spectrum lives on the line
+j = -p*k (mod n_time), p = m*n_time/n_space, so the FFT path filters the
+profile with that line of the kernel spectrum: one 1-D transform pair per
+channel, and the result is again a TravelingField with the same shift.
+It agrees with the 2-D path to rounding.  Every other field takes the 2-D
+path.
 
 verify_estimates audits the three smoothing estimates that drive the
 commutator analysis: the gradient bound (slope alpha - 1), the
@@ -33,8 +33,8 @@ from scipy import fft as sfft
 from ._bumps import bump
 from ._runtime import get_workers
 from .errors import ParameterError, ResolutionError
-from .fields import (DiscreteField, Lattice, magnitude_lq_norm, require_q,
-                     shift_difference_norm)
+from .fields import (DiscreteField, Field, Lattice, TravelingField,
+                     magnitude_lq_norm, require_q, shift_difference_norm)
 from .rates import RateFit, fit_loglog
 
 
@@ -97,17 +97,24 @@ class MollifierKernel:
         self.discrete_sum = float(weights.sum() * cell)
         self._spectrum: Optional[np.ndarray] = None
 
-    def padded(self) -> np.ndarray:
-        """Kernel weights embedded (wrapped) into a full lattice-shaped array."""
-        out = np.zeros(self.lattice.shape)
-        idx = [(np.arange(-r, r + 1)) % n
-               for r, n in zip(self.radius_nodes, self.lattice.shape)]
-        out[np.ix_(*idx)] = self.profile_samples
-        return out
-
     def spectrum(self) -> np.ndarray:
+        """rfftn of the stencil wrapped into a lattice-sized array.  Only
+        the 2*r_t + 1 stencil time slices are nonzero, so they alone are
+        transformed along the last axis before the complex transform along
+        the other axes: the order rfftn uses, with the same result."""
         if self._spectrum is None:
-            self._spectrum = sfft.rfftn(self.padded(), workers=get_workers())
+            lat = self.lattice
+            workers = get_workers()
+            idx = [(np.arange(-r, r + 1)) % n
+                   for r, n in zip(self.radius_nodes, lat.shape)]
+            slices = np.zeros((len(idx[0]),) + lat.shape[1:])
+            slices[np.ix_(np.arange(len(idx[0])), *idx[1:])] = \
+                self.profile_samples
+            half = sfft.rfft(slices, axis=-1, workers=workers)
+            out = np.zeros((lat.n_time,) + half.shape[1:], dtype=complex)
+            out[idx[0]] = half
+            self._spectrum = sfft.fftn(out, axes=tuple(range(lat.k)),
+                                       overwrite_x=True, workers=workers)
         return self._spectrum
 
     def offsets(self):
@@ -125,58 +132,25 @@ def make_kernel(epsilon: float, lattice: Lattice,
     return MollifierKernel(epsilon, lattice, space_only=space_only)
 
 
-def _traveling_shift(flat: np.ndarray) -> Optional[int]:
-    """Node shift m in [0, n_space) with flat[t] == roll(flat[0], m*t)
-    exactly for every row t and m*n_time a multiple of n_space, or None.
-    flat is (n_time, n_space, channels)."""
-    n_time, n = flat.shape[:2]
-    row0, row1 = flat[0], flat[1]
-    # Lags whose circular cross-correlation of rows 0 and 1 ties with the
-    # maximum (a profile with a shorter period ties at several lags).
-    corr = sfft.irfft(np.sum(sfft.rfft(row1, axis=0)
-                             * np.conj(sfft.rfft(row0, axis=0)), axis=-1), n=n)
-    tol = 1e-9 * np.sqrt(np.sum(row0 * row0) * np.sum(row1 * row1))
-    lags = np.flatnonzero(corr >= corr.max() - tol)
-    # An exact shift also matches at node 0; this keeps wide ties cheap.
-    lags = lags[np.all(row0[(-lags) % n] == row1[0], axis=-1)]
-    m = next((int(s) for s in lags
-              if np.array_equal(np.roll(row0, s, axis=0), row1)), None)
-    if m is None or (m * n_time) % n:
-        return None
-    doubled = np.concatenate([row0, row0])
-    for t in range(2, n_time):
-        s = (m * t) % n
-        if not np.array_equal(flat[t], doubled[n - s:2 * n - s]):
-            return None
-    return m
-
-
-def _convolve_line(flat: np.ndarray, m: int,
+def _convolve_line(field: TravelingField,
                    kernel: MollifierKernel) -> np.ndarray:
-    """Convolution of the traveling wave flat[t] = roll(flat[0], m*t): its
-    2-D spectrum lives on the line j = -p*k, p = m*n_time/n_space."""
-    n_time, n = flat.shape[:2]
-    p = m * n_time // n
+    """Nodes of the convolution of a traveling wave: its 2-D spectrum
+    lives on the line j = -p*k, p = m*n_time/n_space."""
+    n_time, n = kernel.lattice.shape
+    p = field.shift * n_time // n
     k = np.arange(n // 2 + 1)
     line = kernel.spectrum()[(-p * k) % n_time, k] * kernel.cell_volume
+    line = line.reshape(line.shape + (1,) * (field.profile.ndim - 1))
     workers = get_workers()
-    profile = sfft.irfft(sfft.rfft(flat[0], axis=0, workers=workers)
-                         * line[:, None], n=n, axis=0, workers=workers)
-    doubled = np.concatenate([profile, profile])
-    out = np.empty_like(flat)
-    for t in range(n_time):
-        s = (m * t) % n
-        out[t] = doubled[n - s:2 * n - s]
-    return out
+    profile = sfft.irfft(sfft.rfft(field.profile, axis=0, workers=workers)
+                         * line, n=n, axis=0, workers=workers)
+    return profile[None]
 
 
 def _convolve_fft(values: np.ndarray, kernel: MollifierKernel) -> np.ndarray:
     lat = kernel.lattice
     shape = lat.shape
     flat = values.reshape(shape + (-1,))
-    m = _traveling_shift(flat) if lat.k == 1 else None
-    if m is not None:
-        return _convolve_line(flat, m, kernel).reshape(values.shape)
     spec = kernel.spectrum()
     out = np.empty_like(values)
     oflat = out.reshape(shape + (-1,))
@@ -200,8 +174,8 @@ def _convolve_direct(values: np.ndarray, kernel: MollifierKernel) -> np.ndarray:
     return out
 
 
-def mollify(field: DiscreteField, kernel: MollifierKernel,
-            method: str = "fft") -> DiscreteField:
+def mollify(field: Field, kernel: MollifierKernel,
+            method: str = "fft") -> Field:
     """Convolve a field with the kernel.
 
     Fully periodic fields (space always, time via periodic_time) return a
@@ -211,16 +185,17 @@ def mollify(field: DiscreteField, kernel: MollifierKernel,
 
     method: "fft" (the default; every epsilon sweep uses it) and "direct"
     compute the same circular convolution; "direct" is the reference
-    stencil summation with exact shift equivariance.  With "fft", a field
-    on a k = 1 lattice whose rows are exact circular shifts values[t] ==
-    roll(values[0], m*t) (every channel), m*n_time a multiple of n_space,
-    is convolved along its single spectral line: a 1-D transform pair of
-    row 0 shifted into every row, equal to the 2-D transform to rounding.
+    stencil summation with exact shift equivariance.  With "fft", a
+    TravelingField is convolved along its single spectral line and comes
+    back as a TravelingField, equal to the 2-D transform to rounding;
+    "direct" materializes it and returns a DiscreteField.
     """
     if kernel.lattice != field.lattice:
         raise ParameterError("kernel was built for a different lattice")
     if method not in ("fft", "direct"):
         raise ParameterError(f"unknown method {method!r}")
+    if method == "fft" and isinstance(field, TravelingField):
+        return field.with_nodes(_convolve_line(field, kernel))
 
     conv = _convolve_fft if method == "fft" else _convolve_direct
     values = conv(np.asarray(field.values), kernel)
@@ -242,44 +217,53 @@ def mollify(field: DiscreteField, kernel: MollifierKernel,
                          periodic_time=False)
 
 
-def sweep(field: DiscreteField, kernels: Sequence[MollifierKernel]):
+def sweep(field: Field, kernels: Sequence[MollifierKernel]):
     """Yield (kernel, [U]_eps, window) per kernel, coarsest epsilon first;
-    window is U on the lattice of [U]_eps, the time slab a trim keeps."""
+    window is the nodes of U on the lattice of [U]_eps, the time slab a
+    trim keeps.  [U]_eps has the form of U, so a TravelingField stays
+    compact through the sweep."""
     if not kernels:
         raise ParameterError("empty kernel sweep")
+    nodes = field.nodes
     for kernel in sorted(kernels, key=lambda k: -k.epsilon):
         mollified = mollify(field, kernel)
-        n_keep = mollified.lattice.n_time
-        r_t = (field.lattice.n_time - n_keep) // 2
-        yield kernel, mollified, field.values[r_t:r_t + n_keep]
+        r_t = (field.lattice.n_time - mollified.lattice.n_time) // 2
+        yield kernel, mollified, nodes[r_t:len(nodes) - r_t]
 
 
-def lq_norm(field: DiscreteField, q: float) -> float:
+def lq_norm(field: Field, q: float) -> float:
     """L^q norm of the pointwise Euclidean magnitude over the lattice."""
     require_q(q)
-    return magnitude_lq_norm(field.values, field.lattice.n_axes, q,
-                             field.lattice.cell_volume)
+    return magnitude_lq_norm(field.nodes, field.lattice.n_axes, q,
+                             field.node_volume)
 
 
-def axis_derivative(field: DiscreteField, axis: int) -> np.ndarray:
-    """Central-difference derivative along one lattice axis.
+def axis_derivative(field: Field, axis: int) -> np.ndarray:
+    """Central-difference derivative along one lattice axis, on the
+    field's nodes.
 
     Periodic axes wrap; a non-periodic time axis falls back to one-sided
-    differences at the two boundary slices.
+    differences at the two boundary slices.  On a TravelingField the time
+    derivative is (profile(xi - m) - profile(xi + m)) / (2 h_t).
     """
-    v = field.values
+    v = field.nodes
     h = field.lattice.axis_spacing(axis)
     if axis == 0 and not field.periodic_time:
         return np.gradient(v, h, axis=0)
-    return (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2.0 * h)
+    step = np.eye(field.lattice.n_axes, dtype=int)[axis]
+    axes = tuple(range(field.lattice.n_axes))
+    return (np.roll(v, field.node_roll(-step), axis=axes)
+            - np.roll(v, field.node_roll(step), axis=axes)) / (2.0 * h)
 
 
-def gradient_magnitude(field: DiscreteField) -> np.ndarray:
-    """Pointwise Frobenius norm of the central-difference space-time gradient."""
-    acc = np.zeros(field.lattice.shape)
-    for axis in range(field.lattice.n_axes):
+def gradient_magnitude(field: Field) -> np.ndarray:
+    """Pointwise Frobenius norm of the central-difference space-time
+    gradient, on the field's nodes."""
+    n_axes = field.lattice.n_axes
+    acc = np.zeros(field.nodes.shape[:n_axes])
+    for axis in range(n_axes):
         d = axis_derivative(field, axis)
-        flat = d.reshape(field.lattice.shape + (-1,))
+        flat = d.reshape(d.shape[:n_axes] + (-1,))
         acc += np.einsum("...i,...i->...", flat, flat)
     return np.sqrt(acc)
 
@@ -305,7 +289,7 @@ class MollifierAudit:
     translation_fit: RateFit
 
 
-def verify_estimates(field: DiscreteField, q: float,
+def verify_estimates(field: Field, q: float,
                      epsilons: Sequence[float],
                      alpha_ref: float) -> MollifierAudit:
     """Measure the three mollification estimates across an epsilon sweep."""
@@ -319,11 +303,11 @@ def verify_estimates(field: DiscreteField, q: float,
     eps, grad_norms, diff_norms, trans_norms = [], [], [], []
     for kernel, smoothed, window in sweep(field, kernels):
         e = kernel.epsilon
-        vol = smoothed.lattice.cell_volume
+        vol = smoothed.node_volume
         eps.append(e)
         grad_norms.append(magnitude_lq_norm(gradient_magnitude(smoothed),
                                             lat.n_axes, q, vol))
-        diff_norms.append(magnitude_lq_norm(smoothed.values - window,
+        diff_norms.append(magnitude_lq_norm(smoothed.nodes - window,
                                             lat.n_axes, q, vol))
         best = 0.0
         for axis in range(lat.n_axes):

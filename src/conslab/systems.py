@@ -159,7 +159,7 @@ def require_states(system: SystemSpec, field, what: str) -> None:
         raise ParameterError(
             f"{what} has values of shape {field.value_shape} per node, but "
             f"{system.name!r} has {system.n} state components")
-    require_in_domain(system.domain, field.values, what)
+    require_in_domain(system.domain, field.nodes, what)
 
 
 def fd_jacobian(f: Evaluator, U: np.ndarray, step: float) -> np.ndarray:

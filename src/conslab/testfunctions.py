@@ -89,18 +89,20 @@ class TensorBump(TestFunction):
                 w = _wrap(z - center[axis], extent) / radius[axis]
             factors.append(bump(w))
             dfactors.append(bump_deriv(w) / radius[axis])
-        shape = lattice.shape
-        psi = np.ones(shape)
-        for axis, f in enumerate(factors):
-            psi = psi * _expand(f, axis, shape)
-        grad = np.empty(shape + (lattice.n_axes,))
+        psi = _outer(factors)
+        grad = np.empty(lattice.shape + (lattice.n_axes,))
         for axis in range(lattice.n_axes):
-            g = np.ones(shape)
-            for b_axis, f in enumerate(factors):
-                part = dfactors[b_axis] if b_axis == axis else f
-                g = g * _expand(part, b_axis, shape)
-            grad[..., axis] = g
+            grad[..., axis] = _outer([dfactors[a] if a == axis else f
+                                      for a, f in enumerate(factors)])
         return self.amplitude * psi, self.amplitude * grad
+
+
+def _outer(factors) -> np.ndarray:
+    """Outer product of per-axis factors, multiplied in axis order."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = np.multiply.outer(out, f)
+    return out
 
 
 def _expand(arr1d: np.ndarray, axis: int, shape: tuple) -> np.ndarray:

@@ -134,6 +134,24 @@ def test_config_rejects_non_finite_literals(tmp_path, capsys, literal):
     assert f"{literal} is not a JSON number" in err
 
 
+@pytest.mark.parametrize("literal", ["1e400", "-1e400"])
+def test_config_rejects_overflowing_numbers(tmp_path, capsys, literal):
+    # float() turns these into infinities, which no schema bound catches
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"command": "mollifier-audit", '
+        '"lattice": {"n_time": 64, "n_space": 256}, '
+        '"field": {"kind": "lacunary", "alpha": 0.5, "n_octaves": 5, '
+        f'"seed": 0, "travel_speed": {literal}}}, '
+        '"sweep": {"eps_max": 0.25, "n_levels": 4}}',
+        encoding="utf-8")
+    assert main(["mollifier-audit", "--config", str(path),
+                 "--outdir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{literal} overflows a double" in err
+
+
 def test_commutator_sweep_has_no_method_key(tmp_path, capsys):
     config = json.loads((CONFIG_DIR / "commutator_sweep.json").read_text())
     config["method"] = "fft"

@@ -403,3 +403,56 @@ def test_good_set_validation(unit_shock, space_lattice):
     kernel = make_kernel(0.0625, space_lattice, space_only=True)
     with pytest.raises(ParameterError, match="delta"):
         good_set_measure(unit_shock, kernel, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# k = 2: incompressible Euler on a 16 x 32 x 32 lattice
+
+
+@pytest.fixture(scope="module")
+def euler2d():
+    return make_builtin("euler-incompressible-2d")
+
+
+@pytest.fixture(scope="module")
+def plane_lattice():
+    return Lattice(k=2, n_time=16, n_space=32, extent_time=1.0,
+                   extent_space=1.0)
+
+
+@pytest.fixture(scope="module")
+def plane_kernel(plane_lattice):
+    return make_kernel(0.25, plane_lattice)
+
+
+@pytest.fixture(scope="module")
+def plane_field(plane_lattice):
+    rng = np.random.default_rng(7)
+    return DiscreteField(lattice=plane_lattice,
+                         values=rng.normal(size=plane_lattice.shape + (3,)))
+
+
+def test_k2_fft_mollification_matches_direct(plane_field, plane_kernel):
+    got = mollify(plane_field, plane_kernel, method="fft").values
+    want = mollify(plane_field, plane_kernel, method="direct").values
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_k2_affine_row_and_column_commute(euler2d, plane_field, plane_kernel):
+    # row 0 is the divergence constraint, column 0 the temporal flux
+    W = commutator_field(euler2d, plane_field, plane_kernel).values
+    assert W.shape == plane_field.lattice.shape + (3, 3)
+    assert np.all(W[..., 0, :] == 0.0)
+    assert np.all(W[..., :, 0] == 0.0)
+    assert np.all(np.any(W[..., 1:, 1:] != 0.0, axis=(0, 1, 2)))
+
+
+def test_k2_affine_field_has_zero_commutator(euler2d, plane_field,
+                                             plane_kernel):
+    # with the velocity constant, every flux entry is affine in the
+    # pressure, so mollification commutes with the flux along the field
+    values = np.array(plane_field.values)
+    values[..., 1:] = [0.7, -1.3]
+    field = DiscreteField(lattice=plane_field.lattice, values=values)
+    W = commutator_field(euler2d, field, plane_kernel).values
+    assert np.max(np.abs(W)) <= 1e-13

@@ -174,6 +174,9 @@ def test_lacunary_field_validation():
                                     extent_time=1.0, extent_space=1.0))
     with pytest.raises(ResolutionError, match="maximum n_octaves here is 6"):
         make_lacunary_field(0.5, 9, 0, 0.0, lat)
+    for speed in (np.nan, np.inf, 1e400):
+        with pytest.raises(ParameterError, match="travel_speed must be finite"):
+            make_lacunary_field(0.5, 4, 0, speed, lat)
 
 
 def test_lacunary_seed_reproducibility():

@@ -5,9 +5,9 @@ import pytest
 
 import oracles
 from conslab import (DiscreteField, Lattice, ParameterError, ResolutionError,
-                     kernel_table, lq_norm, make_kernel, make_lacunary_field,
-                     make_shock_field, mollify, shift_difference_norm,
-                     verify_estimates)
+                     TravelingField, kernel_table, lq_norm, make_kernel,
+                     make_lacunary_field, make_shock_field, mollify,
+                     shift_difference_norm, verify_estimates)
 from conslab import _runtime, mollifier
 from conslab.mollifier import axis_derivative, gradient_magnitude
 
@@ -204,11 +204,6 @@ LINE_LATTICE = Lattice(k=1, n_time=32, n_space=64, extent_time=1.0,
                        extent_space=1.0)
 
 
-def _shift(field):
-    return mollifier._traveling_shift(
-        field.values.reshape(field.lattice.shape + (-1,)))
-
-
 def _rolled(profile, m, n_time, periodic_time=True):
     # values[t] = roll(profile, m*t): an exact discrete traveling wave
     lat = Lattice(k=1, n_time=n_time, n_space=profile.shape[0],
@@ -223,20 +218,24 @@ def _rolled(profile, m, n_time, periodic_time=True):
                                   "trimmed"])
 def test_line_path_matches_direct(case, rng):
     if case == "two channels":
-        field, m = _rolled(rng.normal(size=(64, 2)), 6, 32), 6
+        field, m = TravelingField(lattice=LINE_LATTICE, shift=6,
+                                  profile=rng.normal(size=(64, 2))), 6
     elif case == "trimmed":
+        # a rolled field that is not periodic in time stays 2-D
         field, m = _rolled(rng.normal(size=(32, 1)), -2, 64,
-                           periodic_time=False), 30
+                           periodic_time=False), None
     else:
         speed, m = {"m>0": (1.0, 2), "m<0": (-2.0, 60), "m=0": (0.0, 0)}[case]
         field = make_lacunary_field(0.6, 4, 3, speed, LINE_LATTICE)
-    # the lacunary profile has period n_space/2, so the shift found may
-    # differ from m by n_space/2; both are exact
-    assert _shift(field) % (field.lattice.n_space // 2) == \
-        m % (field.lattice.n_space // 2)
+    if m is None:
+        assert isinstance(field, DiscreteField)
+    else:
+        assert isinstance(field, TravelingField)
+        assert field.shift % field.lattice.n_space == m
     kernel = make_kernel(0.25, field.lattice)
     got = mollify(field, kernel, method="fft")
     want = mollify(field, kernel, method="direct")
+    assert type(got) is type(field)
     assert got.lattice == want.lattice
     np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
 
@@ -259,14 +258,13 @@ def _perturbed_lacunary():
     # exact shifts, but 3 * n_time is not a multiple of n_space
     lambda burgers, rng: _rolled(rng.normal(size=(64, 1)), 3, 32),
 ], ids=["half-node shock", "perturbed row", "aperiodic shift"])
-def test_line_path_fallback_is_the_2d_path(make_field, burgers, rng,
-                                           monkeypatch):
+def test_line_path_fallback_is_the_2d_path(make_field, burgers, rng):
     field = make_field(burgers, rng)
-    assert _shift(field) is None
+    assert isinstance(field, DiscreteField)
     kernel = make_kernel(0.25, field.lattice)
     got = mollify(field, kernel).values
-    monkeypatch.setattr(mollifier, "_traveling_shift", lambda flat: None)
-    assert np.array_equal(got, mollify(field, kernel).values)
+    assert np.array_equal(
+        got, mollifier._convolve_fft(np.asarray(field.values), kernel))
 
 
 # ---------------------------------------------------------------------------
