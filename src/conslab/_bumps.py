@@ -42,39 +42,21 @@ def bump_line_integral() -> float:
     return float(val)
 
 
-def _g(s: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(s)
-    pos = s > 0.0
-    out[pos] = np.exp(-1.0 / s[pos])
-    return out
-
-
-def _g_deriv(s: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(s)
-    pos = s > 0.0
-    out[pos] = np.exp(-1.0 / s[pos]) / (s[pos] * s[pos])
-    return out
-
-
-def smoothstep(s: np.ndarray) -> np.ndarray:
-    """C-infinity monotone transition: 0 for s <= 0, 1 for s >= 1."""
+def smoothstep_pair(s: np.ndarray) -> tuple:
+    """C-infinity monotone transition and its derivative, (chi, dchi):
+    chi is 0 for s <= 0 and 1 for s >= 1.  With a = exp(-1/s) and
+    b = exp(-1/(1-s)) on (0, 1), chi = a/(a+b) and, since
+    d/ds exp(-1/s) = exp(-1/s)/s^2, dchi = (a' b + a b') / (a+b)^2; each
+    exponential is evaluated once, on the transition band only."""
     s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    out[s >= 1.0] = 1.0
+    chi = np.zeros_like(s)
+    dchi = np.zeros_like(s)
+    chi[s >= 1.0] = 1.0
     mid = (s > 0.0) & (s < 1.0)
     sm = s[mid]
-    a, b = _g(sm), _g(1.0 - sm)
-    out[mid] = a / (a + b)
-    return out
-
-
-def smoothstep_deriv(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    mid = (s > 0.0) & (s < 1.0)
-    sm = s[mid]
-    a, b = _g(sm), _g(1.0 - sm)
-    da, db = _g_deriv(sm), _g_deriv(1.0 - sm)
-    denom = (a + b) ** 2
-    out[mid] = (da * b + a * db) / denom
-    return out
+    rm = 1.0 - sm
+    a, b = np.exp(-1.0 / sm), np.exp(-1.0 / rm)
+    da, db = a / (sm * sm), b / (rm * rm)
+    chi[mid] = a / (a + b)
+    dchi[mid] = (da * b + a * db) / (a + b) ** 2
+    return chi, dchi

@@ -19,9 +19,10 @@ moves the divergence off the commutator; with it, admissible shocks
 produce negative totals matching their dissipation rate.
 
 Everything here runs on the field's nodes (see fields): on a
-TravelingField the commutator, the multiplier and every norm live on the
-n_space profile nodes, and the integrals pair them with the shear averages
-of psi and D_X psi.
+TravelingField moving p/q nodes per step the commutator, the multiplier
+and every norm live on the q*n_space profile nodes of the co-moving grid
+eta = q*i - p*t, and the integrals pair them with the shear averages of
+psi and D_X psi onto that grid.
 """
 
 from __future__ import annotations
@@ -120,8 +121,8 @@ def lemma_bound_audit(system: SystemSpec, field: Field,
     The sup over kernel-support shifts is realized exactly as a max over
     all nonzero stencil offsets, so the cost grows with the stencil size;
     intended for audit-scale lattices.  On a TravelingField an offset
-    (a, c) is the profile shift c - m*a, and each distinct one is visited
-    once.
+    (a, c) is the profile shift q*c - p*a, and each distinct one is
+    visited once.
     """
     require_q(q)
     if not field.periodic_time:

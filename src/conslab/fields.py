@@ -7,19 +7,24 @@ lacunary (Weierstrass-type) fields with a prescribed Besov regularity
 exponent.  The Besov estimator measures that exponent back from finite
 differences.
 
-A DiscreteField stores every lattice node; a TravelingField, an exact
-discrete traveling wave, stores one profile.  Consumers work through the
-node protocol both share: `nodes` (the distinct node values, lattice axes
-first), `node_volume` (the lattice volume one node stands for),
-`node_roll` (a lattice shift as a shift of the nodes), `node_mean` (a
-lattice array averaged onto the nodes, turning lattice integrals into node
-sums) and `with_nodes` (the same form with new node values).
+A DiscreteField stores every lattice node.  A TravelingField, an exact
+discrete traveling wave that moves p/q nodes per time step, stores one
+profile on the fine co-moving grid eta = q*i - p*t (mod q*n_space): its
+q*n_space nodes hold every value the n_time*n_space lattice takes, each
+for n_time/q cells.  Consumers work through the node protocol both share:
+`nodes` (the distinct node values, lattice axes first), `node_volume` (the
+lattice volume one node stands for), `node_roll` (a lattice shift as a
+shift of the nodes: (a, c) moves eta by q*c - p*a), `node_mean` (a lattice
+array averaged onto the nodes, turning lattice integrals into node sums)
+and `with_nodes` (the same form with new node values).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
 
@@ -145,44 +150,66 @@ class DiscreteField:
 
 @dataclass(frozen=True)
 class TravelingField:
-    """Exact discrete traveling wave on a k = 1 lattice: values[t] =
-    roll(profile, shift*t), so U(t, x) = profile(xi) with xi = x - shift*t
-    in node units.  shift*n_time must be a multiple of n_space, which
-    makes the wave time-periodic.
+    """Exact discrete traveling wave on a k = 1 lattice that moves
+    shift/rows nodes per time step (shift and rows coprime, rows >= 1).
 
-    profile has shape (n_space,) + value_shape.  Its node is the time-0
-    row, profile[None], and stands for n_time lattice cells; `values`
+    The profile lives on the fine co-moving grid eta = rows*i - shift*t
+    (mod rows*n_space): values[t, i] = profile[(rows*i - shift*t) %
+    (rows*n_space)].  Row t reads the residue class (-shift*t) mod rows of
+    the profile, so U(t + rows, x) = U(t, x - shift*h_space).  For rows = 1
+    this is values[t] = roll(profile, shift*t).  shift*n_time must be a
+    multiple of rows*n_space, which makes the wave time-periodic.
+
+    profile has shape (rows*n_space,) + value_shape.  Its node is
+    profile[None] and stands for n_time/rows lattice cells; `values`
     materializes the full array on first use.
     """
 
     lattice: Lattice
     profile: np.ndarray
     shift: int
+    rows: int = 1
     periodic_time = True
 
     def __post_init__(self):
         profile = np.asarray(self.profile, dtype=float)
         lat = self.lattice
-        if lat.k != 1 or profile.ndim < 2 or profile.shape[0] != lat.n_space:
+        shift, rows = int(self.shift), int(self.rows)
+        if rows < 1:
+            raise ParameterError(
+                f"a traveling wave needs rows >= 1 (the denominator of its "
+                f"shift per step), got {rows}")
+        g = math.gcd(shift, rows)
+        if g != 1:
+            raise ParameterError(
+                f"shift {shift}/{rows} per step is not in lowest terms; "
+                f"pass {shift // g}/{rows // g}")
+        if lat.k != 1 or profile.ndim < 2 or \
+                profile.shape[0] != rows * lat.n_space:
             raise ParameterError(
                 f"a traveling profile of shape {profile.shape} does not fit "
-                f"a k = 1 lattice with {lat.n_space} nodes per row")
+                f"a k = 1 lattice with {lat.n_space} nodes per row: it needs "
+                f"rows*n_space = {rows * lat.n_space} nodes and a value axis")
         if not np.all(np.isfinite(profile)):
             raise ParameterError("field values must be finite")
-        if (self.shift * lat.n_time) % lat.n_space:
+        if (shift * lat.n_time) % (rows * lat.n_space):
             raise ParameterError(
-                f"shift {self.shift} per step is not time-periodic on "
-                f"{lat.n_time} x {lat.n_space} nodes")
+                f"shift {shift}/{rows} per step is not time-periodic on "
+                f"{lat.n_time} x {lat.n_space} nodes: shift*n_time must be "
+                f"a multiple of rows*n_space")
         view = profile.view()
         view.flags.writeable = False
         object.__setattr__(self, "profile", view)
-        object.__setattr__(self, "shift", int(self.shift))
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "rows", rows)
 
     @cached_property
     def values(self) -> np.ndarray:
         lat = self.lattice
-        shifts = (np.arange(lat.n_time) * self.shift) % lat.n_space
-        idx = (np.arange(lat.n_space)[None, :] - shifts[:, None]) % lat.n_space
+        size = self.rows * lat.n_space
+        offsets = (np.arange(lat.n_time) * self.shift) % size
+        idx = (self.rows * np.arange(lat.n_space)[None, :]
+               - offsets[:, None]) % size
         values = self.profile[idx]
         values.flags.writeable = False
         return values
@@ -201,26 +228,32 @@ class TravelingField:
 
     @property
     def node_volume(self) -> float:
-        return self.lattice.n_time * self.lattice.cell_volume
+        return self.lattice.n_time / self.rows * self.lattice.cell_volume
 
     def node_roll(self, offset) -> tuple:
-        # U(t - a, x - c) = profile(xi - (c - shift*a))
+        # U(t - a, x - c) = profile(eta - (rows*c - shift*a))
         a, c = offset
-        return (0, c - self.shift * a)
+        return (0, self.rows * c - self.shift * a)
 
     def node_mean(self, arr: np.ndarray) -> np.ndarray:
-        """Shear average (1/n_time) sum_t arr[t, xi + shift*t]."""
-        n = self.lattice.n_space
-        out = np.zeros(arr.shape[1:])
+        """Shear average of a lattice array onto the profile nodes: the
+        mean of arr[t, i] over the n_time/rows cells with
+        rows*i - shift*t = eta."""
+        n, rows = self.lattice.n_space, self.rows
+        # row t lands in residue class r of eta, moved by s whole nodes;
+        # each class is summed contiguously and interleaved at the end
+        acc = np.zeros((rows,) + arr.shape[1:])
         for t, row in enumerate(arr):
-            s = (self.shift * t) % n
-            out[:n - s] += row[s:]
-            out[n - s:] += row[:s]
-        return (out / self.lattice.n_time)[None]
+            s, r = divmod(-self.shift * t, rows)
+            s %= n
+            acc[r, s:] += row[:n - s]
+            acc[r, :s] += row[n - s:]
+        out = np.moveaxis(acc, 0, 1).reshape((rows * n,) + arr.shape[2:])
+        return (out / (self.lattice.n_time / rows))[None]
 
     def with_nodes(self, nodes: np.ndarray) -> "TravelingField":
         return TravelingField(lattice=self.lattice, profile=nodes[0],
-                              shift=self.shift)
+                              shift=self.shift, rows=self.rows)
 
 
 Field = Union[DiscreteField, TravelingField]
@@ -258,11 +291,17 @@ def make_shock_field(system: SystemSpec, U_left, U_right, speed: float,
     extent_time is snapped so the wave is exactly time-periodic; read it
     back from the returned field.
 
-    The left/right test runs in floating point.  When the wave moves an
-    integer number m of nodes per step and every row of that test is row
-    0 rolled by m*t, the result is a TravelingField; otherwise (a
-    fractional shift, or rows that rounding sets apart) it is a
-    DiscreteField.  Either way the values are those of the test.
+    The left/right test runs in floating point on every lattice node.  The
+    wave moves r = speed*h_time/h_space nodes per step; p/q is the nearest
+    fraction to r with q <= n_time/2, so that every profile node is
+    tested on at least two rows.  When p*n_time is a multiple of
+    q*n_space and every row of the test equals the profile gathered from
+    its first q rows on the fine grid eta = q*i - p*t (equivalently, row
+    t + q is row t rolled by p), the result is a TravelingField with
+    shift p and rows q; otherwise (no such p/q, or rows that rounding
+    sets apart, as in a shock moving 4 nodes per step whose interface
+    rounding moves in some rows) it is a DiscreteField.  Either way the
+    values are those of the test, bit for bit.
     """
     if lattice.k != 1:
         raise UnsupportedGeometryError(
@@ -282,16 +321,20 @@ def make_shock_field(system: SystemSpec, U_left, U_right, speed: float,
     L = lattice.extent_space
     t = lattice.times()
     x = lattice.space_nodes()
-    m = _node_shift(lattice, speed)
-    row0 = (x - speed * t[0]) % L < 0.5 * L
-    if m is not None and all(
-            np.array_equal((x - speed * t[i]) % L < 0.5 * L,
-                           np.roll(row0, m * i))
-            for i in range(1, lattice.n_time)):
-        return TravelingField(lattice=lattice, shift=m,
-                              profile=np.where(row0[:, None], U_left, U_right))
-    xi = (x[None, :] - speed * t[:, None]) % L
-    left = xi < 0.5 * L
+    xi = x[None, :] - speed * t[:, None]
+    left = np.mod(xi, L, out=xi) < 0.5 * L
+    del xi
+    n_time, n = lattice.n_time, lattice.n_space
+    shift = Fraction(speed * lattice.h_time
+                     / lattice.h_space).limit_denominator(n_time // 2)
+    p, q = shift.numerator, shift.denominator
+    if (p * n_time) % (q * n) == 0 and np.array_equal(
+            left[q:], np.roll(left[:-q], p, axis=1)):
+        fine = np.empty(q * n, dtype=bool)
+        fine[(q * np.arange(n) - p * np.arange(q)[:, None]) % (q * n)] = \
+            left[:q]
+        return TravelingField(lattice=lattice, shift=p, rows=q,
+                              profile=np.where(fine[:, None], U_left, U_right))
     values = np.where(left[..., None], U_left, U_right)
     return DiscreteField(lattice=lattice, values=values)
 

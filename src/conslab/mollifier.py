@@ -8,13 +8,15 @@ reference semantics; the FFT path computes the same circular convolution
 and is the one every epsilon sweep uses.
 
 A TravelingField (an exact discrete traveling wave in one space
-dimension, values[t] = roll(profile, m*t) with m*n_time a multiple of
-n_space) stays compact.  Its 2-D spectrum lives on the line
-j = -p*k (mod n_time), p = m*n_time/n_space, so the FFT path filters the
-profile with that line of the kernel spectrum: one 1-D transform pair per
-channel, and the result is again a TravelingField with the same shift.
-It agrees with the 2-D path to rounding.  Every other field takes the 2-D
-path.
+dimension moving p/q nodes per step, values[t, i] = profile[q*i - p*t]
+with the profile on q*n_space fine nodes and p*n_time a multiple of
+q*n_space) stays compact.  Its 2-D spectrum lives on the line
+(j, k) = (-P*kappa mod n_time, kappa mod n_space), P = p*n_time/(q*n_space),
+over the profile modes kappa, so the FFT path filters the profile with
+that line of the kernel spectrum: one 1-D transform pair of length
+q*n_space per channel, and the result is again a TravelingField with the
+same shift.  It agrees with the 2-D path to rounding.  Every other field
+takes the 2-D path.
 
 verify_estimates audits the three smoothing estimates that drive the
 commutator analysis: the gradient bound (slope alpha - 1), the
@@ -134,16 +136,24 @@ def make_kernel(epsilon: float, lattice: Lattice,
 
 def _convolve_line(field: TravelingField,
                    kernel: MollifierKernel) -> np.ndarray:
-    """Nodes of the convolution of a traveling wave: its 2-D spectrum
-    lives on the line j = -p*k, p = m*n_time/n_space."""
+    """Nodes of the convolution of a traveling wave.  Profile mode kappa
+    (of q*n) is the lattice mode (j, k) = (-P*kappa mod n_time,
+    kappa mod n), P = p*n_time/(q*n), so it is filtered by that entry of
+    the kernel spectrum; rfftn stores k <= n/2, and the kernel is real, so
+    a larger k reads the conjugate of entry (-j, n - k)."""
     n_time, n = kernel.lattice.shape
-    p = field.shift * n_time // n
-    k = np.arange(n // 2 + 1)
-    line = kernel.spectrum()[(-p * k) % n_time, k] * kernel.cell_volume
+    size = field.rows * n
+    P = field.shift * n_time // size
+    kappa = np.arange(size // 2 + 1)
+    j, k = (-P * kappa) % n_time, kappa % n
+    upper = k > n // 2
+    line = kernel.spectrum()[np.where(upper, -j % n_time, j),
+                             np.where(upper, n - k, k)]
+    line = np.where(upper, line.conj(), line) * kernel.cell_volume
     line = line.reshape(line.shape + (1,) * (field.profile.ndim - 1))
     workers = get_workers()
     profile = sfft.irfft(sfft.rfft(field.profile, axis=0, workers=workers)
-                         * line, n=n, axis=0, workers=workers)
+                         * line, n=size, axis=0, workers=workers)
     return profile[None]
 
 
@@ -244,7 +254,7 @@ def axis_derivative(field: Field, axis: int) -> np.ndarray:
 
     Periodic axes wrap; a non-periodic time axis falls back to one-sided
     differences at the two boundary slices.  On a TravelingField the time
-    derivative is (profile(xi - m) - profile(xi + m)) / (2 h_t).
+    derivative is (profile[eta + p] - profile[eta - p]) / (2 h_t).
     """
     v = field.nodes
     h = field.lattice.axis_spacing(axis)

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._bumps import smoothstep, smoothstep_deriv
+from ._bumps import smoothstep_pair
 from .errors import DomainViolationError, GeometryError, ParameterError
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
@@ -881,10 +881,11 @@ def extend_to_compact_range(system: SystemSpec, range_box, delta: float) -> Syst
         dist = np.maximum(np.maximum(below, above), 0.0)
         # s((d - delta)/delta): 0 until K^delta, 1 beyond K^{2 delta}
         t = (dist - delta) / delta
-        factors = 1.0 - smoothstep(t)
+        step, dstep = smoothstep_pair(t)
+        factors = 1.0 - step
         chi = np.prod(factors, axis=-1)
         sign = np.where(below > 0, -1.0, np.where(above > 0, 1.0, 0.0))
-        dfactors = -smoothstep_deriv(t) / delta * sign
+        dfactors = -dstep / delta * sign
         # grad_m chi = dfactors_m * prod_{i != m} factors_i
         grad = np.empty_like(factors)
         for m in range(factors.shape[-1]):

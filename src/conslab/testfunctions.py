@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._bumps import bump, bump_deriv, bump_line_integral, smoothstep, smoothstep_deriv
+from ._bumps import bump, bump_deriv, bump_line_integral, smoothstep_pair
 from .errors import ParameterError, TestSupportError, UnsupportedGeometryError
 from .fields import Lattice
 
@@ -207,8 +207,8 @@ class ShockAlignedBump(TestFunction):
         d = _wrap(x - self.speed * t - self.xi_center, L)
         width = self.outer_radius - self.inner_radius
         u = (self.outer_radius - np.abs(d)) / width
-        chi = smoothstep(u)
-        dchi = smoothstep_deriv(u) * (-np.sign(d) / width)
+        chi, dchi = smoothstep_pair(u)
+        dchi *= -np.sign(d) / width
         psi = phi[:, None] * chi
         grad = np.empty(lattice.shape + (2,))
         grad[..., 0] = dphi[:, None] * chi + phi[:, None] * dchi * (-self.speed)

@@ -215,11 +215,18 @@ def _rolled(profile, m, n_time, periodic_time=True):
 
 
 @pytest.mark.parametrize("case", ["m>0", "m<0", "m=0", "two channels",
-                                  "trimmed"])
-def test_line_path_matches_direct(case, rng):
+                                  "trimmed", "half-node shock"])
+def test_line_path_matches_direct(case, burgers, rng):
     if case == "two channels":
         field, m = TravelingField(lattice=LINE_LATTICE, shift=6,
                                   profile=rng.normal(size=(64, 2))), 6
+    elif case == "half-node shock":
+        # half a node per step: a two-row wave on 2*n_space profile nodes
+        field, m = make_shock_field(
+            burgers, [1.0], [0.0], 0.5,
+            Lattice(k=1, n_time=128, n_space=64, extent_time=1.0,
+                    extent_space=1.0)), 1
+        assert field.rows == 2
     elif case == "trimmed":
         # a rolled field that is not periodic in time stays 2-D
         field, m = _rolled(rng.normal(size=(32, 1)), -2, 64,
@@ -248,16 +255,16 @@ def _perturbed_lacunary():
 
 
 @pytest.mark.parametrize("make_field", [
-    # the shock moves half a node per step
+    # the shock moves 64/127 nodes per step: no p/q with q <= n_time/2
     lambda burgers, rng: make_shock_field(
         burgers, [1.0], [0.0], 0.5,
-        Lattice(k=1, n_time=128, n_space=64, extent_time=1.0,
+        Lattice(k=1, n_time=127, n_space=64, extent_time=1.0,
                 extent_space=1.0)),
     # one value of one row is off by one ulp
     lambda burgers, rng: _perturbed_lacunary(),
     # exact shifts, but 3 * n_time is not a multiple of n_space
     lambda burgers, rng: _rolled(rng.normal(size=(64, 1)), 3, 32),
-], ids=["half-node shock", "perturbed row", "aperiodic shift"])
+], ids=["shock, no small p/q", "perturbed row", "aperiodic shift"])
 def test_line_path_fallback_is_the_2d_path(make_field, burgers, rng):
     field = make_field(burgers, rng)
     assert isinstance(field, DiscreteField)

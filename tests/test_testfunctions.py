@@ -7,6 +7,7 @@ import oracles
 from conslab import (Lattice, ParameterError, ShockAlignedBump, TensorBump,
                      TimeBump, UnsupportedGeometryError)
 from conslab import TestSupportError as SupportError
+from conslab._bumps import smoothstep_pair
 from conslab.testfunctions import from_config as build_testfn
 
 
@@ -153,6 +154,41 @@ def test_shock_aligned_comoving_advection(lattice):
     chi = np.where(psi > 0, psi / np.maximum(profile.evaluate(lattice)[0],
                                              1e-300), 0.0)
     np.testing.assert_allclose(transport, tgrad[..., 0] * chi, atol=1e-10)
+
+
+def _old_smoothstep_pair(s):
+    # the two separate evaluations smoothstep_pair replaced, six
+    # exponentials per band node
+    def g(s):
+        out = np.zeros_like(s)
+        pos = s > 0.0
+        out[pos] = np.exp(-1.0 / s[pos])
+        return out
+
+    def g_deriv(s):
+        out = np.zeros_like(s)
+        pos = s > 0.0
+        out[pos] = np.exp(-1.0 / s[pos]) / (s[pos] * s[pos])
+        return out
+
+    chi, dchi = np.zeros_like(s), np.zeros_like(s)
+    chi[s >= 1.0] = 1.0
+    mid = (s > 0.0) & (s < 1.0)
+    sm = s[mid]
+    a, b = g(sm), g(1.0 - sm)
+    chi[mid] = a / (a + b)
+    dchi[mid] = (g_deriv(sm) * b + a * g_deriv(1.0 - sm)) / (a + b) ** 2
+    return chi, dchi
+
+
+def test_smoothstep_pair_is_bitwise_the_old_pair(rng):
+    s = np.concatenate([rng.uniform(-0.5, 1.5, 20000),
+                        [0.0, 1.0, 1e-3, 0.999, 0.5,
+                         np.nextafter(1.0, 0.0), 2.0]])
+    s = s.reshape(-1, 3)
+    for got, want in zip(smoothstep_pair(s), _old_smoothstep_pair(s)):
+        assert got.shape == s.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_shock_aligned_time_integral():

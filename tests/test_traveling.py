@@ -10,13 +10,16 @@ import pytest
 from conslab import (DiscreteField, DomainViolationError, Lattice,
                      ParameterError, ShockAlignedBump, TensorBump,
                      TravelingField, commutator_field, good_set_measure,
-                     lemma_bound_audit, make_builtin, make_kernel,
-                     make_lacunary_field, make_shock_field, mollify,
-                     residual_R, shift_difference_norm, verify_estimates,
-                     weak_residual_companion, weak_residual_system)
+                     lacunary_profile, lemma_bound_audit, make_builtin,
+                     make_kernel, make_lacunary_field, make_shock_field,
+                     mollify, residual_R, shift_difference_norm,
+                     verify_estimates, weak_residual_companion,
+                     weak_residual_system)
 from conslab.mollifier import axis_derivative
 
 LAT = Lattice(k=1, n_time=64, n_space=128, extent_time=1.0, extent_space=1.0)
+# 128 = 2*64, so waves of p/q = 1/2 and -3/2 nodes per step are periodic
+LAT2 = Lattice(k=1, n_time=128, n_space=64, extent_time=1.0, extent_space=1.0)
 C8_SPEED = math.sqrt((1.2 ** 3 - 1.0) / 0.2)
 EPSILONS = [2.0 ** -2, 2.0 ** -2.5, 2.0 ** -3, 2.0 ** -3.5, 2.0 ** -4]
 
@@ -79,6 +82,24 @@ def test_traveling_field_validation(rng):
         TravelingField(lattice=LAT, profile=np.zeros(128), shift=2)
     with pytest.raises(ParameterError, match="does not fit"):
         TravelingField(lattice=LAT, profile=np.zeros((64, 1)), shift=2)
+    for rows in (0, -2):
+        with pytest.raises(ParameterError, match="rows >= 1"):
+            TravelingField(lattice=LAT2, profile=np.zeros((64, 1)), shift=1,
+                           rows=rows)
+    with pytest.raises(ParameterError, match="pass 1/2"):
+        TravelingField(lattice=LAT2, profile=np.zeros((256, 1)), shift=2,
+                       rows=4)
+    with pytest.raises(ParameterError, match="lowest terms"):
+        TravelingField(lattice=LAT2, profile=np.zeros((128, 1)), shift=0,
+                       rows=2)
+    # rows = 2 needs 2*n_space profile nodes
+    with pytest.raises(ParameterError, match="rows\\*n_space = 128"):
+        TravelingField(lattice=LAT2, profile=np.zeros((64, 1)), shift=1,
+                       rows=2)
+    # 1/2 node per step returns after 2*n_space = 256 steps, not 64
+    with pytest.raises(ParameterError, match="1/2 per step is not time-periodic"):
+        TravelingField(lattice=LAT, profile=np.zeros((256, 1)), shift=1,
+                       rows=2)
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +125,12 @@ def test_lacunary_fractional_shift_stays_2d():
     ("burgers", [0.0], [1.0], -0.5, 128, 256, True),
     ("elastodynamics-1d", [1.0, 0.5], [1.5, -0.5], 0.0, 64, 512, True),
     # half a node per step (shock-limit, the onsager shock)
-    ("burgers", [1.0], [0.0], 0.5, 512, 256, False),
+    ("burgers", [1.0], [0.0], 0.5, 512, 256, True),
     # C8: four nodes per step, but rounding moves the interface in 340 rows
     ("elastodynamics-1d", [1.0, 0.1 * C8_SPEED], [1.2, -0.1 * C8_SPEED],
      C8_SPEED, 512, 1024, False),
+    # 64/127 nodes per step: no p/q with q <= n_time/2
+    ("burgers", [1.0], [0.0], 0.5, 127, 64, False),
 ])
 def test_shock_form_and_values(name, left, right, speed, n_time, n_space,
                                compact):
@@ -115,6 +138,14 @@ def test_shock_form_and_values(name, left, right, speed, n_time, n_space,
                   extent_space=1.0)
     field = make_shock_field(make_builtin(name), left, right, speed, lat)
     assert isinstance(field, TravelingField if compact else DiscreteField)
+    if compact:
+        # the wave moves shift/rows nodes per step
+        lat = field.lattice
+        assert math.gcd(field.shift, field.rows) == 1
+        assert field.shift * lat.h_space == pytest.approx(
+            speed * lat.h_time * field.rows, abs=1e-15)
+    if n_time == 2 * n_space:    # half a node per step
+        assert (field.shift, field.rows) == (1, 2)
     assert np.array_equal(field.values,
                           float_shock(left, right, speed, field.lattice))
 
@@ -123,7 +154,8 @@ def test_shock_form_and_values(name, left, right, speed, n_time, n_space,
 # consumers: compact against materialized
 
 
-@pytest.fixture(params=["m>0", "m<0", "m=0", "elastodynamics shock"])
+@pytest.fixture(params=["m>0", "m<0", "m=0", "elastodynamics shock",
+                        "p/q=1/2", "p/q=-3/2"])
 def case(request):
     if request.param == "elastodynamics shock":
         system = make_builtin("elastodynamics-1d")
@@ -131,6 +163,21 @@ def case(request):
         testfn = ShockAlignedBump(speed=0.0, xi_center=0.5, inner_radius=0.1,
                                   outer_radius=0.3, time_center=0.5,
                                   time_radius=0.4)
+    elif request.param == "p/q=1/2":
+        # the shock-limit shock at small size
+        system = make_builtin("burgers")
+        field = make_shock_field(system, [1.0], [0.0], 0.5, LAT2)
+        assert (field.shift, field.rows) == (1, 2)
+        testfn = ShockAlignedBump(speed=0.5, xi_center=0.5, inner_radius=0.15,
+                                  outer_radius=0.35, time_center=1.0,
+                                  time_radius=0.8)
+    elif request.param == "p/q=-3/2":
+        system = make_builtin("burgers")
+        eta = np.arange(128) / 128
+        profile = lacunary_profile(0.6, 4, 3, 1.0, 1.0, eta)
+        field = TravelingField(lattice=LAT2, profile=profile[:, None],
+                               shift=-3, rows=2)
+        testfn = TensorBump(center=(0.5, 0.5), radius=(0.35, 0.35))
     else:
         speed = {"m>0": 1.0, "m<0": -2.0, "m=0": 0.0}[request.param]
         system = make_builtin("burgers")
@@ -149,7 +196,8 @@ def test_mollify(case):
     flat = materialized(field)
     for kernel in kernels(field):
         got = mollify(field, kernel)
-        assert isinstance(got, TravelingField) and got.shift == field.shift
+        assert isinstance(got, TravelingField)
+        assert (got.shift, got.rows) == (field.shift, field.rows)
         assert_close(got.values, mollify(flat, kernel).values)
         direct = mollify(field, kernel, method="direct")
         assert isinstance(direct, DiscreteField)
@@ -217,8 +265,7 @@ def test_axis_derivative(case):
         # the compact derivative is the profile of the 2-D one
         got = axis_derivative(field, axis)
         assert got.shape == field.nodes.shape
-        want = TravelingField(lattice=field.lattice, profile=got[0],
-                              shift=field.shift).values
+        want = field.with_nodes(got).values
         assert_close(want, axis_derivative(flat, axis))
 
 
