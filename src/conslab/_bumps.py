@@ -47,12 +47,14 @@ def smoothstep_pair(s: np.ndarray) -> tuple:
     chi is 0 for s <= 0 and 1 for s >= 1.  With a = exp(-1/s) and
     b = exp(-1/(1-s)) on (0, 1), chi = a/(a+b) and, since
     d/ds exp(-1/s) = exp(-1/s)/s^2, dchi = (a' b + a b') / (a+b)^2; each
-    exponential is evaluated once, on the transition band only."""
+    exponential is evaluated once, on the transition band only.  Below
+    s = 1e-3, a is 0 in double precision and so are chi and dchi; the band
+    starts there, so s*s cannot underflow into a 0/0 derivative."""
     s = np.asarray(s, dtype=float)
     chi = np.zeros_like(s)
     dchi = np.zeros_like(s)
     chi[s >= 1.0] = 1.0
-    mid = (s > 0.0) & (s < 1.0)
+    mid = (s > 1e-3) & (s < 1.0)
     sm = s[mid]
     rm = 1.0 - sm
     a, b = np.exp(-1.0 / sm), np.exp(-1.0 / rm)

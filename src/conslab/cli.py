@@ -28,7 +28,7 @@ import jsonschema
 
 from . import _runtime
 from .errors import ConfigError, ConslabError
-from .fields import (DiscreteField, Lattice, estimate_besov,
+from .fields import (DiscreteField, Field, Lattice, estimate_besov,
                      make_lacunary_field, make_shock_field)
 from .commutator import lemma_bound_audit, residual_R
 from .dissipation import build_dissipation_report, rankine_hugoniot_speed, \
@@ -338,7 +338,7 @@ def _resolve_speed(system: SystemSpec, spec: dict, key: str) -> float:
 
 
 def _build_field(spec: dict, lattice: Lattice,
-                 system: Optional[SystemSpec]) -> DiscreteField:
+                 system: Optional[SystemSpec]) -> Field:
     kind = spec["kind"]
     if kind == "shock":
         if system is None:

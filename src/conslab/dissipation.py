@@ -28,6 +28,18 @@ from .testfunctions import TestFunction
 _SPEED_TOL = 1e-10
 
 
+def _flux_quadrature(field: Field, flux: np.ndarray,
+                     testfns: Sequence[TestFunction]) -> list:
+    """Node quadrature of flux . D_X psi per test function, against the
+    node mean of D_X psi; flux is per node, with a trailing axis k + 1."""
+    vol = field.node_volume
+    out = []
+    for tf in testfns:
+        _psi, dpsi = tf.evaluate(field.lattice, field.periodic_time)
+        out.append(float(np.sum(flux * field.node_mean(dpsi)) * vol))
+    return out
+
+
 def weak_residual_system(system: SystemSpec, field: Field,
                          testfns: Sequence[TestFunction]) -> list:
     """Lattice quadrature of G(U) : D_X psi per test function, summed over
@@ -37,25 +49,16 @@ def weak_residual_system(system: SystemSpec, field: Field,
     """
     require_states(system, field, "weak_residual_system field")
     row_sum = np.einsum("...ij->...j", system.G(field.nodes))
-    vol = field.node_volume
-    out = []
-    for tf in testfns:
-        _psi, dpsi = tf.evaluate(field.lattice, field.periodic_time)
-        out.append(float(np.sum(row_sum * field.node_mean(dpsi)) * vol))
-    return out
+    return _flux_quadrature(field, row_sum, testfns)
 
 
 def weak_residual_companion(system: SystemSpec, field: Field,
                             testfns: Sequence[TestFunction]) -> list:
     """Lattice quadrature of -Q(U) . D_X psi per test function."""
     require_states(system, field, "weak_residual_companion field")
-    Q = system.Q(field.nodes)
-    vol = field.node_volume
-    out = []
-    for tf in testfns:
-        _psi, dpsi = tf.evaluate(field.lattice, field.periodic_time)
-        out.append(float(-np.sum(Q * field.node_mean(dpsi)) * vol))
-    return out
+    # negation is exact: these are the bits of -sum(Q . D_X psi)
+    return [-r for r in _flux_quadrature(field, system.Q(field.nodes),
+                                         testfns)]
 
 
 @dataclass(frozen=True)

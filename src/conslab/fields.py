@@ -11,12 +11,17 @@ A DiscreteField stores every lattice node.  A TravelingField, an exact
 discrete traveling wave that moves p/q nodes per time step, stores one
 profile on the fine co-moving grid eta = q*i - p*t (mod q*n_space): its
 q*n_space nodes hold every value the n_time*n_space lattice takes, each
-for n_time/q cells.  Consumers work through the node protocol both share:
-`nodes` (the distinct node values, lattice axes first), `node_volume` (the
-lattice volume one node stands for), `node_roll` (a lattice shift as a
-shift of the nodes: (a, c) moves eta by q*c - p*a), `node_mean` (a lattice
-array averaged onto the nodes, turning lattice integrals into node sums)
-and `with_nodes` (the same form with new node values).
+for n_time/q cells.  Both generators snap extent_time so their wave is
+time-periodic, which fixes p/q exactly; lacunary fields are always
+TravelingFields, shock fields whenever their floating-point left/right
+test is such a wave row for row.
+
+Consumers work through the node protocol both forms share: `nodes` (the
+distinct node values, lattice axes first), `node_volume` (the lattice
+volume one node stands for), `node_roll` (a lattice shift as a shift of
+the nodes: (a, c) moves eta by q*c - p*a), `node_mean` (a lattice array
+averaged onto the nodes, turning lattice integrals into node sums) and
+`with_nodes` (the same form with new node values).
 """
 
 from __future__ import annotations
@@ -24,9 +29,8 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -58,8 +62,9 @@ class Lattice:
             raise ParameterError(
                 f"lattice counts must be >= 8, got n_time={self.n_time}, "
                 f"n_space={self.n_space}")
-        if not (self.extent_time > 0 and self.extent_space > 0):
-            raise ParameterError("lattice extents must be positive")
+        if not (0 < self.extent_time < math.inf
+                and 0 < self.extent_space < math.inf):
+            raise ParameterError("lattice extents must be positive and finite")
 
     @property
     def h_time(self) -> float:
@@ -259,24 +264,19 @@ class TravelingField:
 Field = Union[DiscreteField, TravelingField]
 
 
-def _adjust_extent_time(lattice: Lattice, speed: float) -> Lattice:
-    # Traveling waves are time-periodic only when speed * extent_time is an
-    # integer multiple of the spatial period; snap to the nearest such
-    # extent and record it on the lattice.
+def _snap(lattice: Lattice, speed: float) -> tuple:
+    """Snap extent_time so that |speed|*extent_time is mult whole spatial
+    periods (mult the nearest count >= 1) and return (lattice, p, q): a wave
+    of this speed moves p/q = sign(speed)*mult*n_space/n_time nodes per
+    time step, in lowest terms ((0, 1) at speed 0)."""
     if speed == 0.0:
-        return lattice
+        return lattice, 0, 1
     period = lattice.extent_space
     mult = max(1, round(abs(speed) * lattice.extent_time / period))
-    adjusted = mult * period / abs(speed)
-    if adjusted == lattice.extent_time:
-        return lattice
-    return replace(lattice, extent_time=adjusted)
-
-
-def _node_shift(lattice: Lattice, speed: float) -> Optional[int]:
-    """Nodes a wave of this speed moves per time step, if an integer."""
-    shift = speed * lattice.h_time / lattice.h_space
-    return round(shift) if abs(shift - round(shift)) < 1e-9 else None
+    lattice = replace(lattice, extent_time=mult * period / abs(speed))
+    p = mult * lattice.n_space if speed > 0 else -mult * lattice.n_space
+    g = math.gcd(p, lattice.n_time)
+    return lattice, p // g, lattice.n_time // g
 
 
 def make_shock_field(system: SystemSpec, U_left, U_right, speed: float,
@@ -291,17 +291,13 @@ def make_shock_field(system: SystemSpec, U_left, U_right, speed: float,
     extent_time is snapped so the wave is exactly time-periodic; read it
     back from the returned field.
 
-    The left/right test runs in floating point on every lattice node.  The
-    wave moves r = speed*h_time/h_space nodes per step; p/q is the nearest
-    fraction to r with q <= n_time/2, so that every profile node is
-    tested on at least two rows.  When p*n_time is a multiple of
-    q*n_space and every row of the test equals the profile gathered from
-    its first q rows on the fine grid eta = q*i - p*t (equivalently, row
-    t + q is row t rolled by p), the result is a TravelingField with
-    shift p and rows q; otherwise (no such p/q, or rows that rounding
-    sets apart, as in a shock moving 4 nodes per step whose interface
-    rounding moves in some rows) it is a DiscreteField.  Either way the
-    values are those of the test, bit for bit.
+    The left/right test runs in floating point on every lattice node.  When
+    2q <= n_time (every profile node is tested on two rows or more) and row
+    t + q of the test is row t rolled by p for every t, the result is a
+    TravelingField moving p/q nodes per step (see `_snap`); otherwise (as
+    in a shock moving 4 nodes per step whose interface rounding moves in
+    some rows) it is a DiscreteField.  Either way the values are those of
+    the test, bit for bit.
     """
     if lattice.k != 1:
         raise UnsupportedGeometryError(
@@ -317,18 +313,15 @@ def make_shock_field(system: SystemSpec, U_left, U_right, speed: float,
     require_in_domain(system.domain, U_left[None, :], "make_shock_field U_left")
     require_in_domain(system.domain, U_right[None, :], "make_shock_field U_right")
 
-    lattice = _adjust_extent_time(lattice, speed)
+    lattice, p, q = _snap(lattice, speed)
     L = lattice.extent_space
     t = lattice.times()
     x = lattice.space_nodes()
     xi = x[None, :] - speed * t[:, None]
     left = np.mod(xi, L, out=xi) < 0.5 * L
     del xi
-    n_time, n = lattice.n_time, lattice.n_space
-    shift = Fraction(speed * lattice.h_time
-                     / lattice.h_space).limit_denominator(n_time // 2)
-    p, q = shift.numerator, shift.denominator
-    if (p * n_time) % (q * n) == 0 and np.array_equal(
+    n = lattice.n_space
+    if 2 * q <= lattice.n_time and np.array_equal(
             left[q:], np.roll(left[:-q], p, axis=1)):
         fine = np.empty(q * n, dtype=bool)
         fine[(q * np.arange(n) - p * np.arange(q)[:, None]) % (q * n)] = \
@@ -353,15 +346,14 @@ def lacunary_profile(alpha: float, n_octaves: int, seed: int, period: float,
 
 def make_lacunary_field(alpha: float, n_octaves: int, seed: int,
                         travel_speed: float, lattice: Lattice,
-                        amplitude: float = 1.0) -> Field:
+                        amplitude: float = 1.0) -> TravelingField:
     """Scalar traveling field U(t, x) = f(x - travel_speed * t) where f is
     the lacunary profile with exact Besov/Hoelder exponent alpha.
 
-    The lattice extent_time is snapped so the wave is time-periodic.  When
-    the wave then moves an integer number of nodes per time step, every
-    time slice is an exact circular shift of the sampled profile and the
-    result is a TravelingField; otherwise it is a DiscreteField sampled at
-    x - travel_speed * t.
+    The lattice extent_time is snapped so the wave moves p/q nodes per time
+    step (see `_snap`).  The result is a TravelingField whose profile
+    samples f at eta*h_space/q on the fine grid eta = q*i - p*t; for q = 1
+    these are the lattice nodes.
     """
     if not np.isfinite(travel_speed):
         raise ParameterError("travel_speed must be finite")
@@ -378,19 +370,12 @@ def make_lacunary_field(alpha: float, n_octaves: int, seed: int,
             f"2^{n_octaves} oscillations per period are not resolvable on "
             f"{lattice.n_space} nodes; maximum n_octaves here is {max_octaves}")
 
-    lattice = _adjust_extent_time(lattice, travel_speed)
-    L = lattice.extent_space
-    t = lattice.times()
-    x = lattice.space_nodes()
-
-    m = _node_shift(lattice, travel_speed)
-    if m is not None:
-        profile = lacunary_profile(alpha, n_octaves, seed, L, amplitude, x)
-        return TravelingField(lattice=lattice, profile=profile[:, None],
-                              shift=m)
-    xi = x[None, :] - travel_speed * t[:, None]
-    values = lacunary_profile(alpha, n_octaves, seed, L, amplitude, xi)
-    return DiscreteField(lattice=lattice, values=values[..., None])
+    lattice, p, q = _snap(lattice, travel_speed)
+    eta = np.arange(q * lattice.n_space) * (lattice.h_space / q)
+    profile = lacunary_profile(alpha, n_octaves, seed, lattice.extent_space,
+                               amplitude, eta)
+    return TravelingField(lattice=lattice, profile=profile[:, None],
+                          shift=p, rows=q)
 
 
 # ---------------------------------------------------------------------------

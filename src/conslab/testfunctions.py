@@ -27,6 +27,27 @@ def _wrap(z: np.ndarray, period: float) -> np.ndarray:
     return (z + 0.5 * period) % period - 0.5 * period
 
 
+def _support(z: np.ndarray, center: float, radius: float, extent: float,
+             periodic: bool, name: str) -> np.ndarray:
+    """Normalized bump coordinate w = (z - center)/radius along one axis,
+    wrapped when the axis is periodic.  The support must fit: a radius of
+    at most half the period, or [center - radius, center + radius] inside
+    the open interval (0, extent)."""
+    if not radius > 0:
+        raise ParameterError(f"{name} radius must be positive")
+    if periodic:
+        if radius > 0.5 * extent:
+            raise TestSupportError(
+                f"{name} radius {radius:g} exceeds half the period {extent:g}")
+        return _wrap(z - center, extent) / radius
+    lo, hi = center - radius, center + radius
+    if lo <= 0.0 or hi >= extent:
+        raise TestSupportError(
+            f"{name} support [{lo:g}, {hi:g}] exits the open interval "
+            f"(0, {extent:g})")
+    return (z - center) / radius
+
+
 class TestFunction:
     """Interface: evaluate(lattice, periodic_time) -> (psi, grad) with
     psi over the lattice and grad carrying one trailing axis of length
@@ -67,26 +88,12 @@ class TensorBump(TestFunction):
         if center.shape != (lattice.n_axes,) or radius.shape != (lattice.n_axes,):
             raise ParameterError(
                 f"center/radius must have length k+1 = {lattice.n_axes}")
-        if np.any(radius <= 0):
-            raise ParameterError("bump radii must be positive")
         factors, dfactors = [], []
         for axis in range(lattice.n_axes):
             z = lattice.times() if axis == 0 else lattice.space_nodes()
-            extent = lattice.axis_extent(axis)
-            if axis == 0 and not periodic_time:
-                lo = center[0] - radius[0]
-                hi = center[0] + radius[0]
-                if lo <= 0.0 or hi >= extent:
-                    raise TestSupportError(
-                        f"time support [{lo:g}, {hi:g}] exits the open interval "
-                        f"(0, {extent:g})")
-                w = (z - center[axis]) / radius[axis]
-            else:
-                if radius[axis] > 0.5 * extent:
-                    raise TestSupportError(
-                        f"radius {radius[axis]:g} on periodic axis {axis} exceeds "
-                        f"half the period {extent:g}")
-                w = _wrap(z - center[axis], extent) / radius[axis]
+            w = _support(z, center[axis], radius[axis],
+                         lattice.axis_extent(axis), axis > 0 or periodic_time,
+                         "time" if axis == 0 else f"space axis {axis}")
             factors.append(bump(w))
             dfactors.append(bump_deriv(w) / radius[axis])
         psi = _outer(factors)
@@ -128,20 +135,8 @@ class TimeBump(TestFunction):
         _require_numeric(self)
 
     def _profile(self, t: np.ndarray, extent: float, periodic_time: bool):
-        if self.radius <= 0:
-            raise ParameterError("time radius must be positive")
-        if periodic_time:
-            if self.radius > 0.5 * extent:
-                raise TestSupportError(
-                    f"time radius {self.radius:g} exceeds half the period {extent:g}")
-            z = _wrap(t - self.center, extent) / self.radius
-        else:
-            lo, hi = self.center - self.radius, self.center + self.radius
-            if lo <= 0.0 or hi >= extent:
-                raise TestSupportError(
-                    f"time support [{lo:g}, {hi:g}] exits the open interval "
-                    f"(0, {extent:g})")
-            z = (t - self.center) / self.radius
+        z = _support(t, self.center, self.radius, extent, periodic_time,
+                     "time")
         scale = self.amplitude
         if self.unit_integral:
             scale = scale / (self.radius * bump_line_integral())

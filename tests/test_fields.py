@@ -38,10 +38,19 @@ def test_lattice_geometry():
     dict(k=1, n_time=1, n_space=8, extent_time=1.0, extent_space=1.0),
     dict(k=1, n_time=8, n_space=8, extent_time=0.0, extent_space=1.0),
     dict(k=1, n_time=8, n_space=8, extent_time=1.0, extent_space=-2.0),
+    dict(k=1, n_time=8, n_space=8, extent_time=np.inf, extent_space=1.0),
 ])
 def test_lattice_validation(kwargs):
     with pytest.raises(ParameterError):
         Lattice(**kwargs)
+
+
+def test_subnormal_speed_is_rejected():
+    # snapping extent_time to one period at this speed overflows to inf
+    lat = Lattice(k=1, n_time=8, n_space=16, extent_time=1.0,
+                  extent_space=1.0)
+    with pytest.raises(ParameterError, match="finite"):
+        make_lacunary_field(0.5, 2, 0, 5e-324, lat)
 
 
 def test_field_validation(tiny_lattice):

@@ -1,5 +1,7 @@
 """Test-function catalogue: values, analytic gradients, support guards."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,11 @@ def test_time_bump_validation(lattice):
     with pytest.raises(SupportError, match="exits"):
         TimeBump(center=0.05, radius=0.2).evaluate(lattice,
                                                    periodic_time=False)
+    # the interval is open at both ends
+    for center, radius in ((0.25, 0.25), (0.75, 0.25), (0.9, 0.2)):
+        with pytest.raises(SupportError, match="exits the open interval"):
+            TimeBump(center=center, radius=radius).evaluate(
+                lattice, periodic_time=False)
 
 
 def test_shock_aligned_plateau_tracks_interface(lattice):
@@ -189,6 +196,16 @@ def test_smoothstep_pair_is_bitwise_the_old_pair(rng):
     for got, want in zip(smoothstep_pair(s), _old_smoothstep_pair(s)):
         assert got.shape == s.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_smoothstep_pair_vanishes_below_the_band():
+    # exp(-1/s) underflows to 0 here, and s*s too for the two smallest
+    s = np.array([5e-324, 1e-300, 1e-160])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chi, dchi = smoothstep_pair(s)
+    for got in (chi, dchi):
+        assert np.array_equal(got.view(np.int64), np.zeros(3, dtype=np.int64))
 
 
 def test_shock_aligned_time_integral():

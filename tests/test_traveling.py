@@ -113,11 +113,16 @@ def test_lacunary_integer_shift_is_compact(speed, shift):
     assert field.shift == shift
 
 
-def test_lacunary_fractional_shift_stays_2d():
+def test_lacunary_fractional_shift_is_compact():
     lat = Lattice(k=1, n_time=64, n_space=96, extent_time=1.0,
                   extent_space=1.0)
     # speed 1 moves 1.5 nodes per step on this lattice
-    assert isinstance(make_lacunary_field(0.6, 4, 3, 1.0, lat), DiscreteField)
+    field = make_lacunary_field(0.6, 4, 3, 1.0, lat)
+    assert isinstance(field, TravelingField)
+    assert (field.shift, field.rows) == (3, 2)
+    t, x = field.lattice.times(), field.lattice.space_nodes()
+    want = lacunary_profile(0.6, 4, 3, 1.0, 1.0, x[None, :] - t[:, None])
+    np.testing.assert_allclose(field.values[..., 0], want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name,left,right,speed,n_time,n_space,compact", [

@@ -1,16 +1,19 @@
 """Property tests of TravelingField for random coprime shifts p/q on small
 periodic lattices: each protocol method against a brute-force reference
-on the materialized lattice."""
+on the materialized lattice, and both generators against their
+floating-point definitions."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conslab import (Lattice, TravelingField, make_builtin, make_kernel,
-                     make_shock_field, mollify)
+from conslab import (Lattice, TravelingField, lacunary_profile, make_builtin,
+                     make_kernel, make_lacunary_field, make_shock_field,
+                     mollify)
 from conslab.mollifier import _convolve_fft
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -75,6 +78,27 @@ def test_shock_generator_values_are_the_float_test(q, p, n, mult):
     assert np.array_equal(field.values, np.where(left, 1.0, 0.0)[..., None])
     if isinstance(field, TravelingField):
         assert field.shift * q == p * field.rows
+
+
+@SETTINGS
+@given(st.integers(8, 48), st.integers(16, 64),
+       st.floats(-4.0, 4.0, allow_subnormal=False), st.integers(0, 2 ** 16))
+def test_lacunary_generator_is_the_snapped_wave(n_time, n, speed, seed):
+    # any finite speed: a compact wave moving sign*mult*n_space/n_time
+    # nodes per step, mult the whole periods crossed over the snapped
+    # extent_time (L = T = 1 before the snap)
+    lattice = Lattice(k=1, n_time=n_time, n_space=n, extent_time=1.0,
+                      extent_space=1.0)
+    octaves = int(math.log2(n // 4))
+    field = make_lacunary_field(0.6, octaves, seed, speed, lattice)
+    assert isinstance(field, TravelingField)
+    mult = max(1, round(abs(speed))) if speed else 0
+    shift = Fraction(int(math.copysign(mult, speed)) * n, n_time)
+    assert (field.shift, field.rows) == (shift.numerator, shift.denominator)
+    t, x = field.lattice.times(), field.lattice.space_nodes()
+    want = lacunary_profile(0.6, octaves, seed, 1.0, 1.0,
+                            x[None, :] - speed * t[:, None])
+    np.testing.assert_allclose(field.values[..., 0], want, rtol=0, atol=1e-12)
 
 
 @SETTINGS
