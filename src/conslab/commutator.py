@@ -33,11 +33,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .fields import Field, magnitude_lq_norm, require_q
+from .fields import (Field, magnitude_lq_norm, require_q,
+                     squared_magnitude)
 from .mollifier import MollifierKernel, axis_derivative, mollify, sweep
 from .rates import RateFit, aitken_limit, fit_loglog
-from .systems import (SystemSpec, fd_jacobian, require_in_domain,
-                      require_states)
+from .systems import (SystemSpec, fd_jacobian, require_delta,
+                      require_in_domain, require_states)
 from .testfunctions import TestFunction
 
 
@@ -171,8 +172,9 @@ def _max_shift_norm(field: Field, kernel: MollifierKernel,
         if shift in seen:
             continue
         seen.add(shift)
-        shifted = np.roll(nodes, shift=shift, axis=tuple(range(n_axes)))
-        best = max(best, magnitude_lq_norm(nodes - shifted, n_axes, q,
+        diff = np.roll(nodes, shift=shift, axis=tuple(range(n_axes)))
+        np.subtract(nodes, diff, out=diff)
+        best = max(best, magnitude_lq_norm(diff, n_axes, q,
                                            field.node_volume))
     return best
 
@@ -243,9 +245,8 @@ def residual_R(system: SystemSpec, field: Field,
 def good_set_measure(field: Field, kernel: MollifierKernel,
                      delta: float) -> float:
     """Fraction of lattice nodes where |U - [U]_eps| < delta."""
-    if delta <= 0:
-        raise ParameterError(f"delta must be positive, got {delta}")
+    require_delta(delta)
     _, mollified, window = next(sweep(field, [kernel]))
-    diff = mollified.nodes - window
-    mag = np.sqrt(np.einsum("...i,...i->...", diff, diff))
+    mag = np.sqrt(squared_magnitude(mollified.nodes - window,
+                                    field.lattice.n_axes))
     return float(np.mean(mag < delta))

@@ -130,8 +130,7 @@ class DiscreteField:
 
     def pointwise_magnitude(self) -> np.ndarray:
         """Euclidean norm over all value axes, per lattice node."""
-        flat = self.values.reshape(self.lattice.shape + (-1,))
-        return np.sqrt(np.einsum("...i,...i->...", flat, flat))
+        return np.sqrt(squared_magnitude(self.values, self.lattice.n_axes))
 
     # node protocol: every lattice node is a node of its own
     @property
@@ -404,18 +403,42 @@ def shift_difference_norm(field: Field, axis: int, nodes: int,
 
 
 def require_q(q: float) -> None:
-    """Raise ParameterError unless the integrability exponent q is >= 1."""
-    if not q >= 1:
-        raise ParameterError(f"q must be >= 1, got {q}")
+    """Raise ParameterError unless the integrability exponent q is >= 1 and
+    finite."""
+    if not 1 <= q < math.inf:
+        raise ParameterError(f"q must be >= 1 and finite, got {q}")
+
+
+def squared_magnitude(values: np.ndarray, n_axes: int) -> np.ndarray:
+    """Pointwise squared Euclidean magnitude of values, whose first n_axes
+    axes are lattice axes and the rest value axes: a sum of per-component
+    squares, each a whole lattice-shaped array, in component order."""
+    flat = values.reshape(values.shape[:n_axes] + (-1,))
+    mag2 = np.square(flat[..., 0])
+    square = np.empty_like(mag2)
+    for i in range(1, flat.shape[-1]):
+        mag2 += np.square(flat[..., i], out=square)
+    return mag2
 
 
 def magnitude_lq_norm(values: np.ndarray, n_axes: int, q: float,
                       cell_volume: float) -> float:
     """L^q norm of the pointwise Euclidean magnitude of values, whose first
-    n_axes axes are lattice axes and the rest value axes."""
-    flat = values.reshape(values.shape[:n_axes] + (-1,))
-    mag2 = np.einsum("...i,...i->...", flat, flat)
-    return float((np.sum(mag2 ** (q / 2.0)) * cell_volume) ** (1.0 / q))
+    n_axes axes are lattice axes and the rest value axes.
+
+    For integer q, |v|^q is a product of q//2 factors |v|^2, times |v| when
+    q is odd, so no pow runs; any other q takes (|v|^2)^(q/2)."""
+    mag2 = squared_magnitude(values, n_axes)
+    if q != int(q):
+        power = mag2 ** (q / 2.0)
+    else:
+        half, odd = divmod(int(q), 2)
+        power = np.sqrt(mag2) if odd else mag2
+        # every product after the first of an even power works in place
+        for _ in range(half - 1 + odd):
+            power = np.multiply(power, mag2,
+                                out=None if power is mag2 else power)
+    return float((np.sum(power) * cell_volume) ** (1.0 / q))
 
 
 @dataclass(frozen=True)

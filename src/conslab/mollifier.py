@@ -36,7 +36,8 @@ from ._bumps import bump
 from ._runtime import get_workers
 from .errors import ParameterError, ResolutionError
 from .fields import (DiscreteField, Field, Lattice, TravelingField,
-                     magnitude_lq_norm, require_q, shift_difference_norm)
+                     magnitude_lq_norm, require_q, shift_difference_norm,
+                     squared_magnitude)
 from .rates import RateFit, fit_loglog
 
 
@@ -272,9 +273,7 @@ def gradient_magnitude(field: Field) -> np.ndarray:
     n_axes = field.lattice.n_axes
     acc = np.zeros(field.nodes.shape[:n_axes])
     for axis in range(n_axes):
-        d = axis_derivative(field, axis)
-        flat = d.reshape(d.shape[:n_axes] + (-1,))
-        acc += np.einsum("...i,...i->...", flat, flat)
+        acc += squared_magnitude(axis_derivative(field, axis), n_axes)
     return np.sqrt(acc)
 
 

@@ -850,6 +850,12 @@ def make_builtin(name: str, params: Optional[dict] = None) -> SystemSpec:
 # compact-range extension
 
 
+def require_delta(delta: float) -> None:
+    """Raise ParameterError unless the margin delta is positive and finite."""
+    if not 0 < delta < np.inf:
+        raise ParameterError(f"delta must be positive and finite, got {delta}")
+
+
 def extend_to_compact_range(system: SystemSpec, range_box, delta: float) -> SystemSpec:
     """Replace a system by a globally defined one that agrees near a range box.
 
@@ -861,6 +867,10 @@ def extend_to_compact_range(system: SystemSpec, range_box, delta: float) -> Syst
     evaluators are applied, so every evaluation is legal.  The returned
     domain is all of state space, and the affine annotations are
     dropped because the cutoff destroys global affinity.
+
+    The cutoff is a product of per-component factors, each computed on one
+    component against scalar bounds.  G, B and Q compute only the cutoff;
+    DG, DB and DQ also compute its gradient by the product rule.
     """
     lower, upper = (np.asarray(b, dtype=float) for b in range_box)
     if lower.shape != (system.n,) or upper.shape != (system.n,):
@@ -868,71 +878,96 @@ def extend_to_compact_range(system: SystemSpec, range_box, delta: float) -> Syst
             f"range_box bounds must have shape ({system.n},)")
     if not np.all(lower < upper):
         raise ParameterError("range_box is empty")
-    if delta <= 0:
-        raise ParameterError(f"delta must be positive, got {delta}")
+    require_delta(delta)
 
     lo2, hi2 = lower - 2.0 * delta, upper + 2.0 * delta
     _check_box_inside(system.domain, lo2, hi2)
+    n = system.n
 
-    def cutoff(U):
-        """chi(U) in [0, 1] with per-component factors; also the gradient."""
-        below = lower - U
-        above = U - upper
-        dist = np.maximum(np.maximum(below, above), 0.0)
-        # s((d - delta)/delta): 0 until K^delta, 1 beyond K^{2 delta}
-        t = (dist - delta) / delta
-        step, dstep = smoothstep_pair(t)
-        factors = 1.0 - step
-        chi = np.prod(factors, axis=-1)
-        sign = np.where(below > 0, -1.0, np.where(above > 0, 1.0, 0.0))
-        dfactors = -dstep / delta * sign
+    def product(arrays, skip=None):
+        """Product of arrays in index order, leaving out index skip."""
+        out = None
+        for i, a in enumerate(arrays):
+            if i != skip:
+                out = a if out is None else out * a
+        return out
+
+    def cutoff(U, gradient):
+        """chi(U) in [0, 1], the product of per-component factors; with
+        gradient=True also its gradient, one array per component."""
+        factors, dfactors = [], []
+        for m in range(n):
+            below = lower[m] - U[..., m]
+            above = U[..., m] - upper[m]
+            dist = np.maximum(np.maximum(below, above), 0.0)
+            # s((d - delta)/delta): 0 until K^delta, 1 beyond K^{2 delta}
+            step, dstep = smoothstep_pair((dist - delta) / delta)
+            factors.append(1.0 - step)
+            if gradient:
+                sign = np.where(below > 0, -1.0,
+                                np.where(above > 0, 1.0, 0.0))
+                dfactors.append(-dstep / delta * sign)
+        chi = product(factors)
+        if not gradient:
+            return chi
         # grad_m chi = dfactors_m * prod_{i != m} factors_i
-        grad = np.empty_like(factors)
-        for m in range(factors.shape[-1]):
-            others = np.prod(np.delete(factors, m, axis=-1), axis=-1)
-            grad[..., m] = dfactors[..., m] * others
-        return chi, grad
+        return chi, [d if n == 1 else d * product(factors, m)
+                     for m, d in enumerate(dfactors)]
 
     def clamp(U):
-        return np.clip(U, lo2, hi2)
+        out = np.empty_like(U)
+        for m in range(n):
+            np.clip(U[..., m], lo2[m], hi2[m], out=out[..., m])
+        return out
 
-    def wrap_value(f, out_rank):
+    def entries(val, U):
+        """Index of each output entry of val: a lattice-shaped view."""
+        return [(Ellipsis,) + idx for idx in np.ndindex(val.shape[U.ndim - 1:])]
+
+    def wrap_value(f):
         def g(U):
             U = np.asarray(U, dtype=float)
-            chi, _ = cutoff(U)
+            chi = cutoff(U, gradient=False)
             val = f(clamp(U))
-            return val * chi.reshape(chi.shape + (1,) * out_rank)
-        return g
-
-    def wrap_jacobian(f, df, out_rank):
-        def g(U):
-            U = np.asarray(U, dtype=float)
-            chi, grad = cutoff(U)
-            Uc = clamp(U)
-            val = f(Uc)
-            jac = df(Uc)
-            inside = ((U >= lo2) & (U <= hi2)).astype(float)
-            pad = (1,) * out_rank
-            out = (val[..., None] * grad.reshape(grad.shape[:-1] + pad + (system.n,))
-                   + chi.reshape(chi.shape + pad + (1,)) * jac
-                   * inside.reshape(inside.shape[:-1] + pad + (system.n,)))
+            out = np.empty_like(val)
+            for e in entries(val, U):
+                np.multiply(val[e], chi, out=out[e])
             return out
         return g
 
-    ext = replace(
+    def wrap_jacobian(f, df):
+        def g(U):
+            U = np.asarray(U, dtype=float)
+            chi, grad = cutoff(U, gradient=True)
+            Uc = clamp(U)
+            val = f(Uc)
+            jac = df(Uc)
+            inside = [((U[..., m] >= lo2[m]) & (U[..., m] <= hi2[m])).astype(float)
+                      for m in range(n)]
+            # chi * jac * inside + val * grad, per (output entry, component)
+            out = np.empty_like(jac)
+            for e in entries(val, U):
+                for m in range(n):
+                    o = out[e + (m,)]
+                    np.multiply(chi, jac[e + (m,)], out=o)
+                    o *= inside[m]
+                    o += val[e] * grad[m]
+            return out
+        return g
+
+    return replace(
         system,
         name=system.name + "-compact",
         domain=StateDomain.all_space(),
-        G=wrap_value(system.G, 2),
-        B=wrap_value(system.B, 1),
-        Q=wrap_value(system.Q, 1),
-        DG=wrap_jacobian(system.G, system.DG, 2) if system.DG else None,
-        DB=wrap_jacobian(system.B, system.DB, 1) if system.DB else None,
-        DQ=wrap_jacobian(system.Q, system.DQ, 1) if system.DQ else None,
+        G=wrap_value(system.G),
+        B=wrap_value(system.B),
+        Q=wrap_value(system.Q),
+        DG=wrap_jacobian(system.G, system.DG) if system.DG else None,
+        DB=wrap_jacobian(system.B, system.DB) if system.DB else None,
+        DQ=wrap_jacobian(system.Q, system.DQ) if system.DQ else None,
         affine_columns=frozenset(),
         affine_rows=frozenset(),
     )
-    return ext
 
 
 def _check_box_inside(domain: StateDomain, lo2, hi2) -> None:

@@ -8,8 +8,9 @@ import pytest
 import oracles
 from conslab import (DiscreteField, DomainViolationError, Lattice,
                      ParameterError, ShockAlignedBump, StateDomain,
-                     SystemSpec, TensorBump, commutator_field,
-                     extend_to_compact_range, good_set_measure,
+                     SystemSpec, TensorBump, TravelingField,
+                     commutator_field, extend_to_compact_range,
+                     good_set_measure,
                      lemma_bound_audit, lq_norm, make_builtin, make_kernel,
                      make_lacunary_field, make_shock_field, mollify,
                      residual_R)
@@ -173,6 +174,54 @@ def test_lemma_constant_field_sentinel(burgers, space_lattice):
     sweep = lemma_bound_audit(burgers, field, kernels, q=1.5)
     assert np.all(np.isnan(sweep.measured_C))
     assert np.all(sweep.commutator_Lq_norms <= 1e-14)
+
+
+def _brute_lemma_bounds(field, kernels, q):
+    """||[U]_eps - U||^2 + sup_Y ||U - U(. - Y)||^2 in L^{2q} on the
+    materialized lattice, the sup over every nonzero stencil offset with
+    both signs and no deduplication."""
+    lat = field.lattice
+    U = np.array(field.values)
+    axes = tuple(range(lat.n_axes))
+
+    def norm(v):
+        mag = np.linalg.norm(v.reshape(lat.shape + (-1,)), axis=-1)
+        return (np.sum(mag ** (2 * q)) * lat.cell_volume) ** (1 / (2 * q))
+
+    bounds = []
+    for kernel in kernels:
+        smoothed = mollify(DiscreteField(lattice=lat, values=U), kernel)
+        sup = max(norm(U - np.roll(U, tuple(sign * o for o in off), axis=axes))
+                  for off, _ in kernel.offsets() if any(off)
+                  for sign in (1, -1))
+        bounds.append(norm(smoothed.values - U) ** 2 + sup ** 2)
+    return np.array(bounds)
+
+
+@pytest.mark.parametrize("form", ["discrete", "traveling"])
+def test_lemma_bound_matches_brute_force_shift_sup(elasto, form):
+    if form == "discrete":
+        s = np.sqrt((1.2 ** 3 - 1.0) / 0.2)
+        shock = make_shock_field(
+            elasto, [1.0, 0.1 * s], [1.2, -0.1 * s], s,
+            Lattice(k=1, n_time=32, n_space=64, extent_time=1.0,
+                    extent_space=1.0))
+        field = DiscreteField(lattice=shock.lattice, values=shock.values)
+    else:
+        rng = np.random.default_rng(3)
+        profile = np.column_stack([1.1 + 0.05 * rng.normal(size=64),
+                                   0.1 * rng.normal(size=64)])
+        field = TravelingField(
+            lattice=Lattice(k=1, n_time=64, n_space=32, extent_time=1.0,
+                            extent_space=1.0),
+            profile=profile, shift=1, rows=2)
+    kernels = [make_kernel(e, field.lattice) for e in (0.25, 0.15)]
+    before = np.array(field.nodes)
+    sweep = lemma_bound_audit(elasto, field, kernels, q=1.5)
+    np.testing.assert_allclose(sweep.lemma_bound_values,
+                               _brute_lemma_bounds(field, kernels, 1.5),
+                               rtol=1e-12)
+    assert np.array_equal(field.nodes, before)
 
 
 def test_lemma_audit_validation(burgers, unit_shock, space_lattice, rng):
@@ -401,8 +450,10 @@ def test_good_set_window_on_nonperiodic_field(rng):
 
 def test_good_set_validation(unit_shock, space_lattice):
     kernel = make_kernel(0.0625, space_lattice, space_only=True)
-    with pytest.raises(ParameterError, match="delta"):
-        good_set_measure(unit_shock, kernel, 0.0)
+    # NaN used to pass a delta <= 0 test and measure an empty good set
+    for delta in (0.0, np.nan, np.inf):
+        with pytest.raises(ParameterError, match="delta must be positive"):
+            good_set_measure(unit_shock, kernel, delta)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conslab import (DiscreteField, Lattice, ParameterError, ResolutionError,
                      UnsupportedGeometryError, estimate_besov, field_to_csv,
@@ -9,6 +11,7 @@ from conslab import (DiscreteField, Lattice, ParameterError, ResolutionError,
                      make_lacunary_field, make_shock_field, save_field,
                      shift_difference_norm)
 from conslab.errors import DomainViolationError
+from conslab.fields import magnitude_lq_norm
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +75,23 @@ def test_pointwise_magnitude(tiny_lattice):
     vals[..., 1] = 4.0
     field = DiscreteField(lattice=tiny_lattice, values=vals)
     assert np.all(field.pointwise_magnitude() == 5.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 7.3]),
+       value_shape=st.sampled_from([(), (2,), (2, 2), (3,)]),
+       k=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 16))
+def test_magnitude_lq_norm_matches_the_oracle(q, value_shape, k, seed):
+    rng = np.random.default_rng(seed)
+    lattice_shape = (5,) + (6,) * k
+    values = rng.normal(size=lattice_shape + value_shape)
+    before = values.copy()
+    volume = rng.uniform(0.1, 2.0)
+    mag = np.linalg.norm(values.reshape(lattice_shape + (-1,)), axis=-1)
+    want = (np.sum(mag ** q) * volume) ** (1.0 / q)
+    got = magnitude_lq_norm(values, k + 1, q, volume)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert np.array_equal(values, before)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 
 import oracles
 from conslab import (DiscreteField, Lattice, ParameterError, ResolutionError,
-                     TravelingField, kernel_table, lq_norm, make_kernel,
+                     TravelingField, estimate_besov, kernel_table,
+                     lemma_bound_audit, lq_norm, make_builtin, make_kernel,
                      make_lacunary_field, make_shock_field, mollify,
                      shift_difference_norm, verify_estimates)
 from conslab import _runtime, mollifier
@@ -394,6 +395,24 @@ def test_estimates_validation(small_field):
 def test_q_below_one_rejected(small_field, call, q):
     with pytest.raises(ParameterError, match="q must be >= 1"):
         call(small_field, q)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, q: verify_estimates(f, q, [0.35, 0.3, 0.25, 0.2], 0.5),
+    lambda f, q: lq_norm(f, q),
+    lambda f, q: shift_difference_norm(f, 1, 2, q),
+    lambda f, q: estimate_besov(f, q, n_shifts=3),
+    lambda f, q: lemma_bound_audit(make_builtin("elastodynamics-1d"), f,
+                                   [make_kernel(0.25, f.lattice)], q),
+], ids=["verify_estimates", "lq_norm", "shift_difference_norm",
+        "estimate_besov", "lemma_bound_audit"])
+def test_infinite_q_rejected(small_lattice, call):
+    # a constant-2 field, whose L^inf norm is 2: q = inf is no L^q exponent
+    # here, and the power formula used to report 1.0 for it
+    field = DiscreteField(lattice=small_lattice,
+                          values=np.full(small_lattice.shape + (2,), 2.0))
+    with pytest.raises(ParameterError, match="q must be >= 1 and finite"):
+        call(field, np.inf)
 
 
 def test_mollified_jump_width(burgers):

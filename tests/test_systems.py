@@ -10,6 +10,7 @@ from conslab import (BUILTIN_NAMES, DomainViolationError, GeometryError,
                      ParameterError, StateDomain, check_compatibility,
                      extend_to_compact_range, make_builtin,
                      uniform_box_sampler)
+from conslab._bumps import smoothstep_pair
 from conslab.systems import fd_jacobian, make_pressure_law, make_stored_energy
 from conftest import STATE_BOXES, random_states
 
@@ -321,8 +322,86 @@ def test_extension_geometry_validation(elasto):
         extend_to_compact_range(elasto, ([2.0, 0.0], [1.0, 1.0]), 0.1)
     with pytest.raises(ParameterError, match="shape"):
         extend_to_compact_range(elasto, ([1.0], [2.0]), 0.1)
-    with pytest.raises(ParameterError, match="delta"):
-        extend_to_compact_range(elasto, BOX, 0.0)
+    # NaN used to pass a delta <= 0 test and make every evaluator NaN
+    for delta in (0.0, np.nan, np.inf):
+        with pytest.raises(ParameterError, match="delta must be positive"):
+            extend_to_compact_range(elasto, BOX, delta)
+
+
+def _old_extension(system, range_box, delta):
+    """The broadcasting cutoff and wrappers the extension used before it
+    worked one component at a time: the bitwise reference."""
+    lower, upper = (np.asarray(b, dtype=float) for b in range_box)
+    lo2, hi2 = lower - 2.0 * delta, upper + 2.0 * delta
+
+    def cutoff(U):
+        below = lower - U
+        above = U - upper
+        dist = np.maximum(np.maximum(below, above), 0.0)
+        t = (dist - delta) / delta
+        step, dstep = smoothstep_pair(t)
+        factors = 1.0 - step
+        chi = np.prod(factors, axis=-1)
+        sign = np.where(below > 0, -1.0, np.where(above > 0, 1.0, 0.0))
+        dfactors = -dstep / delta * sign
+        grad = np.empty_like(factors)
+        for m in range(factors.shape[-1]):
+            others = np.prod(np.delete(factors, m, axis=-1), axis=-1)
+            grad[..., m] = dfactors[..., m] * others
+        return chi, grad
+
+    def wrap_value(f, out_rank):
+        def g(U):
+            chi, _ = cutoff(U)
+            return f(np.clip(U, lo2, hi2)) * chi.reshape(chi.shape
+                                                         + (1,) * out_rank)
+        return g
+
+    def wrap_jacobian(f, df, out_rank):
+        def g(U):
+            chi, grad = cutoff(U)
+            Uc = np.clip(U, lo2, hi2)
+            inside = ((U >= lo2) & (U <= hi2)).astype(float)
+            pad = (1,) * out_rank
+            n = U.shape[-1]
+            return (f(Uc)[..., None] * grad.reshape(grad.shape[:-1] + pad + (n,))
+                    + chi.reshape(chi.shape + pad + (1,)) * df(Uc)
+                    * inside.reshape(inside.shape[:-1] + pad + (n,)))
+        return g
+
+    return {"G": wrap_value(system.G, 2), "B": wrap_value(system.B, 1),
+            "Q": wrap_value(system.Q, 1),
+            "DG": wrap_jacobian(system.G, system.DG, 2),
+            "DB": wrap_jacobian(system.B, system.DB, 1),
+            "DQ": wrap_jacobian(system.Q, system.DQ, 1)}
+
+
+@pytest.mark.parametrize("name", ["burgers", "elastodynamics-1d",
+                                  "euler-incompressible-2d",
+                                  "mhd-incompressible-1d"])
+def test_extension_is_bitwise_the_broadcasting_one(name, rng):
+    system, delta = make_builtin(name), 0.25
+    n = system.n
+    # component 0 in [1, 2] keeps the elastodynamics strain positive
+    lower = np.array([1.0] + [-1.0] * (n - 1))
+    upper = np.array([2.0] + [1.0] * (n - 1))
+    box = (lower, upper)
+    # each component independently inside the delta box, in the
+    # delta..2*delta shell or beyond 2*delta, below or above the box
+    zone = rng.integers(0, 3, size=(6, 9, n))
+    depth = delta * np.choose(zone, [rng.uniform(-3.0, 1.0, zone.shape),
+                                     rng.uniform(1.0, 2.0, zone.shape),
+                                     rng.uniform(2.0, 4.0, zone.shape)])
+    side = rng.integers(0, 2, size=zone.shape).astype(bool)
+    U = np.where(side, upper + depth, lower - depth)
+    U[0, 0] = 0.5 * (lower + upper)
+    ext = extend_to_compact_range(system, box, delta)
+    old = _old_extension(system, box, delta)
+    for states in (U, U[2, 3]):
+        for key, reference in old.items():
+            got, want = getattr(ext, key)(states), reference(states)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), key
 
 
 def test_extension_of_box_domain_checks_both_faces():
