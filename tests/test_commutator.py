@@ -1,6 +1,7 @@
 """Nonlinear commutator, square-difference bound, companion-law residual."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -507,3 +508,133 @@ def test_k2_affine_field_has_zero_commutator(euler2d, plane_field,
     field = DiscreteField(lattice=plane_field.lattice, values=values)
     W = commutator_field(euler2d, field, plane_kernel).values
     assert np.max(np.abs(W)) <= 1e-13
+
+
+# brute-force oracle: the kernel from its definition, direct-sum
+# mollification, W entry by entry, central differences and every stencil
+# offset; only the system's G, B and DB come from the package.  Its arrays
+# put channels first, so that each slice of a padded array below is a run
+# of contiguous lattice rows.
+
+
+def _brute_kernel(epsilon, lattice):
+    """{offset: weight} of exp(-1/(1 - |X/eps|^2)) at the stencil offsets
+    X, scaled to unit discrete mass."""
+    h = (lattice.h_time,) + (lattice.h_space,) * lattice.k
+    weights = {}
+    for off in itertools.product(*[range(-int(epsilon // s),
+                                         int(epsilon // s) + 1) for s in h]):
+        r2 = sum((o * s / epsilon) ** 2 for o, s in zip(off, h))
+        if r2 < 1.0:
+            weights[off] = np.exp(-1.0 / (1.0 - r2))
+    mass = sum(weights.values()) * np.prod(h)
+    return {off: w / mass for off, w in weights.items()}
+
+
+def _shifted(values, weights):
+    """values(. - Y) per stencil offset Y, as slices of one periodic pad."""
+    r = np.max(np.abs(list(weights)), axis=0)
+    padded = np.pad(values, [(0, 0)] + [(ri, ri) for ri in r], mode="wrap")
+    for off in weights:
+        yield off, padded[(slice(None),) + tuple(
+            slice(ri - o, ri - o + n)
+            for ri, o, n in zip(r, off, values.shape[1:]))]
+
+
+def _brute_mollify(values, weights, lattice):
+    out = 0.0
+    for off, shifted in _shifted(values, weights):
+        out = out + weights[off] * shifted
+    return out * lattice.cell_volume
+
+
+def _brute_norm(v, p, lattice):
+    squares = np.sum(v.reshape((-1,) + lattice.shape) ** 2, axis=0)
+    return (np.sum(squares ** (0.5 * p)) * lattice.cell_volume) ** (1.0 / p)
+
+
+def _brute_tensor_bump(center, radius, lattice):
+    """psi and grad psi of prod_a bump((z_a - c_a)/r_a), support inside
+    the lattice so nothing wraps."""
+    coords = [lattice.times()] + [lattice.space_nodes()] * lattice.k
+    w = np.meshgrid(*[(z - c) / r for z, c, r in zip(coords, center, radius)],
+                    indexing="ij")
+    inside = [np.abs(x) < 1.0 for x in w]
+    b = [np.where(m, np.exp(-1.0 / (1.0 - np.where(m, x, 0.0) ** 2)), 0.0)
+         for x, m in zip(w, inside)]
+    db = [bx * -2.0 * x / (1.0 - np.where(m, x, 0.0) ** 2) ** 2
+          for bx, x, m in zip(b, w, inside)]
+    psi = np.prod(b, axis=0)
+    grad = np.stack([db[a] / radius[a] * np.prod(
+        [b[c] for c in range(len(b)) if c != a], axis=0)
+        for a in range(len(b))], axis=-1)
+    return psi, grad
+
+
+def _brute_residual_and_lemma(system, field, epsilons, center, radius, q):
+    lat = field.lattice
+    n, m = system.n, lat.n_axes
+    h = (lat.h_time,) + (lat.h_space,) * lat.k
+    U = np.moveaxis(field.values, -1, 0)
+    G_of_U = np.moveaxis(system.G(field.values), (-2, -1), (0, 1))
+    psi, dpsi = _brute_tensor_bump(center, radius, lat)
+    I1s, I2s, lhs, bounds = [], [], [], []
+    for eps in sorted(epsilons, reverse=True):
+        weights = _brute_kernel(eps, lat)
+        Ue = _brute_mollify(U, weights, lat)
+        states = np.moveaxis(Ue, 0, -1)
+        G_of_Ue = system.G(states)
+        G_e = _brute_mollify(G_of_U.reshape((n * m,) + lat.shape), weights,
+                             lat).reshape(G_of_U.shape)
+        W = np.empty_like(G_e)
+        for i in range(n):
+            for j in range(m):
+                W[i, j] = G_of_Ue[..., i, j] - G_e[i, j]
+        B, DB = system.B(states), system.DB(states)
+        D = [(np.roll(Ue, -1, axis=1 + j) - np.roll(Ue, 1, axis=1 + j))
+             / (2.0 * h[j]) for j in range(m)]
+        I1 = I2 = 0.0
+        for i in range(n):
+            for j in range(m):
+                chain = sum(DB[..., i, k] * D[j][k] for k in range(n))
+                I1 -= np.sum(W[i, j] * chain * psi) * lat.cell_volume
+                I2 -= np.sum(W[i, j] * B[..., i] * dpsi[..., j]) \
+                    * lat.cell_volume
+        I1s.append(I1)
+        I2s.append(I2)
+        sup = max(_brute_norm(U - shifted, 2 * q, lat)
+                  for off, shifted in _shifted(U, weights) if any(off))
+        lhs.append(_brute_norm(W, q, lat))
+        bounds.append(_brute_norm(Ue - U, 2 * q, lat) ** 2 + sup ** 2)
+    return np.array(I1s), np.array(I2s), np.array(lhs), np.array(bounds)
+
+
+@pytest.fixture(scope="module")
+def plane_wave(plane_lattice):
+    # smooth along t + x: the shift sup sits at offsets with a time part
+    t, x, y = np.meshgrid(plane_lattice.times(), plane_lattice.space_nodes(),
+                          plane_lattice.space_nodes(), indexing="ij")
+    values = np.stack([np.cos(2.0 * np.pi * (t + x) + c)
+                       + 0.1 * np.sin(2.0 * np.pi * y) for c in range(3)],
+                      axis=-1)
+    return DiscreteField(lattice=plane_lattice, values=values)
+
+
+@pytest.mark.parametrize("name, epsilons", [("plane_field", (0.25, 0.3)),
+                                            ("plane_wave", (0.25,))])
+def test_k2_residual_and_lemma_match_brute_force(euler2d, plane_lattice,
+                                                 request, name, epsilons):
+    field = request.getfixturevalue(name)
+    center, radius, q = (0.5, 0.5, 0.45), (0.3, 0.3, 0.35), 1.5
+    kernels = [make_kernel(e, plane_lattice) for e in epsilons]
+    I1, I2, lhs, bounds = _brute_residual_and_lemma(
+        euler2d, field, epsilons, center, radius, q)
+    report = residual_R(euler2d, field, kernels,
+                        TensorBump(center=center, radius=radius))
+    np.testing.assert_allclose(report.I1, I1, rtol=1e-12)
+    np.testing.assert_allclose(report.I2, I2, rtol=1e-12)
+    np.testing.assert_allclose(report.total, I1 + I2, rtol=1e-12)
+    sweep = lemma_bound_audit(euler2d, field, kernels, q)
+    np.testing.assert_allclose(sweep.commutator_Lq_norms, lhs, rtol=1e-12)
+    np.testing.assert_allclose(sweep.lemma_bound_values, bounds, rtol=1e-12)
+    np.testing.assert_allclose(sweep.measured_C, lhs / bounds, rtol=1e-12)

@@ -1,15 +1,22 @@
 """Test-function catalogue: values, analytic gradients, support guards."""
 
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from conslab import (Lattice, ParameterError, ShockAlignedBump, TensorBump,
-                     TimeBump, UnsupportedGeometryError)
+                     TimeBump, UnsupportedGeometryError, testfunctions)
 from conslab import TestSupportError as SupportError
-from conslab._bumps import smoothstep_pair
+from conslab._bumps import (bump, bump_deriv, bump_line_integral,
+                            smoothstep_pair)
+from conslab.testfunctions import _wrap
 from conslab.testfunctions import from_config as build_testfn
 
 
@@ -269,3 +276,169 @@ def test_direct_construction_rejects_non_numeric_parameter(build, name):
 def test_from_config_rejects_non_numeric_parameter():
     with pytest.raises(ParameterError, match="'center' must be numeric"):
         build_testfn({"kind": "bump", "center": "ab", "radius": [0.2, 0.2]})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["center", "radius", "amplitude"])
+def test_tensor_bump_rejects_non_finite_parameter(name, value):
+    params = {"center": (0.5, 0.5), "radius": (0.2, 0.2), "amplitude": 1.0}
+    params[name] = (0.5, value) if name != "amplitude" else value
+    with pytest.raises(ParameterError, match=f"TensorBump.{name} must be finite"):
+        TensorBump(**params)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["center", "radius", "amplitude"])
+def test_time_bump_rejects_non_finite_parameter(name, value):
+    params = {"center": 0.5, "radius": 0.2, "amplitude": 1.0, name: value}
+    with pytest.raises(ParameterError, match=f"TimeBump.{name} must be finite"):
+        TimeBump(**params)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["speed", "xi_center", "inner_radius",
+                                  "outer_radius", "time_center",
+                                  "time_radius", "amplitude"])
+def test_shock_aligned_rejects_non_finite_parameter(name, value):
+    params = {"speed": 0.5, "xi_center": 0.5, "inner_radius": 0.1,
+              "outer_radius": 0.2, "time_center": 0.5, "time_radius": 0.3,
+              name: value}
+    with pytest.raises(ParameterError,
+                       match=f"ShockAlignedBump.{name} must be finite"):
+        ShockAlignedBump(**params)
+
+
+@st.composite
+def wrap_cases(draw):
+    """A period and z near whole and half periods on both sides of zero,
+    where the long division ends on exact zeros; now and then any floats
+    at all, which take np.remainder."""
+    period = draw(st.floats(1e-3, 1e3))
+    if draw(st.integers(0, 3)) == 0:
+        return draw(arrays(np.float64, st.integers(0, 40),
+                           elements=st.floats())), period
+    turns = draw(st.lists(st.integers(-4, 4) | st.integers(-2 ** 34, 2 ** 34),
+                          max_size=40))
+    frac = draw(st.lists(st.sampled_from([-0.5, 0.0, 0.5]) |
+                         st.floats(-1.0, 1.0),
+                         min_size=len(turns), max_size=len(turns)))
+    return (np.array(turns, dtype=float) + np.array(frac)) * period, period
+
+
+@settings(max_examples=200, deadline=None)
+@given(wrap_cases())
+@example((np.array([0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 1e-300,
+                    -1e-300]), 1.0))
+@example((np.array([0.7 * j for j in range(-9, 10)]), 0.7))
+@example((np.array([4.0 ** 20, -(4.0 ** 20), 0.1]), 1.0))
+@example((np.array([np.nan, 0.1, np.inf, -np.inf]), 1.0))
+def test_wrap_is_bitwise_the_remainder(case):
+    z, period = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = (z + 0.5 * period) % period - 0.5 * period
+        got = _wrap(z, period)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _old_shock_aligned(fn, lattice, periodic_time):
+    # the whole-lattice ShockAlignedBump.evaluate the row-block one
+    # replaced, with TimeBump._profile and the np.remainder wrap inlined
+    T, L = lattice.extent_time, lattice.extent_space
+    times = lattice.times()
+    radius = fn.time_radius
+    if periodic_time:
+        w = ((times - fn.time_center + 0.5 * T) % T - 0.5 * T) / radius
+    else:
+        w = (times - fn.time_center) / radius
+    scale = fn.amplitude
+    if fn.unit_time_integral:
+        scale = scale / (radius * bump_line_integral())
+    phi, dphi = scale * bump(w), scale * bump_deriv(w) / radius
+    t = times[:, None]
+    x = lattice.space_nodes()[None, :]
+    d = (x - fn.speed * t - fn.xi_center + 0.5 * L) % L - 0.5 * L
+    width = fn.outer_radius - fn.inner_radius
+    u = (fn.outer_radius - np.abs(d)) / width
+    chi, dchi = _old_smoothstep_pair(u)
+    dchi *= -np.sign(d) / width
+    psi = phi[:, None] * chi
+    grad = np.empty(lattice.shape + (2,))
+    grad[..., 0] = dphi[:, None] * chi + phi[:, None] * dchi * (-fn.speed)
+    grad[..., 1] = phi[:, None] * dchi
+    return psi, grad
+
+
+@st.composite
+def shock_aligned_cases(draw):
+    """A valid ShockAlignedBump on a small lattice, whether time is
+    periodic, and nodes per row block (1 to 3 rows, or the module's)."""
+    n_time = draw(st.integers(8, 150))
+    n_space = draw(st.integers(8, 40))
+    T = draw(st.floats(0.5, 3.0))
+    L = draw(st.floats(0.5, 2.0))
+    periodic_time = draw(st.booleans())
+    time_radius = draw(st.floats(0.05, 0.45)) * T
+    if periodic_time:
+        time_center = draw(st.floats(-T, 2.0 * T))
+    else:
+        time_center = draw(st.floats(time_radius + 1e-3 * T,
+                                     T - time_radius - 1e-3 * T))
+    outer = draw(st.floats(0.02, 0.5)) * L
+    inner = outer * draw(st.floats(0.05, 0.95))
+    fn = ShockAlignedBump(
+        speed=draw(st.sampled_from([0.0, -0.5, 0.5]) | st.floats(-3.0, 3.0)),
+        xi_center=draw(st.floats(-2.0 * L, 2.0 * L)),
+        inner_radius=inner, outer_radius=outer, time_center=time_center,
+        time_radius=time_radius,
+        amplitude=draw(st.floats(0.1, 2.0)) * draw(st.sampled_from([1, -1])),
+        unit_time_integral=draw(st.booleans()))
+    lattice = Lattice(k=1, n_time=n_time, n_space=n_space, extent_time=T,
+                      extent_space=L)
+    block = draw(st.sampled_from([n_space, 2 * n_space + 1, 3 * n_space,
+                                  testfunctions._BLOCK_NODES]))
+    return fn, lattice, periodic_time, block
+
+
+# a support that wraps across t = 0, speeds of both signs and zero, a
+# negative amplitude, blocks that do not divide n_time, and (the module's
+# block size on these lattices) fewer rows than one block
+_LAT = Lattice(k=1, n_time=37, n_space=12, extent_time=1.0, extent_space=1.0)
+
+
+def _aligned(speed, time_center, amplitude=1.0, unit=True):
+    return ShockAlignedBump(speed=speed, xi_center=0.3, inner_radius=0.1,
+                            outer_radius=0.3, time_center=time_center,
+                            time_radius=0.3, amplitude=amplitude,
+                            unit_time_integral=unit)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shock_aligned_cases())
+@example((_aligned(-0.7, 0.05), _LAT, True, 24))
+@example((_aligned(0.0, 0.5, -1.5, False), _LAT, False, 36))
+@example((_aligned(1.3, 0.95, -0.5), _LAT, True, testfunctions._BLOCK_NODES))
+def test_row_blocks_are_the_whole_lattice_evaluation(case):
+    fn, lattice, periodic_time, block = case
+    with mock.patch.object(testfunctions, "_BLOCK_NODES", block):
+        psi, grad = fn.evaluate(lattice, periodic_time)
+    want_psi, want_grad = _old_shock_aligned(fn, lattice, periodic_time)
+    # array_equal compares with ==: zeros may differ in sign, every
+    # other entry must match bit for bit
+    assert np.array_equal(psi, want_psi)
+    assert np.array_equal(grad, want_grad)
+
+
+def test_shock_aligned_evaluate_allocates_little_beyond_its_outputs():
+    lattice = Lattice(k=1, n_time=1024, n_space=512, extent_time=2.0,
+                      extent_space=1.0)
+    fn = ShockAlignedBump(speed=0.5, xi_center=0.5, inner_radius=0.15,
+                          outer_radius=0.35, time_center=1.0,
+                          time_radius=0.8)
+    tracemalloc.start()
+    try:
+        psi, grad = fn.evaluate(lattice)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (psi.nbytes + grad.nbytes)
