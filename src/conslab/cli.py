@@ -594,10 +594,15 @@ def run_onsager_suite(config: dict):
 
     rows = []
     failed = False
+    # one kernel set per field lattice, so the alpha rows share its lines
+    kernel_sets = {}
     for alpha in config["alphas"]:
         field = _build_field({"kind": "lacunary", "alpha": alpha, **lac},
                              lattice, system)
-        kernels = [make_kernel(e, field.lattice) for e in epsilons]
+        if field.lattice not in kernel_sets:
+            kernel_sets[field.lattice] = [make_kernel(e, field.lattice)
+                                          for e in epsilons]
+        kernels = kernel_sets[field.lattice]
         residual = residual_R(system, field, kernels, testfn)
         threshold = 3.0 * alpha - 1.0
         slope = residual.rate_fit.slope

@@ -18,6 +18,14 @@ q*n_space per channel, and the result is again a TravelingField with the
 same shift.  It agrees with the 2-D path to rounding.  Every other field
 takes the 2-D path.
 
+What a kernel retains: the 2-D path caches the full complex spectrum
+(n_time x (n_space/2 + 1) entries) on the kernel, since every 2-D
+mollification reads all of it.  The line path caches only the line it
+reads, q*n_space/2 + 1 entries per (P, q*n_space), and drops the 2-D
+spectrum once the line is cut out; so a compact sweep keeps no
+lattice-sized array per kernel.  A kernel that later meets a 2-D field
+transforms its stencil again, with the same result.
+
 verify_estimates audits the three smoothing estimates that drive the
 commutator analysis: the gradient bound (slope alpha - 1), the
 approximation bound (slope alpha), and the translation bound (slope
@@ -99,12 +107,16 @@ class MollifierKernel:
         self.cell_volume = cell
         self.discrete_sum = float(weights.sum() * cell)
         self._spectrum: Optional[np.ndarray] = None
+        self._lines: dict = {}
 
     def spectrum(self) -> np.ndarray:
         """rfftn of the stencil wrapped into a lattice-sized array.  Only
         the 2*r_t + 1 stencil time slices are nonzero, so they alone are
         transformed along the last axis before the complex transform along
-        the other axes: the order rfftn uses, with the same result."""
+        the other axes: the order rfftn uses, with the same result.
+
+        The result is cached on the kernel until `line` cuts a line out of
+        it; the next call after that transforms the stencil again."""
         if self._spectrum is None:
             lat = self.lattice
             workers = get_workers()
@@ -119,6 +131,26 @@ class MollifierKernel:
             self._spectrum = sfft.fftn(out, axes=tuple(range(lat.k)),
                                        overwrite_x=True, workers=workers)
         return self._spectrum
+
+    def line(self, P: int, size: int) -> np.ndarray:
+        """Cell volume times the spectrum on the line (j, k) =
+        (-P*kappa mod n_time, kappa mod n_space), kappa = 0 .. size/2: the
+        filter of a traveling wave whose profile has `size` nodes.  rfftn
+        stores k <= n_space/2, and the kernel is real, so a larger k reads
+        the conjugate of entry (-j, n_space - k).  Cached per (P, size);
+        a miss reads the 2-D spectrum once and drops it from the kernel."""
+        key = (P, size)
+        if key not in self._lines:
+            n_time, n = self.lattice.shape
+            kappa = np.arange(size // 2 + 1)
+            j, k = (-P * kappa) % n_time, kappa % n
+            upper = k > n // 2
+            line = self.spectrum()[np.where(upper, -j % n_time, j),
+                                   np.where(upper, n - k, k)]
+            self._lines[key] = \
+                np.where(upper, line.conj(), line) * self.cell_volume
+            self._spectrum = None
+        return self._lines[key]
 
     def offsets(self):
         """(offset tuple, weight) pairs over the nonzero stencil entries."""
@@ -138,19 +170,12 @@ def make_kernel(epsilon: float, lattice: Lattice,
 def _convolve_line(field: TravelingField,
                    kernel: MollifierKernel) -> np.ndarray:
     """Nodes of the convolution of a traveling wave.  Profile mode kappa
-    (of q*n) is the lattice mode (j, k) = (-P*kappa mod n_time,
-    kappa mod n), P = p*n_time/(q*n), so it is filtered by that entry of
-    the kernel spectrum; rfftn stores k <= n/2, and the kernel is real, so
-    a larger k reads the conjugate of entry (-j, n - k)."""
+    (of q*n) is the lattice mode (-P*kappa mod n_time, kappa mod n),
+    P = p*n_time/(q*n), so it is filtered by that line of the kernel
+    spectrum."""
     n_time, n = kernel.lattice.shape
     size = field.rows * n
-    P = field.shift * n_time // size
-    kappa = np.arange(size // 2 + 1)
-    j, k = (-P * kappa) % n_time, kappa % n
-    upper = k > n // 2
-    line = kernel.spectrum()[np.where(upper, -j % n_time, j),
-                             np.where(upper, n - k, k)]
-    line = np.where(upper, line.conj(), line) * kernel.cell_volume
+    line = kernel.line(field.shift * n_time // size, size)
     line = line.reshape(line.shape + (1,) * (field.profile.ndim - 1))
     workers = get_workers()
     profile = sfft.irfft(sfft.rfft(field.profile, axis=0, workers=workers)

@@ -870,7 +870,12 @@ def extend_to_compact_range(system: SystemSpec, range_box, delta: float) -> Syst
 
     The cutoff is a product of per-component factors, each computed on one
     component against scalar bounds.  G, B and Q compute only the cutoff;
-    DG, DB and DQ also compute its gradient by the product rule.
+    DG, DB and DQ also compute its gradient by the product rule.  When
+    every state of an argument lies in the delta enlargement, the cutoff
+    is exactly 1, its gradient exactly 0 and the clamp the identity, so
+    the original evaluators are returned as they are: the same values,
+    up to the sign of a zero Jacobian entry.  One state outside sends the
+    whole argument through the cutoff.
     """
     lower, upper = (np.asarray(b, dtype=float) for b in range_box)
     if lower.shape != (system.n,) or upper.shape != (system.n,):
@@ -914,6 +919,18 @@ def extend_to_compact_range(system: SystemSpec, range_box, delta: float) -> Syst
         return chi, [d if n == 1 else d * product(factors, m)
                      for m, d in enumerate(dfactors)]
 
+    def interior(U):
+        """Whether every state of U lies in the delta enlargement (and so
+        in the 2*delta box): the per-component extremes, compared as the
+        cutoff compares each node; NaN fails."""
+        for m in range(n):
+            u = U[..., m]
+            lo, hi = u.min(initial=np.inf), u.max(initial=-np.inf)
+            if not (lower[m] - lo <= delta and hi - upper[m] <= delta
+                    and lo2[m] <= lo and hi <= hi2[m]):
+                return False
+        return True
+
     def clamp(U):
         out = np.empty_like(U)
         for m in range(n):
@@ -927,6 +944,8 @@ def extend_to_compact_range(system: SystemSpec, range_box, delta: float) -> Syst
     def wrap_value(f):
         def g(U):
             U = np.asarray(U, dtype=float)
+            if interior(U):
+                return f(U)
             chi = cutoff(U, gradient=False)
             val = f(clamp(U))
             out = np.empty_like(val)
@@ -938,6 +957,8 @@ def extend_to_compact_range(system: SystemSpec, range_box, delta: float) -> Syst
     def wrap_jacobian(f, df):
         def g(U):
             U = np.asarray(U, dtype=float)
+            if interior(U):
+                return df(U)
             chi, grad = cutoff(U, gradient=True)
             Uc = clamp(U)
             val = f(Uc)

@@ -141,19 +141,22 @@ class TensorBump(TestFunction):
             factors.append(bump(w))
             dfactors.append(bump_deriv(w) / radius[axis])
         psi = _outer(factors)
+        psi *= self.amplitude
         grad = np.empty(lattice.shape + (lattice.n_axes,))
         for axis in range(lattice.n_axes):
-            grad[..., axis] = _outer([dfactors[a] if a == axis else f
-                                      for a, f in enumerate(factors)])
-        return self.amplitude * psi, self.amplitude * grad
+            _outer([dfactors[a] if a == axis else f
+                    for a, f in enumerate(factors)], out=grad[..., axis])
+        grad *= self.amplitude
+        return psi, grad
 
 
-def _outer(factors) -> np.ndarray:
-    """Outer product of per-axis factors, multiplied in axis order."""
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.multiply.outer(out, f)
-    return out
+def _outer(factors, out=None) -> np.ndarray:
+    """Outer product of per-axis factors, multiplied in axis order; the
+    last product is written to out when given."""
+    acc = factors[0]
+    for f in factors[1:-1]:
+        acc = np.multiply.outer(acc, f)
+    return np.multiply.outer(acc, factors[-1], out=out)
 
 
 def _expand(arr1d: np.ndarray, axis: int, shape: tuple) -> np.ndarray:

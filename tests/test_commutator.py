@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -387,6 +388,31 @@ def test_residual_rejects_field_with_wrong_state_count(burgers,
     with pytest.raises(ParameterError,
                        match=r"shape \(2,\).*'burgers' has 1 state"):
         residual_R(burgers, field, [kernel], psi)
+
+
+def test_compact_sweep_retains_no_lattice_array(burgers):
+    # a compact residual sweep keeps one spectrum line per kernel, and its
+    # peak is the test function's two outputs or one kernel spectrum in
+    # the making, not one 2-D spectrum per kernel
+    lattice = Lattice(k=1, n_time=512, n_space=1024, extent_time=1.0,
+                      extent_space=1.0)
+    field = make_lacunary_field(0.6, 6, 3, 1.0, lattice)
+    assert isinstance(field, TravelingField)
+    testfn = TensorBump(center=(0.5, 0.5), radius=(0.35, 0.35))
+    lattice = field.lattice
+    tracemalloc.start()
+    try:
+        kernels = [make_kernel(2.0 ** -i, lattice) for i in range(3, 7)]
+        report = residual_R(burgers, field, kernels, testfn)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.total) == 4
+    array = 8 * lattice.n_time * lattice.n_space
+    outputs = (1 + lattice.n_axes) * array
+    spectrum = 16 * lattice.n_time * (lattice.n_space // 2 + 1)
+    assert held < array
+    assert peak <= 1.25 * (outputs + spectrum)
 
 
 # ---------------------------------------------------------------------------

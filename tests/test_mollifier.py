@@ -1,5 +1,7 @@
 """Kernel construction, convolution semantics, smoothing estimates."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,49 @@ def test_line_path_fallback_is_the_2d_path(make_field, burgers, rng):
     got = mollify(field, kernel).values
     assert np.array_equal(
         got, mollifier._convolve_fft(np.asarray(field.values), kernel))
+
+
+def test_kernel_keeps_its_line_and_drops_the_2d_spectrum(burgers):
+    # half a node per step: 128 profile nodes on 64 per row, so the line
+    # also reads entries past n_space/2 of the half spectrum
+    lat = Lattice(k=1, n_time=128, n_space=64, extent_time=1.0,
+                  extent_space=1.0)
+    field = make_shock_field(burgers, [1.0], [0.0], 0.5, lat)
+    assert (field.shift, field.rows) == (1, 2)
+    kernel = make_kernel(0.25, field.lattice)
+    got = mollify(field, kernel)
+    assert kernel._spectrum is None
+    assert list(kernel._lines) == [(1, 128)]
+    # oracle: the full complex transform of the wrapped stencil, read at
+    # (-P*kappa mod n_time, kappa mod n_space) with P = 1
+    stencil = np.zeros(field.lattice.shape)
+    stencil[np.ix_(*[np.arange(-r, r + 1) % n for r, n in
+                     zip(kernel.radius_nodes, field.lattice.shape)])] = \
+        kernel.profile_samples
+    kappa = np.arange(65)
+    want = np.fft.fft2(stencil)[-kappa % 128, kappa % 64] * kernel.cell_volume
+    np.testing.assert_allclose(kernel.line(1, 128), want, rtol=0,
+                               atol=1e-12 * np.abs(want).max())
+    # a second sweep over the same wave reads the cached line
+    with mock.patch.object(mollifier.MollifierKernel, "spectrum",
+                           side_effect=AssertionError("spectrum recomputed")):
+        again = mollify(field, kernel)
+    assert np.array_equal(again.profile, got.profile)
+
+
+def test_kernel_that_served_a_line_mollifies_2d_fields_as_fresh(rng):
+    lat = Lattice(k=1, n_time=64, n_space=128, extent_time=1.0,
+                  extent_space=1.0)
+    wave = make_lacunary_field(0.6, 5, 3, 1.0, lat)
+    field = DiscreteField(lattice=wave.lattice,
+                          values=rng.normal(size=wave.lattice.shape + (2,)))
+    used = make_kernel(0.125, wave.lattice)
+    mollify(wave, used)
+    fresh = make_kernel(0.125, wave.lattice)
+    assert np.array_equal(mollify(field, used).values,
+                          mollify(field, fresh).values)
+    assert np.array_equal(mollify(wave, used).profile,
+                          mollify(wave, fresh).profile)
 
 
 # ---------------------------------------------------------------------------

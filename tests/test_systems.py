@@ -1,6 +1,7 @@
 """System catalogue: companion identity, Jacobians, domains, extension."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conslab import (BUILTIN_NAMES, DomainViolationError, GeometryError,
                      ParameterError, StateDomain, check_compatibility,
                      extend_to_compact_range, make_builtin,
                      uniform_box_sampler)
+from conslab import systems
 from conslab._bumps import smoothstep_pair
 from conslab.systems import fd_jacobian, make_pressure_law, make_stored_energy
 from conftest import STATE_BOXES, random_states
@@ -259,14 +261,44 @@ def extended():
                                    DELTA)
 
 
+EVALUATORS = ("G", "B", "Q", "DG", "DB", "DQ")
+
+
 def test_extension_is_identity_on_enlarged_box(elasto, extended, rng):
     lower = np.asarray(BOX[0]) - DELTA
     upper = np.asarray(BOX[1]) + DELTA
     U = rng.uniform(lower, upper, size=(40, 2))
-    np.testing.assert_array_equal(extended.G(U), elasto.G(U))
-    np.testing.assert_array_equal(extended.B(U), elasto.B(U))
-    np.testing.assert_array_equal(extended.Q(U), elasto.Q(U))
-    np.testing.assert_array_equal(extended.DG(U), elasto.DG(U))
+    # every state inside the delta box: the cutoff is never computed
+    with mock.patch.object(systems, "smoothstep_pair",
+                           side_effect=AssertionError("cutoff computed")):
+        for key in EVALUATORS:
+            np.testing.assert_array_equal(getattr(extended, key)(U),
+                                          getattr(elasto, key)(U))
+
+
+def test_extension_takes_the_cutoff_for_a_whole_mixed_array(elasto,
+                                                            extended):
+    # interior, transition-shell and outside states in one array, on both
+    # faces and in both components
+    lo, hi = np.asarray(BOX[0]), np.asarray(BOX[1])
+    mid = 0.5 * (lo + hi)
+    U = np.array([mid, lo - 0.5 * DELTA, hi + DELTA,
+                  [2.0 + 1.5 * DELTA, 0.0], [1.5, -1.0 - 1.2 * DELTA],
+                  [1.0 - 1.7 * DELTA, 0.4], [3.5, 0.0], [1.5, 1.0 + 5 * DELTA],
+                  [1.9, 0.2]])
+    shell = slice(3, 6)
+    for key in EVALUATORS:
+        got = getattr(extended, key)(U)
+        rows = np.concatenate([getattr(extended, key)(U[i:i + 1])
+                               for i in range(len(U))])
+        raw = getattr(elasto, key)(U[:3])
+        # array_equal compares with ==: a zero Jacobian entry may differ in
+        # sign between the shortcut and the cutoff, every other entry
+        # must match bit for bit
+        assert np.array_equal(got, rows), key
+        assert np.array_equal(got[:3], raw), key
+        assert not np.array_equal(got[shell],
+                                  getattr(elasto, key)(U[shell])), key
 
 
 def test_extension_vanishes_far_outside(extended):

@@ -442,3 +442,84 @@ def test_shock_aligned_evaluate_allocates_little_beyond_its_outputs():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * (psi.nbytes + grad.nbytes)
+
+
+def _old_tensor_bump(fn, lattice, periodic_time):
+    # the evaluation before the in-place one: amplitude times fresh outer
+    # products, with _support's np.remainder wrap inlined
+    factors, dfactors = [], []
+    for axis in range(lattice.n_axes):
+        z = lattice.times() if axis == 0 else lattice.space_nodes()
+        c, r = fn.center[axis], fn.radius[axis]
+        P = lattice.axis_extent(axis)
+        if axis > 0 or periodic_time:
+            w = ((z - c + 0.5 * P) % P - 0.5 * P) / r
+        else:
+            w = (z - c) / r
+        factors.append(bump(w))
+        dfactors.append(bump_deriv(w) / r)
+
+    def outer(fs):
+        out = fs[0]
+        for f in fs[1:]:
+            out = np.multiply.outer(out, f)
+        return out
+
+    grad = np.empty(lattice.shape + (lattice.n_axes,))
+    for axis in range(lattice.n_axes):
+        grad[..., axis] = outer([dfactors[a] if a == axis else f
+                                 for a, f in enumerate(factors)])
+    return fn.amplitude * outer(factors), fn.amplitude * grad
+
+
+@st.composite
+def tensor_bump_cases(draw):
+    """A valid TensorBump for k = 1 or 2 and whether time is periodic."""
+    k = draw(st.integers(1, 2))
+    T, L = draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 2.0))
+    periodic_time = draw(st.booleans())
+    center, radius = [], []
+    for axis, extent in enumerate([T] + [L] * k):
+        r = draw(st.floats(0.05, 0.45)) * extent
+        if axis == 0 and not periodic_time:
+            c = draw(st.floats(r + 1e-3 * T, T - r - 1e-3 * T))
+        else:
+            c = draw(st.floats(-extent, 2.0 * extent))
+        center.append(c)
+        radius.append(r)
+    amplitude = draw(st.floats(0.1, 3.0) | st.sampled_from([1, 2, -3])) \
+        * draw(st.sampled_from([1, -1]))
+    fn = TensorBump(center=center, radius=radius, amplitude=amplitude)
+    lattice = Lattice(k=k, n_time=draw(st.integers(8, 24)),
+                      n_space=draw(st.integers(8, 24 if k == 1 else 12)),
+                      extent_time=T, extent_space=L)
+    return fn, lattice, periodic_time
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensor_bump_cases())
+@example((TensorBump(center=(0.5, 0.5, 0.25), radius=(0.3, 0.2, 0.4),
+                     amplitude=-1.5), Lattice(k=2, n_time=9, n_space=8,
+                                              extent_time=1.0,
+                                              extent_space=1.0), False))
+def test_tensor_bump_in_place_is_the_old_evaluation(case):
+    fn, lattice, periodic_time = case
+    psi, grad = fn.evaluate(lattice, periodic_time)
+    want_psi, want_grad = _old_tensor_bump(fn, lattice, periodic_time)
+    assert psi.shape == want_psi.shape and grad.shape == want_grad.shape
+    # x*a and a*x round alike, so every bit matches, zeros' signs included
+    assert np.array_equal(psi.view(np.int64), want_psi.view(np.int64))
+    assert np.array_equal(grad.view(np.int64), want_grad.view(np.int64))
+
+
+def test_tensor_bump_evaluate_allocates_little_beyond_its_outputs():
+    lattice = Lattice(k=1, n_time=1024, n_space=512, extent_time=1.0,
+                      extent_space=1.0)
+    fn = TensorBump(center=(0.5, 0.5), radius=(0.35, 0.35), amplitude=-2.0)
+    tracemalloc.start()
+    try:
+        psi, grad = fn.evaluate(lattice)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (psi.nbytes + grad.nbytes)
