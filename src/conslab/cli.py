@@ -389,8 +389,6 @@ def _jsonify(obj):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, frozenset):
-        return sorted(_jsonify(v) for v in obj)
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
@@ -594,15 +592,14 @@ def run_onsager_suite(config: dict):
 
     rows = []
     failed = False
-    # one kernel set per field lattice, so the alpha rows share its lines
-    kernel_sets = {}
+    # the alpha rows share the lacunary parameters and so one snapped
+    # lattice: the first row builds the kernels, every row uses them
+    kernels = None
     for alpha in config["alphas"]:
         field = _build_field({"kind": "lacunary", "alpha": alpha, **lac},
                              lattice, system)
-        if field.lattice not in kernel_sets:
-            kernel_sets[field.lattice] = [make_kernel(e, field.lattice)
-                                          for e in epsilons]
-        kernels = kernel_sets[field.lattice]
+        if kernels is None:
+            kernels = [make_kernel(e, field.lattice) for e in epsilons]
         residual = residual_R(system, field, kernels, testfn)
         threshold = 3.0 * alpha - 1.0
         slope = residual.rate_fit.slope
@@ -712,10 +709,7 @@ def main(argv=None) -> int:
         for suffix, (header, rows) in tables.items():
             _write_csv(outdir / f"{basename}{suffix}.csv", header, rows)
         return code
-    except ConslabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConslabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -128,10 +128,6 @@ class DiscreteField:
     def n(self) -> int:
         return self.value_shape[0]
 
-    def pointwise_magnitude(self) -> np.ndarray:
-        """Euclidean norm over all value axes, per lattice node."""
-        return np.sqrt(squared_magnitude(self.values, self.lattice.n_axes))
-
     # node protocol: every lattice node is a node of its own
     @property
     def nodes(self) -> np.ndarray:

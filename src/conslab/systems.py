@@ -868,14 +868,14 @@ def extend_to_compact_range(system: SystemSpec, range_box, delta: float) -> Syst
     domain is all of state space, and the affine annotations are
     dropped because the cutoff destroys global affinity.
 
-    The cutoff is a product of per-component factors, each computed on one
-    component against scalar bounds.  G, B and Q compute only the cutoff;
-    DG, DB and DQ also compute its gradient by the product rule.  When
-    every state of an argument lies in the delta enlargement, the cutoff
-    is exactly 1, its gradient exactly 0 and the clamp the identity, so
-    the original evaluators are returned as they are: the same values,
-    up to the sign of a zero Jacobian entry.  One state outside sends the
-    whole argument through the cutoff.
+    The cutoff is a product of per-component factors, broadcast over the
+    whole argument together with its gradient; DG, DB and DQ apply the
+    product rule.  When every state of an argument lies in the delta
+    enlargement, the cutoff is exactly 1, its gradient exactly 0 and the
+    clamp the identity, so the original evaluators are returned as they
+    are: the same values, up to the sign of a zero Jacobian entry.  One
+    state outside sends the whole argument through the cutoff, which
+    refuses NaN states with a ParameterError; +-inf states evaluate to 0.
     """
     lower, upper = (np.asarray(b, dtype=float) for b in range_box)
     if lower.shape != (system.n,) or upper.shape != (system.n,):
@@ -889,35 +889,30 @@ def extend_to_compact_range(system: SystemSpec, range_box, delta: float) -> Syst
     _check_box_inside(system.domain, lo2, hi2)
     n = system.n
 
-    def product(arrays, skip=None):
-        """Product of arrays in index order, leaving out index skip."""
-        out = None
-        for i, a in enumerate(arrays):
-            if i != skip:
-                out = a if out is None else out * a
-        return out
-
-    def cutoff(U, gradient):
-        """chi(U) in [0, 1], the product of per-component factors; with
-        gradient=True also its gradient, one array per component."""
-        factors, dfactors = [], []
-        for m in range(n):
-            below = lower[m] - U[..., m]
-            above = U[..., m] - upper[m]
-            dist = np.maximum(np.maximum(below, above), 0.0)
-            # s((d - delta)/delta): 0 until K^delta, 1 beyond K^{2 delta}
-            step, dstep = smoothstep_pair((dist - delta) / delta)
-            factors.append(1.0 - step)
-            if gradient:
-                sign = np.where(below > 0, -1.0,
-                                np.where(above > 0, 1.0, 0.0))
-                dfactors.append(-dstep / delta * sign)
-        chi = product(factors)
-        if not gradient:
-            return chi
+    def cutoff(U):
+        """chi(U) in [0, 1], the product of per-component factors, and its
+        gradient over the last axis; a NaN state has no cutoff and is
+        refused."""
+        nan = np.isnan(U).any(axis=-1)
+        if nan.any():
+            first = tuple(int(i) for i in np.argwhere(nan)[0])
+            raise ParameterError(
+                f"compact-range extension: state "
+                f"{np.array2string(U[first], precision=6)} at index {first} "
+                f"holds NaN")
+        below = lower - U
+        above = U - upper
+        dist = np.maximum(np.maximum(below, above), 0.0)
+        # s((d - delta)/delta): 0 until K^delta, 1 beyond K^{2 delta}
+        step, dstep = smoothstep_pair((dist - delta) / delta)
+        factors = 1.0 - step
+        sign = np.where(below > 0, -1.0, np.where(above > 0, 1.0, 0.0))
+        dfactors = -dstep / delta * sign
         # grad_m chi = dfactors_m * prod_{i != m} factors_i
-        return chi, [d if n == 1 else d * product(factors, m)
-                     for m, d in enumerate(dfactors)]
+        grad = np.stack([dfactors[..., m]
+                         * np.prod(np.delete(factors, m, axis=-1), axis=-1)
+                         for m in range(n)], axis=-1)
+        return np.prod(factors, axis=-1), grad
 
     def interior(U):
         """Whether every state of U lies in the delta enlargement (and so
@@ -931,27 +926,19 @@ def extend_to_compact_range(system: SystemSpec, range_box, delta: float) -> Syst
                 return False
         return True
 
-    def clamp(U):
-        out = np.empty_like(U)
-        for m in range(n):
-            np.clip(U[..., m], lo2[m], hi2[m], out=out[..., m])
-        return out
-
-    def entries(val, U):
-        """Index of each output entry of val: a lattice-shaped view."""
-        return [(Ellipsis,) + idx for idx in np.ndindex(val.shape[U.ndim - 1:])]
+    def lift(a, U, rank, *tail):
+        """a, shaped U.shape[:-1] + tail, with rank unit axes inserted
+        before tail so that it broadcasts against an evaluator output."""
+        return a.reshape(U.shape[:-1] + (1,) * rank + tail)
 
     def wrap_value(f):
         def g(U):
             U = np.asarray(U, dtype=float)
             if interior(U):
                 return f(U)
-            chi = cutoff(U, gradient=False)
-            val = f(clamp(U))
-            out = np.empty_like(val)
-            for e in entries(val, U):
-                np.multiply(val[e], chi, out=out[e])
-            return out
+            chi, _ = cutoff(U)
+            val = f(np.clip(U, lo2, hi2))
+            return val * lift(chi, U, val.ndim - U.ndim + 1)
         return g
 
     def wrap_jacobian(f, df):
@@ -959,21 +946,15 @@ def extend_to_compact_range(system: SystemSpec, range_box, delta: float) -> Syst
             U = np.asarray(U, dtype=float)
             if interior(U):
                 return df(U)
-            chi, grad = cutoff(U, gradient=True)
-            Uc = clamp(U)
+            chi, grad = cutoff(U)
+            Uc = np.clip(U, lo2, hi2)
             val = f(Uc)
-            jac = df(Uc)
-            inside = [((U[..., m] >= lo2[m]) & (U[..., m] <= hi2[m])).astype(float)
-                      for m in range(n)]
-            # chi * jac * inside + val * grad, per (output entry, component)
-            out = np.empty_like(jac)
-            for e in entries(val, U):
-                for m in range(n):
-                    o = out[e + (m,)]
-                    np.multiply(chi, jac[e + (m,)], out=o)
-                    o *= inside[m]
-                    o += val[e] * grad[m]
-            return out
+            rank = val.ndim - U.ndim + 1
+            inside = ((U >= lo2) & (U <= hi2)).astype(float)
+            # product rule through the cutoff; the clamp is flat outside
+            return (val[..., None] * lift(grad, U, rank, n)
+                    + lift(chi, U, rank, 1) * df(Uc)
+                    * lift(inside, U, rank, n))
         return g
 
     return replace(

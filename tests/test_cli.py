@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import conslab
+from conslab import cli
 from conslab.cli import config_digest, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -547,3 +548,39 @@ def test_onsager_suite_verdicts(tmp_path):
     assert lines[2].endswith(",,,pass")
     assert lines[-1].startswith("shock,,,,")
     assert lines[-1].endswith(",pass")
+
+
+def test_onsager_suite_builds_the_lacunary_kernels_once(tmp_path,
+                                                        monkeypatch):
+    calls = []
+    make_kernel = cli.make_kernel
+
+    def counting_make_kernel(*args, **kwargs):
+        calls.append(args)
+        return make_kernel(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "make_kernel", counting_make_kernel)
+    config = {
+        "command": "onsager-suite",
+        "system": {"name": "burgers"},
+        "lattice": {"n_time": 128, "n_space": 256},
+        "sweep": {"eps_max": 0.125, "n_levels": 3},
+        "alphas": [0.2, 0.5, 0.7],
+        "lacunary": {"n_octaves": 4, "seed": 7, "travel_speed": 1.0},
+        "test_function": {"kind": "bump", "center": [0.5, 0.5],
+                          "radius": [0.35, 0.35]},
+        "shock": {
+            "left": [1.0], "right": [0.0],
+            "speed": "rankine-hugoniot",
+            "lattice": {"n_time": 64, "n_space": 64},
+            "sweep": {"eps_max": 0.25, "n_levels": 2},
+            "test_function": {"kind": "time-bump", "center": 0.5,
+                              "radius": 0.35},
+        },
+        "output": {"basename": "suite"},
+    }
+    code, outdir = run("onsager-suite", config, tmp_path)
+    assert code in (0, 2)  # verdicts do not matter at this size
+    assert len(load_report(outdir, "suite")["report"]["rows"]) == 4
+    # three levels for all the alpha rows together, two for the shock
+    assert len(calls) == 3 + 2

@@ -69,14 +69,6 @@ def test_field_validation(tiny_lattice):
         DiscreteField(lattice=tiny_lattice, values=bad)
 
 
-def test_pointwise_magnitude(tiny_lattice):
-    vals = np.zeros(tiny_lattice.shape + (2,))
-    vals[..., 0] = 3.0
-    vals[..., 1] = 4.0
-    field = DiscreteField(lattice=tiny_lattice, values=vals)
-    assert np.all(field.pointwise_magnitude() == 5.0)
-
-
 @settings(max_examples=80, deadline=None)
 @given(q=st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 7.3]),
        value_shape=st.sampled_from([(), (2,), (2, 2), (3,)]),

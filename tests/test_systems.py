@@ -308,6 +308,22 @@ def test_extension_vanishes_far_outside(extended):
     assert np.all(extended.DG(far) == 0.0)
 
 
+@pytest.mark.parametrize("key", EVALUATORS)
+def test_extension_refuses_a_nan_state(extended, key):
+    # one NaN among interior states sends the array through the cutoff,
+    # which has no value for it
+    U = np.array([[1.5, 0.0], [1.2, 0.5], [np.nan, 0.3], [1.8, -0.5]])
+    with pytest.raises(ParameterError, match=r"\[nan 0\.3\] at index \(2,\)"):
+        getattr(extended, key)(U)
+
+
+@pytest.mark.parametrize("key", EVALUATORS)
+def test_extension_is_zero_at_infinite_states(extended, key):
+    U = np.array([[np.inf, 0.0], [-np.inf, 0.0], [1.5, np.inf],
+                  [1.5, -np.inf]])
+    assert np.all(getattr(extended, key)(U) == 0.0)
+
+
 def test_extension_transition_shell_is_partial(extended, elasto):
     U = np.array([[2.0 + 1.5 * DELTA, 0.0]])  # between delta and 2*delta out
     ratio = extended.Q(U)[0, 0] / elasto.Q(np.array([[2.0 + 2 * DELTA,
