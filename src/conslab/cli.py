@@ -165,25 +165,14 @@ _SCHEMAS = {
         "sample the multiplier identity over random states",
         ["systems"],
         {
-            "systems": {
-                "type": "array",
-                "minItems": 1,
-                "items": {
+            "systems": {"type": "array", "minItems": 1, "items": {
+                **_SYSTEM, "properties": {**_SYSTEM["properties"], "box": {
                     "type": "object",
-                    "required": ["name"],
-                    "properties": {
-                        "name": {"enum": list(BUILTIN_NAMES)},
-                        "params": {"type": "object"},
-                        "box": {
-                            "type": "object",
-                            "required": ["lower", "upper"],
-                            "properties": {"lower": _VECTOR, "upper": _VECTOR},
-                            "additionalProperties": False,
-                        },
-                    },
+                    "required": ["lower", "upper"],
+                    "properties": {"lower": _VECTOR, "upper": _VECTOR},
                     "additionalProperties": False,
-                },
-            },
+                }},
+            }},
             "n_samples": _INT_POS,
             "seed": _SEED,
             "method": {"enum": ["auto", "analytic", "finite-difference"]},
@@ -394,10 +383,10 @@ def _jsonify(obj):
     if isinstance(obj, (np.floating, float)):
         value = float(obj)
         return value if np.isfinite(value) else None
-    if isinstance(obj, (np.integer, int)) or isinstance(obj, (str, bool)):
-        return int(obj) if isinstance(obj, np.integer) else obj
-    if obj is None:
-        return None
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if obj is None or isinstance(obj, (int, str)):
+        return obj
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
@@ -549,11 +538,9 @@ def run_dissipation(config: dict):
     testfns = [testfn_from_config(s) for s in config["test_functions"]]
     report = build_dissipation_report(system, field, config["left"],
                                       config["right"], testfns)
-    rows = []
-    for i, (spec, rs, rq) in enumerate(zip(config["test_functions"],
-                                           report.system_weak_residuals,
-                                           report.companion_weak_residuals)):
-        rows.append([i, spec["kind"], rs, rq])
+    rows = [[i, spec["kind"], rs, rq] for i, (spec, rs, rq) in enumerate(
+        zip(config["test_functions"], report.system_weak_residuals,
+            report.companion_weak_residuals))]
     out = {"dissipation": report, "speed": speed, "lattice": field.lattice}
     header = ["test_function", "kind", "system_weak_residual",
               "companion_weak_residual"]

@@ -19,10 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (InconsistentShockError, ParameterError,
-                     UnsupportedGeometryError)
+from .errors import InconsistentShockError, UnsupportedGeometryError
 from .fields import Field
-from .systems import SystemSpec, require_in_domain, require_states
+from .systems import SystemSpec, jump_states, require_states
 from .testfunctions import TestFunction
 
 _SPEED_TOL = 1e-10
@@ -85,14 +84,7 @@ def rankine_hugoniot_speed(system: SystemSpec, U_left, U_right) -> RankineHugoni
     if system.k != 1:
         raise UnsupportedGeometryError(
             f"jump conditions implemented for k = 1, got k={system.k}")
-    U_left = np.asarray(U_left, dtype=float).reshape(-1)
-    U_right = np.asarray(U_right, dtype=float).reshape(-1)
-    if U_left.shape != (system.n,) or U_right.shape != (system.n,):
-        raise ParameterError(f"states must have shape ({system.n},)")
-    if np.array_equal(U_left, U_right):
-        raise ParameterError("U_left equals U_right: no jump")
-    require_in_domain(system.domain, U_left[None, :], "rankine_hugoniot U_left")
-    require_in_domain(system.domain, U_right[None, :], "rankine_hugoniot U_right")
+    U_left, U_right = jump_states(system, U_left, U_right, "rankine_hugoniot")
 
     dG = system.G(U_left) - system.G(U_right)
     scale = float(np.max(np.abs(dG)))
@@ -133,8 +125,7 @@ def shock_dissipation_rate(system: SystemSpec, U_left, U_right) -> float:
     if not rh.consistent:
         raise InconsistentShockError(
             f"row speeds {rh.speeds} disagree; the jump is not a single shock")
-    U_left = np.asarray(U_left, dtype=float).reshape(-1)
-    U_right = np.asarray(U_right, dtype=float).reshape(-1)
+    U_left, U_right = jump_states(system, U_left, U_right, "shock states")
     dQ = system.Q(U_left) - system.Q(U_right)
     return float(rh.speed * dQ[0] - dQ[1])
 

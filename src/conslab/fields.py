@@ -27,6 +27,7 @@ averaged onto the nodes, turning lattice integrals into node sums) and
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import ParameterError, ResolutionError, UnsupportedGeometryError
 from .rates import RateFit, fit_loglog
-from .systems import SystemSpec, require_in_domain
+from .systems import SystemSpec, jump_states
 
 _MAGIC = b"CLABFLD1"
 _FORMAT_VERSION = 1
@@ -174,7 +175,14 @@ class TravelingField:
     def __post_init__(self):
         profile = np.asarray(self.profile, dtype=float)
         lat = self.lattice
-        shift, rows = int(self.shift), int(self.rows)
+        for name in ("shift", "rows"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise ParameterError(
+                    f"a traveling wave's {name} must be an integer, got "
+                    f"{value!r}")
+            object.__setattr__(self, name, operator.index(value))
+        shift, rows = self.shift, self.rows
         if rows < 1:
             raise ParameterError(
                 f"a traveling wave needs rows >= 1 (the denominator of its "
@@ -200,8 +208,6 @@ class TravelingField:
         view = profile.view()
         view.flags.writeable = False
         object.__setattr__(self, "profile", view)
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "rows", rows)
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -297,16 +303,9 @@ def make_shock_field(system: SystemSpec, U_left, U_right, speed: float,
     if lattice.k != 1:
         raise UnsupportedGeometryError(
             f"shock fields are one-dimensional; got k={lattice.k}")
-    U_left = np.asarray(U_left, dtype=float).reshape(-1)
-    U_right = np.asarray(U_right, dtype=float).reshape(-1)
-    if U_left.shape != (system.n,) or U_right.shape != (system.n,):
-        raise ParameterError(f"states must have shape ({system.n},)")
-    if np.array_equal(U_left, U_right):
-        raise ParameterError("U_left equals U_right: no jump")
     if not np.isfinite(speed):
         raise ParameterError("speed must be finite")
-    require_in_domain(system.domain, U_left[None, :], "make_shock_field U_left")
-    require_in_domain(system.domain, U_right[None, :], "make_shock_field U_right")
+    U_left, U_right = jump_states(system, U_left, U_right, "make_shock_field")
 
     lattice, p, q = _snap(lattice, speed)
     L = lattice.extent_space
@@ -420,11 +419,16 @@ def squared_magnitude(values: np.ndarray, n_axes: int) -> np.ndarray:
 def magnitude_lq_norm(values: np.ndarray, n_axes: int, q: float,
                       cell_volume: float) -> float:
     """L^q norm of the pointwise Euclidean magnitude of values, whose first
-    n_axes axes are lattice axes and the rest value axes.
+    n_axes axes are lattice axes and the rest value axes."""
+    return squares_lq_norm(squared_magnitude(values, n_axes), q, cell_volume)
+
+
+def squares_lq_norm(mag2: np.ndarray, q: float, cell_volume: float) -> float:
+    """L^q norm of |v| = sqrt(mag2), given the squared magnitudes mag2
+    (left unchanged) on cells of cell_volume.
 
     For integer q, |v|^q is a product of q//2 factors |v|^2, times |v| when
     q is odd, so no pow runs; any other q takes (|v|^2)^(q/2)."""
-    mag2 = squared_magnitude(values, n_axes)
     if q != int(q):
         power = mag2 ** (q / 2.0)
     else:

@@ -18,13 +18,14 @@ q*n_space per channel, and the result is again a TravelingField with the
 same shift.  It agrees with the 2-D path to rounding.  Every other field
 takes the 2-D path.
 
-What a kernel retains: the 2-D path caches the full complex spectrum
-(n_time x (n_space/2 + 1) entries) on the kernel, since every 2-D
-mollification reads all of it.  The line path caches only the line it
-reads, q*n_space/2 + 1 entries per (P, q*n_space), and drops the 2-D
-spectrum once the line is cut out; so a compact sweep keeps no
-lattice-sized array per kernel.  A kernel that later meets a 2-D field
-transforms its stencil again, with the same result.
+What a kernel retains: the 2-D path caches the real, even spectrum at its
+nonnegative frequencies ((n_time/2 + 1) x (n_space/2 + 1) entries, held
+as the real part of their complex transform: half the bytes of a complex
+rfftn), since every 2-D mollification reads all of it.  The line path caches only the line it reads, q*n_space/2 + 1
+entries per (P, q*n_space), and drops the 2-D spectrum once the line is
+cut out; so a compact sweep keeps no lattice-sized array per kernel.  A
+kernel that later meets a 2-D field transforms its stencil again, with
+the same result.
 
 verify_estimates audits the three smoothing estimates that drive the
 commutator analysis: the gradient bound (slope alpha - 1), the
@@ -45,7 +46,7 @@ from ._runtime import get_workers
 from .errors import ParameterError, ResolutionError
 from .fields import (DiscreteField, Field, Lattice, TravelingField,
                      magnitude_lq_norm, require_q, shift_difference_norm,
-                     squared_magnitude)
+                     squared_magnitude, squares_lq_norm)
 from .rates import RateFit, fit_loglog
 
 
@@ -72,13 +73,9 @@ class MollifierKernel:
                 f"radius, minimum epsilon here is {4.0 * h_coarse:g}")
 
         radius = []
-        for axis in range(lattice.n_axes):
-            if axis == 0 and space_only:
-                radius.append(0)
-                continue
-            h = lattice.axis_spacing(axis)
-            r = int(np.floor(epsilon / h))
-            n = lattice.shape[axis]
+        for axis, n in enumerate(lattice.shape):
+            r = 0 if axis == 0 and space_only else \
+                int(np.floor(epsilon / lattice.axis_spacing(axis)))
             if 2 * r + 1 > n:
                 raise ResolutionError(
                     f"epsilon {epsilon:g} too large: stencil spans {2*r+1} nodes "
@@ -90,9 +87,7 @@ class MollifierKernel:
               for a, r in enumerate(radius)], indexing="ij")
         dist = np.sqrt(sum(g * g for g in grids))
         weights = bump(dist / epsilon)
-        cell = float(np.prod([lattice.axis_spacing(a)
-                              for a in range(lattice.n_axes)
-                              if not (a == 0 and space_only)]))
+        cell = float(np.prod(spacings))
         total = weights.sum() * cell
         if total <= 0:
             raise ResolutionError("kernel stencil carries no mass")
@@ -110,45 +105,48 @@ class MollifierKernel:
         self._lines: dict = {}
 
     def spectrum(self) -> np.ndarray:
-        """rfftn of the stencil wrapped into a lattice-sized array.  Only
-        the 2*r_t + 1 stencil time slices are nonzero, so they alone are
-        transformed along the last axis before the complex transform along
-        the other axes: the order rfftn uses, with the same result.
-
-        The result is cached on the kernel until `line` cuts a line out of
-        it; the next call after that transforms the stencil again."""
+        """Spectrum of the stencil wrapped into a lattice-sized array at
+        the nonnegative frequencies, N_a//2 + 1 per axis, time first.  The
+        bump is even on every axis, so the spectrum is real and even: each
+        axis is a real transform whose real part alone is kept, first the
+        space axes of the 2*r_t + 1 nonzero time slices, then time, in
+        blocks of 64 space frequencies along a contiguous last axis, as a
+        view of that complex transform (a real copy of 8 to 32 MiB, freed
+        per kernel, raised glibc's dynamic mmap threshold and the peak RSS
+        of repeated sweeps).  Cached until `line` cuts a line out of it;
+        the next call transforms the stencil again."""
         if self._spectrum is None:
-            lat = self.lattice
-            workers = get_workers()
-            idx = [(np.arange(-r, r + 1)) % n
-                   for r, n in zip(self.radius_nodes, lat.shape)]
-            slices = np.zeros((len(idx[0]),) + lat.shape[1:])
-            slices[np.ix_(np.arange(len(idx[0])), *idx[1:])] = \
-                self.profile_samples
-            half = sfft.rfft(slices, axis=-1, workers=workers)
-            out = np.zeros((lat.n_time,) + half.shape[1:], dtype=complex)
-            out[idx[0]] = half
-            self._spectrum = sfft.fftn(out, axes=tuple(range(lat.k)),
-                                       overwrite_x=True, workers=workers)
+            lat, workers = self.lattice, get_workers()
+            t, *space = [np.arange(-r, r + 1) % n
+                         for r, n in zip(self.radius_nodes, lat.shape)]
+            half = np.zeros((len(t),) + lat.shape[1:])
+            half[np.ix_(np.arange(len(t)), *space)] = self.profile_samples
+            for axis in range(lat.k, 0, -1):
+                half = sfft.rfft(half, axis=axis, workers=workers).real
+            cols = half.reshape(len(t), -1).T
+            spec = np.empty((len(cols), lat.n_time // 2 + 1), dtype=complex)
+            block = np.zeros((64, lat.n_time))
+            for c in range(0, len(cols), 64):
+                rows = cols[c:c + 64]
+                block[:len(rows), t] = rows
+                spec[c:c + 64] = sfft.rfft(block[:len(rows)], workers=workers)
+            self._spectrum = np.moveaxis(
+                spec.real.reshape(half.shape[1:] + (-1,)), -1, 0)
         return self._spectrum
 
     def line(self, P: int, size: int) -> np.ndarray:
         """Cell volume times the spectrum on the line (j, k) =
         (-P*kappa mod n_time, kappa mod n_space), kappa = 0 .. size/2: the
-        filter of a traveling wave whose profile has `size` nodes.  rfftn
-        stores k <= n_space/2, and the kernel is real, so a larger k reads
-        the conjugate of entry (-j, n_space - k).  Cached per (P, size);
-        a miss reads the 2-D spectrum once and drops it from the kernel."""
+        filter of a traveling wave whose profile has `size` nodes.  The
+        spectrum is even, so entry (j, k) is read at (min(j, n_time - j),
+        min(k, n_space - k)).  Cached per (P, size); a miss reads the 2-D
+        spectrum once and drops it from the kernel."""
         key = (P, size)
         if key not in self._lines:
             n_time, n = self.lattice.shape
             kappa = np.arange(size // 2 + 1)
-            j, k = (-P * kappa) % n_time, kappa % n
-            upper = k > n // 2
-            line = self.spectrum()[np.where(upper, -j % n_time, j),
-                                   np.where(upper, n - k, k)]
-            self._lines[key] = \
-                np.where(upper, line.conj(), line) * self.cell_volume
+            self._lines[key] = self.spectrum()[
+                _fold(-P * kappa, n_time), _fold(kappa, n)] * self.cell_volume
             self._spectrum = None
         return self._lines[key]
 
@@ -159,6 +157,12 @@ class MollifierKernel:
             off = tuple(int(index[a]) - self.radius_nodes[a]
                         for a in range(len(self.radius_nodes)))
             yield off, float(self.profile_samples[tuple(index)])
+
+
+def _fold(index: np.ndarray, n: int) -> np.ndarray:
+    """Entry of frequency `index` (mod n) in an even spectrum's kept half."""
+    index = index % n
+    return np.minimum(index, n - index)
 
 
 def make_kernel(epsilon: float, lattice: Lattice,
@@ -184,19 +188,21 @@ def _convolve_line(field: TravelingField,
 
 
 def _convolve_fft(values: np.ndarray, kernel: MollifierKernel) -> np.ndarray:
-    lat = kernel.lattice
-    shape = lat.shape
+    shape = kernel.lattice.shape
     flat = values.reshape(shape + (-1,))
-    spec = kernel.spectrum()
+    # the filter: the even spectrum unfolded onto the rfftn layout of the
+    # leading axes, times the cell volume
+    spec = kernel.spectrum()[np.ix_(*[_fold(np.arange(n), n)
+                                      for n in shape[:-1]])]
+    spec *= kernel.cell_volume
     out = np.empty_like(values)
     oflat = out.reshape(shape + (-1,))
-    axes = tuple(range(lat.n_axes))
+    axes = tuple(range(len(shape)))
     workers = get_workers()
     for c in range(flat.shape[-1]):
         fhat = sfft.rfftn(flat[..., c], axes=axes, workers=workers)
         oflat[..., c] = sfft.irfftn(fhat * spec, s=shape, axes=axes,
                                     workers=workers)
-    out *= kernel.cell_volume
     return out
 
 
@@ -295,11 +301,15 @@ def axis_derivative(field: Field, axis: int) -> np.ndarray:
 def gradient_magnitude(field: Field) -> np.ndarray:
     """Pointwise Frobenius norm of the central-difference space-time
     gradient, on the field's nodes."""
+    return np.sqrt(_squared_gradient(field))
+
+
+def _squared_gradient(field: Field) -> np.ndarray:
     n_axes = field.lattice.n_axes
     acc = np.zeros(field.nodes.shape[:n_axes])
     for axis in range(n_axes):
         acc += squared_magnitude(axis_derivative(field, axis), n_axes)
-    return np.sqrt(acc)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -339,8 +349,8 @@ def verify_estimates(field: Field, q: float,
         e = kernel.epsilon
         vol = smoothed.node_volume
         eps.append(e)
-        grad_norms.append(magnitude_lq_norm(gradient_magnitude(smoothed),
-                                            lat.n_axes, q, vol))
+        grad_norms.append(squares_lq_norm(_squared_gradient(smoothed), q,
+                                          vol))
         diff_norms.append(magnitude_lq_norm(smoothed.nodes - window,
                                             lat.n_axes, q, vol))
         best = 0.0

@@ -162,6 +162,20 @@ def require_states(system: SystemSpec, field, what: str) -> None:
     require_in_domain(system.domain, field.nodes, what)
 
 
+def jump_states(system: SystemSpec, U_left, U_right, what: str) -> list:
+    """U_left and U_right as flat state vectors; raise unless both have
+    system.n components, they differ, and both lie in the domain."""
+    states = [np.asarray(U, dtype=float).reshape(-1)
+              for U in (U_left, U_right)]
+    if any(U.shape != (system.n,) for U in states):
+        raise ParameterError(f"states must have shape ({system.n},)")
+    if np.array_equal(*states):
+        raise ParameterError("U_left equals U_right: no jump")
+    for U, side in zip(states, ("U_left", "U_right")):
+        require_in_domain(system.domain, U[None, :], f"{what} {side}")
+    return states
+
+
 def fd_jacobian(f: Evaluator, U: np.ndarray, step: float) -> np.ndarray:
     """Central finite-difference Jacobian of a vectorized evaluator.
 

@@ -159,12 +159,6 @@ def _outer(factors, out=None) -> np.ndarray:
     return np.multiply.outer(acc, factors[-1], out=out)
 
 
-def _expand(arr1d: np.ndarray, axis: int, shape: tuple) -> np.ndarray:
-    idx = [None] * len(shape)
-    idx[axis] = slice(None)
-    return arr1d[tuple(idx)]
-
-
 @dataclass(frozen=True)
 class TimeBump(TestFunction):
     """Constant in space, a bump in time.
@@ -192,10 +186,10 @@ class TimeBump(TestFunction):
     def evaluate(self, lattice: Lattice, periodic_time: bool = True):
         phi, dphi = self._profile(lattice.times(), lattice.extent_time,
                                   periodic_time)
-        shape = lattice.shape
-        psi = np.broadcast_to(_expand(phi, 0, shape), shape).copy()
-        grad = np.zeros(shape + (lattice.n_axes,))
-        grad[..., 0] = _expand(dphi, 0, shape)
+        column = (-1,) + (1,) * lattice.k
+        psi = np.broadcast_to(phi.reshape(column), lattice.shape).copy()
+        grad = np.zeros(lattice.shape + (lattice.n_axes,))
+        grad[..., 0] = dphi.reshape(column)
         return psi, grad
 
     @property

@@ -4,6 +4,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conslab import (DiscreteField, Lattice, ParameterError, ResolutionError,
@@ -199,6 +201,46 @@ def test_mollify_bitwise_identical_across_workers(rng):
         assert np.array_equal(results[0], results[1])
 
 
+@st.composite
+def kernel_cases(draw):
+    # a lattice with odd or even axis lengths and a kernel that fits it:
+    # epsilon is 1.01-1.25 times the smallest admissible, 4 coarse cells,
+    # so a radius is at most 5*n/n_min nodes and 2r + 1 <= n for n >= 11
+    k = draw(st.sampled_from([1, 2]))
+    sizes = st.integers(11, 17) if k == 2 else st.integers(12, 40)
+    lat = Lattice(k=k, n_time=draw(sizes), n_space=draw(sizes),
+                  extent_time=1.0, extent_space=1.0)
+    space_only = draw(st.booleans())
+    n_min = lat.n_space if space_only else min(lat.shape)
+    epsilon = draw(st.floats(1.01, 1.25)) * 4.0 / n_min
+    kernel = make_kernel(epsilon, lat, space_only=space_only)
+    return kernel, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_cases())
+def test_spectrum_is_the_real_nonnegative_half_of_the_stencil_rfftn(case):
+    kernel, seed = case
+    lat = kernel.lattice
+    stencil = np.zeros(lat.shape)
+    stencil[np.ix_(*[np.arange(-r, r + 1) % n for r, n in
+                     zip(kernel.radius_nodes, lat.shape)])] = \
+        kernel.profile_samples
+    want = np.fft.rfftn(stencil)[tuple(slice(n // 2 + 1)
+                                       for n in lat.shape[:-1])]
+    got = kernel.spectrum()
+    assert got.dtype == np.float64
+    assert got.shape == tuple(n // 2 + 1 for n in lat.shape)
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-13 * np.abs(want).max())
+    # the 2-D path unfolds it: FFT and direct summation agree
+    field = DiscreteField(lattice=lat, values=np.random.default_rng(
+        seed).normal(size=lat.shape + (1,)))
+    direct = mollify(field, kernel, method="direct").values
+    np.testing.assert_allclose(mollify(field, kernel).values, direct,
+                               rtol=0, atol=1e-12 * np.abs(direct).max())
+
+
 # ---------------------------------------------------------------------------
 # line-spectrum path for discrete traveling waves
 
@@ -279,7 +321,7 @@ def test_line_path_fallback_is_the_2d_path(make_field, burgers, rng):
 
 def test_kernel_keeps_its_line_and_drops_the_2d_spectrum(burgers):
     # half a node per step: 128 profile nodes on 64 per row, so the line
-    # also reads entries past n_space/2 of the half spectrum
+    # also folds frequencies past n_space/2 onto the kept half
     lat = Lattice(k=1, n_time=128, n_space=64, extent_time=1.0,
                   extent_space=1.0)
     field = make_shock_field(burgers, [1.0], [0.0], 0.5, lat)

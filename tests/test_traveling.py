@@ -102,6 +102,26 @@ def test_traveling_field_validation(rng):
                        rows=2)
 
 
+@pytest.mark.parametrize("shift,rows,bad", [
+    (1.7, 1, "shift"), (True, 1, "shift"), (np.nan, 1, "shift"),
+    (2.0, 1, "shift"), (1, 2.0, "rows"), (1, np.True_, "rows"),
+    (1, "2", "rows")])
+def test_traveling_field_requires_integer_shift_and_rows(shift, rows, bad):
+    # these once became int(value) (1.7 and True as 1) or a raw ValueError
+    value = shift if bad == "shift" else rows
+    with pytest.raises(ParameterError,
+                       match=f"{bad} must be an integer, got {value!r}"):
+        TravelingField(lattice=LAT2, profile=np.zeros((128, 1)), shift=shift,
+                       rows=rows)
+
+
+def test_traveling_field_takes_numpy_integers():
+    field = TravelingField(lattice=LAT, profile=np.zeros((128, 1)),
+                           shift=np.int64(2), rows=np.int32(1))
+    assert (field.shift, field.rows) == (2, 1)
+    assert type(field.shift) is int and type(field.rows) is int
+
+
 # ---------------------------------------------------------------------------
 # generators
 
