@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .fields import (Field, magnitude_lq_norm, require_q,
-                     squared_magnitude)
+                     squared_magnitude, squares_lq_norm)
 from .mollifier import MollifierKernel, axis_derivative, mollify, sweep
 from .rates import RateFit, aitken_limit, fit_loglog
 from .systems import (SystemSpec, fd_jacobian, require_delta,
@@ -135,8 +135,9 @@ def lemma_bound_audit(system: SystemSpec, field: Field,
     for kernel, mollified, window, _, parts in _commutators(system, field,
                                                             kernels):
         vol = mollified.node_volume
-        lhs.append(magnitude_lq_norm(np.stack(parts, axis=-1), n_axes, q, vol)
-                   if parts else 0.0)
+        # squares summed in entry order, as squared_magnitude would add them
+        mag2 = sum(map(np.square, parts), np.zeros(()))
+        lhs.append(squares_lq_norm(mag2, q, vol))
         approx = magnitude_lq_norm(mollified.nodes - window, n_axes,
                                    2.0 * q, vol)
         shift_sup = _max_shift_norm(field, kernel, 2.0 * q)

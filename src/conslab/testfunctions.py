@@ -30,40 +30,12 @@ import numpy as np
 
 from ._bumps import bump, bump_deriv, bump_line_integral, smoothstep_pair
 from .errors import ParameterError, TestSupportError, UnsupportedGeometryError
-from .fields import Lattice
-
-
-# Nodes per row block of ShockAlignedBump.evaluate.  A 128 KiB block
-# temporary stays in cache and under glibc's malloc trim threshold, so
-# freed temporaries are reused instead of being returned to the kernel and
-# faulted in again by the next block, as 1 MiB ones were (about 50,000
-# minor faults per call on a 4096x2048 lattice).
-_BLOCK_NODES = 1 << 14
+from .fields import _BLOCK_NODES, Lattice, remainder
 
 
 def _wrap(z: np.ndarray, period: float) -> np.ndarray:
-    """(z + period/2) % period - period/2, bit for bit, without the
-    per-element fmod of np.remainder.
-
-    With a = z + period/2, binary long division on |a| subtracts
-    period*2^j from the entries in [period*2^j, period*2^(j+1)); each
-    subtraction is exact (Sterbenz), so the rest is fmod(|a|, period)
-    exactly.  Where a < 0 and the rest is nonzero, period - rest is the
-    one rounding np.remainder makes too.  NaN, inf and entries more than
-    2^32 periods out take np.remainder itself."""
-    a = z + 0.5 * period
-    rest = np.abs(a)
-    top = rest.max(initial=0.0)
-    if not top < 2.0 ** 32 * period:
-        return a % period - 0.5 * period
-    step = period
-    while 2.0 * step <= top:
-        step *= 2.0
-    while step >= period:
-        np.subtract(rest, step, out=rest, where=rest >= step)
-        step *= 0.5
-    np.subtract(period, rest, out=rest, where=(a < 0.0) & (rest != 0.0))
-    return rest - 0.5 * period
+    """(z + period/2) % period - period/2, bit for bit (see `remainder`)."""
+    return remainder(z + 0.5 * period, period) - 0.5 * period
 
 
 def _support(z: np.ndarray, center: float, radius: float, extent: float,

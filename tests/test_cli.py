@@ -1,6 +1,9 @@
 """End-to-end runs of the config-driven command line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +47,20 @@ SMALL_BESOV = {
 
 # ---------------------------------------------------------------------------
 # argument and config validation
+
+def test_cli_import_skips_integrate_optimize_and_sparse():
+    # cold start: a fresh `import conslab.cli` loads scipy.fft only
+    src = str(Path(conslab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, conslab.cli; print(*(m for m in sys.modules if "
+            "m.startswith(('scipy.integrate', 'scipy.optimize', "
+            "'scipy.sparse'))))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == []
+
 
 def test_requires_subcommand():
     with pytest.raises(SystemExit) as err:

@@ -314,6 +314,31 @@ def test_residual_sorts_kernels(burgers, rh_shock, aligned_bump):
         residual_R(burgers, rh_shock, [], aligned_bump)
 
 
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 2.5])
+def test_lemma_norm_is_bitwise_the_stacked_one(elasto, rng, q):
+    # lemma_bound_audit sums the entries' squares without stacking them;
+    # the stacked magnitude norm adds the same squares in the same order
+    from conslab.commutator import _commutators
+    from conslab.fields import magnitude_lq_norm
+    lat = Lattice(k=1, n_time=32, n_space=64, extent_time=1.0,
+                  extent_space=1.0)
+    # the compact-range extension has four commutator entries, as in the
+    # bounded audit; states beyond its delta enlargement take the cutoff,
+    # so no entry is an exact zero and the order of the sum shows
+    system = extend_to_compact_range(elasto, ([1.0, -0.3], [1.4, 0.3]), 0.2)
+    values = rng.uniform([0.7, -0.6], [1.7, 0.6], size=(32, 64, 2))
+    field = DiscreteField(lattice=lat, values=values)
+    kernels = [make_kernel(e, lat) for e in (1 / 4, 1 / 8)]
+    want = []
+    for _, mollified, _, entries, parts in _commutators(system, field,
+                                                        kernels):
+        assert len(parts) == len(entries) == 4 and all(map(np.any, parts))
+        want.append(magnitude_lq_norm(np.stack(parts, axis=-1), 2, q,
+                                      mollified.node_volume))
+    got = lemma_bound_audit(system, field, kernels, q).commutator_Lq_norms
+    assert np.array_equal(got, want)
+
+
 def test_residual_identical_between_raw_and_extended_system(elasto):
     lat = Lattice(k=1, n_time=64, n_space=512, extent_time=1.0,
                   extent_space=1.0)

@@ -16,6 +16,7 @@ from conslab import (Lattice, ParameterError, ShockAlignedBump, TensorBump,
 from conslab import TestSupportError as SupportError
 from conslab._bumps import (bump, bump_deriv, bump_line_integral,
                             smoothstep_pair)
+from conslab.fields import remainder
 from conslab.testfunctions import _wrap
 from conslab.testfunctions import from_config as build_testfn
 
@@ -308,6 +309,20 @@ def test_shock_aligned_rejects_non_finite_parameter(name, value):
         ShockAlignedBump(**params)
 
 
+def test_bump_line_integral_is_the_quadrature():
+    # the recorded constant is the value quad returns, 14 ulp (1.75e-15
+    # relative) below the correctly rounded integral 0.4439938161680794
+    import mpmath
+    from scipy.integrate import quad
+    val, _ = quad(lambda s: np.exp(-1.0 / (1.0 - s * s)), -1.0, 1.0)
+    assert bump_line_integral() == pytest.approx(val, rel=1e-15, abs=0.0)
+    with mpmath.workdps(40):
+        exact = mpmath.quad(lambda s: mpmath.exp(-1 / (1 - s * s)),
+                            [-1, 0, 1])
+    assert bump_line_integral() == pytest.approx(float(exact), rel=5e-15,
+                                                 abs=0.0)
+
+
 @st.composite
 def wrap_cases(draw):
     """A period and z near whole and half periods on both sides of zero,
@@ -337,8 +352,26 @@ def test_wrap_is_bitwise_the_remainder(case):
     with np.errstate(invalid="ignore", over="ignore"):
         want = (z + 0.5 * period) % period - 0.5 * period
         got = _wrap(z, period)
-    assert got.shape == want.shape
+        rest, want_rest = remainder(z, period), np.remainder(z, period)
+    assert got.shape == want.shape and rest.shape == want_rest.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(rest.view(np.int64), want_rest.view(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, 1e3).filter(lambda period: period != 1.0),
+       st.lists(st.integers(-2 ** 34, 2 ** 34), min_size=1, max_size=20),
+       st.floats(-1.0, 1.0))
+@example(0.7, [4, -8, 3], 0.25)
+def test_remainder_is_bitwise_np_remainder(period, turns, frac):
+    # whole multiples of the period (the largest may be period*2^j, where
+    # the division starts), their float neighbours on both sides and an
+    # offset, where the long division ends on or next to zero
+    whole = np.array(turns, dtype=float) * period
+    for z in (whole, np.nextafter(whole, -np.inf),
+              np.nextafter(whole, np.inf), whole + frac * period):
+        got, want = remainder(z, period), np.remainder(z, period)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _old_shock_aligned(fn, lattice, periodic_time):

@@ -3,6 +3,7 @@ emit it, and every consumer against the same call on the materialized
 2-D field."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from conslab import (DiscreteField, DomainViolationError, Lattice,
                      mollify, residual_R, shift_difference_norm,
                      verify_estimates, weak_residual_companion,
                      weak_residual_system)
+from conslab import fields
 from conslab.mollifier import axis_derivative
 
 LAT = Lattice(k=1, n_time=64, n_space=128, extent_time=1.0, extent_space=1.0)
@@ -173,6 +175,21 @@ def test_shock_form_and_values(name, left, right, speed, n_time, n_space,
         assert (field.shift, field.rows) == (1, 2)
     assert np.array_equal(field.values,
                           float_shock(left, right, speed, field.lattice))
+
+
+@pytest.mark.parametrize("block", [1, 7, 3 * 64 + 5, 1 << 14])
+@pytest.mark.parametrize("speed", [0.5, -2.75, 3.3])
+def test_shock_test_in_row_blocks(block, speed):
+    # the left/right test runs per row block with fields.remainder; any
+    # block size gives the whole-lattice np.remainder test bit for bit,
+    # also where the co-moving coordinate runs over several periods
+    lat = Lattice(k=1, n_time=100, n_space=64, extent_time=1.0,
+                  extent_space=1.0)
+    with mock.patch.object(fields, "_BLOCK_NODES", block):
+        field = make_shock_field(make_builtin("burgers"), [1.0], [0.0],
+                                 speed, lat)
+    assert np.array_equal(field.values,
+                          float_shock([1.0], [0.0], speed, field.lattice))
 
 
 # ---------------------------------------------------------------------------
