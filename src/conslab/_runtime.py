@@ -1,8 +1,8 @@
-"""Process-wide worker count.
+"""Process-wide worker count, the value of the CLI's `--threads` flag.
 
-Its only effect is the `workers` hint passed to scipy.fft, which splits a
-transform across threads without changing its arithmetic, so results stay
-bitwise identical across settings.
+`set_workers` validates it (>= 1) and stores it.  No computation reads it:
+the transforms run on numpy.fft, on one thread, so reports are
+byte-identical at every value.
 """
 
 from __future__ import annotations

@@ -666,7 +666,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--basename", default=None,
                        help="output file stem (default: from config or command)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker cap; 1 = deterministic reference")
+                       help="validated (>= 1) and stored; no computation "
+                       "reads it, so reports are byte-identical at any value")
         p.add_argument("-v", "--verbose", action="count", default=0)
     return parser
 

@@ -4,8 +4,8 @@ The kernel is the classic compactly supported bump exp(-1/(1-|X/eps|^2))
 sampled on the lattice stencil of radius eps and renormalized so the
 discrete sum times the cell volume is exactly one; mollification is then
 circular convolution with that stencil.  Direct stencil summation is the
-reference semantics; the FFT path computes the same circular convolution
-and is the one every epsilon sweep uses.
+reference semantics; the FFT path (numpy.fft, one thread) computes the
+same circular convolution and is the one every epsilon sweep uses.
 
 A TravelingField (an exact discrete traveling wave in one space
 dimension moving p/q nodes per step, values[t, i] = profile[q*i - p*t]
@@ -39,10 +39,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import fft as sfft
 
 from ._bumps import bump
-from ._runtime import get_workers
 from .errors import ParameterError, ResolutionError
 from .fields import (DiscreteField, Field, Lattice, TravelingField,
                      magnitude_lq_norm, require_q, shift_difference_norm,
@@ -116,20 +114,20 @@ class MollifierKernel:
         of repeated sweeps).  Cached until `line` cuts a line out of it;
         the next call transforms the stencil again."""
         if self._spectrum is None:
-            lat, workers = self.lattice, get_workers()
+            lat = self.lattice
             t, *space = [np.arange(-r, r + 1) % n
                          for r, n in zip(self.radius_nodes, lat.shape)]
             half = np.zeros((len(t),) + lat.shape[1:])
             half[np.ix_(np.arange(len(t)), *space)] = self.profile_samples
             for axis in range(lat.k, 0, -1):
-                half = sfft.rfft(half, axis=axis, workers=workers).real
+                half = np.fft.rfft(half, axis=axis).real
             cols = half.reshape(len(t), -1).T
             spec = np.empty((len(cols), lat.n_time // 2 + 1), dtype=complex)
             block = np.zeros((64, lat.n_time))
             for c in range(0, len(cols), 64):
                 rows = cols[c:c + 64]
                 block[:len(rows), t] = rows
-                spec[c:c + 64] = sfft.rfft(block[:len(rows)], workers=workers)
+                spec[c:c + 64] = np.fft.rfft(block[:len(rows)])
             self._spectrum = np.moveaxis(
                 spec.real.reshape(half.shape[1:] + (-1,)), -1, 0)
         return self._spectrum
@@ -181,9 +179,8 @@ def _convolve_line(field: TravelingField,
     size = field.rows * n
     line = kernel.line(field.shift * n_time // size, size)
     line = line.reshape(line.shape + (1,) * (field.profile.ndim - 1))
-    workers = get_workers()
-    profile = sfft.irfft(sfft.rfft(field.profile, axis=0, workers=workers)
-                         * line, n=size, axis=0, workers=workers)
+    profile = np.fft.irfft(np.fft.rfft(field.profile, axis=0) * line,
+                           n=size, axis=0)
     return profile[None]
 
 
@@ -195,15 +192,17 @@ def _convolve_fft(values: np.ndarray, kernel: MollifierKernel) -> np.ndarray:
     spec = kernel.spectrum()[np.ix_(*[_fold(np.arange(n), n)
                                       for n in shape[:-1]])]
     spec *= kernel.cell_volume
-    out = np.empty_like(values)
-    oflat = out.reshape(shape + (-1,))
-    axes = tuple(range(len(shape)))
-    workers = get_workers()
+    out = np.empty_like(flat)
     for c in range(flat.shape[-1]):
-        fhat = sfft.rfftn(flat[..., c], axes=axes, workers=workers)
-        oflat[..., c] = sfft.irfftn(fhat * spec, s=shape, axes=axes,
-                                    workers=workers)
-    return out
+        # one pass per axis, in place: rfftn and irfftn allocate per pass
+        fhat = np.fft.rfft(flat[..., c])
+        for axis in range(len(shape) - 1):
+            np.fft.fft(fhat, axis=axis, out=fhat)
+        fhat *= spec
+        for axis in range(len(shape) - 1):
+            np.fft.ifft(fhat, axis=axis, out=fhat)
+        out[..., c] = np.fft.irfft(fhat, n=shape[-1])
+    return out.reshape(values.shape)
 
 
 def _convolve_direct(values: np.ndarray, kernel: MollifierKernel) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Kernel construction, convolution semantics, smoothing estimates."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as sfft
 
 import oracles
 from conslab import (DiscreteField, Lattice, ParameterError, ResolutionError,
@@ -184,8 +186,9 @@ def test_mollify_trims_nonperiodic_time(rng):
 
 
 def test_mollify_bitwise_identical_across_workers(rng):
-    # the worker count only splits the FFTs across threads; the traveling
-    # wave takes the line-spectrum path
+    # the worker count is stored but no transform reads it, so results are
+    # bitwise equal at every setting; the traveling wave takes the
+    # line-spectrum path
     lat = Lattice(k=1, n_time=64, n_space=128, extent_time=1.0,
                   extent_space=1.0)
     for field in (DiscreteField(lattice=lat,
@@ -239,6 +242,49 @@ def test_spectrum_is_the_real_nonnegative_half_of_the_stencil_rfftn(case):
     direct = mollify(field, kernel, method="direct").values
     np.testing.assert_allclose(mollify(field, kernel).values, direct,
                                rtol=0, atol=1e-12 * np.abs(direct).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_cases(), st.data())
+def test_2d_path_keeps_constants_and_commutes_with_rolls(case, data):
+    # off powers of two this path's inverse and scipy's irfftn may differ
+    # in the last bit (per-axis against one overall 1/n scaling); the
+    # properties hold on either
+    kernel, seed = case
+    lat = kernel.lattice
+    const = DiscreteField(lattice=lat, values=np.full(lat.shape + (2,), -0.7))
+    np.testing.assert_allclose(mollify(const, kernel).values, -0.7,
+                               rtol=0, atol=1e-14)
+    field = DiscreteField(lattice=lat, values=np.random.default_rng(
+        seed).normal(size=lat.shape + (2,)))
+    shift = tuple(data.draw(st.integers(-n, n)) for n in lat.shape)
+    axes = tuple(range(lat.n_axes))
+    rolled = DiscreteField(lattice=lat,
+                           values=np.roll(field.values, shift, axis=axes))
+    want = np.roll(mollify(field, kernel).values, shift, axis=axes)
+    np.testing.assert_allclose(mollify(rolled, kernel).values, want,
+                               rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_2d_path_matches_a_scipy_fft_convolution(rng):
+    # the same circular convolution by scipy.fft; over a time axis of 33
+    # the two inverses differ in the last bit
+    lat = Lattice(k=1, n_time=33, n_space=64, extent_time=1.0,
+                  extent_space=1.0)
+    kernel = make_kernel(0.15, lat)
+    stencil = np.zeros(lat.shape)
+    stencil[np.ix_(*[np.arange(-r, r + 1) % n for r, n in
+                     zip(kernel.radius_nodes, lat.shape)])] = \
+        kernel.profile_samples
+    values = rng.normal(size=lat.shape + (2,))
+    spec = sfft.rfftn(stencil) * kernel.cell_volume
+    want = np.stack([sfft.irfftn(sfft.rfftn(values[..., c]) * spec,
+                                 s=lat.shape) for c in range(2)], axis=-1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        got = mollify(DiscreteField(lattice=lat, values=values), kernel).values
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-14 * np.abs(want).max())
 
 
 # ---------------------------------------------------------------------------
