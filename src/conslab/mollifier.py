@@ -19,13 +19,13 @@ same shift.  It agrees with the 2-D path to rounding.  Every other field
 takes the 2-D path.
 
 What a kernel retains: the 2-D path caches the real, even spectrum at its
-nonnegative frequencies ((n_time/2 + 1) x (n_space/2 + 1) entries, held
-as the real part of their complex transform: half the bytes of a complex
-rfftn), since every 2-D mollification reads all of it.  The line path caches only the line it reads, q*n_space/2 + 1
-entries per (P, q*n_space), and drops the 2-D spectrum once the line is
-cut out; so a compact sweep keeps no lattice-sized array per kernel.  A
-kernel that later meets a 2-D field transforms its stencil again, with
-the same result.
+nonnegative frequencies ((n_time/2 + 1) x (n_space/2 + 1) entries, a
+cosine sum over the stencil's nonnegative quadrant, in the left half of a
+buffer twice as wide), since every 2-D mollification reads all of it.
+The line path caches only the line it reads, q*n_space/2 + 1 entries per
+(P, q*n_space), and drops the 2-D spectrum once the line is cut out; so
+a compact sweep keeps no lattice-sized array per kernel.  A kernel that
+later meets a 2-D field sums its stencil again, with the same result.
 
 verify_estimates audits the three smoothing estimates that drive the
 commutator analysis: the gradient bound (slope alpha - 1), the
@@ -105,31 +105,28 @@ class MollifierKernel:
     def spectrum(self) -> np.ndarray:
         """Spectrum of the stencil wrapped into a lattice-sized array at
         the nonnegative frequencies, N_a//2 + 1 per axis, time first.  The
-        bump is even on every axis, so the spectrum is real and even: each
-        axis is a real transform whose real part alone is kept, first the
-        space axes of the 2*r_t + 1 nonzero time slices, then time, in
-        blocks of 64 space frequencies along a contiguous last axis, as a
-        view of that complex transform (a real copy of 8 to 32 MiB, freed
-        per kernel, raised glibc's dynamic mmap threshold and the peak RSS
-        of repeated sweeps).  Cached until `line` cuts a line out of it;
-        the next call transforms the stencil again."""
+        sampled bump is even on every axis, bit for bit, so this is the
+        cosine sum C_t W C_x^T over the stencil's nonnegative quadrant W
+        (`_cosine_table`): each space axis contracted in turn, then time
+        in one BLAS product, whose last bits follow the BLAS thread count.
+        It fills the left half of a buffer twice as wide: a plain result
+        (8 to 32 MiB, freed per kernel) raised glibc's dynamic mmap
+        threshold; the wide one is mapped and its pad never touched.
+        Cached until `line` cuts a line out of it; the next call sums the
+        stencil again."""
         if self._spectrum is None:
             lat = self.lattice
-            t, *space = [np.arange(-r, r + 1) % n
-                         for r, n in zip(self.radius_nodes, lat.shape)]
-            half = np.zeros((len(t),) + lat.shape[1:])
-            half[np.ix_(np.arange(len(t)), *space)] = self.profile_samples
-            for axis in range(lat.k, 0, -1):
-                half = np.fft.rfft(half, axis=axis).real
-            cols = half.reshape(len(t), -1).T
-            spec = np.empty((len(cols), lat.n_time // 2 + 1), dtype=complex)
-            block = np.zeros((64, lat.n_time))
-            for c in range(0, len(cols), 64):
-                rows = cols[c:c + 64]
-                block[:len(rows), t] = rows
-                spec[c:c + 64] = np.fft.rfft(block[:len(rows)])
-            self._spectrum = np.moveaxis(
-                spec.real.reshape(half.shape[1:] + (-1,)), -1, 0)
+            r_t, *r_space = self.radius_nodes
+            w = self.profile_samples[tuple(slice(r, None)
+                                           for r in self.radius_nodes)]
+            for r, n in zip(r_space, lat.shape[1:]):  # frequencies go last
+                w = np.tensordot(w, _cosine_table(n, r), axes=(1, 1))
+            half = [n // 2 + 1 for n in lat.shape]
+            cols = int(np.prod(half[1:]))
+            out = np.empty((half[0], 2 * cols))[:, :cols]
+            np.matmul(_cosine_table(lat.n_time, r_t), w.reshape(r_t + 1, -1),
+                      out=out)
+            self._spectrum = out.reshape(half)
         return self._spectrum
 
     def line(self, P: int, size: int) -> np.ndarray:
@@ -155,6 +152,15 @@ class MollifierKernel:
             off = tuple(int(index[a]) - self.radius_nodes[a]
                         for a in range(len(self.radius_nodes)))
             yield off, float(self.profile_samples[tuple(index)])
+
+
+def _cosine_table(n: int, r: int) -> np.ndarray:
+    """C[j, a] = m_a cos(2 pi (j a mod n) / n), j <= n//2, a <= r, with
+    m_0 = 1, m_a = 2: an even stencil's transform from its half."""
+    j, a = np.ogrid[:n // 2 + 1, :r + 1]
+    table = np.cos(2 * np.pi * np.arange(n) / n)[j * a % n]
+    table[:, 1:] *= 2.0
+    return table
 
 
 def _fold(index: np.ndarray, n: int) -> np.ndarray:

@@ -1,6 +1,11 @@
 """Kernel construction, convolution semantics, smoothing estimates."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -285,6 +290,98 @@ def test_2d_path_matches_a_scipy_fft_convolution(rng):
         got = mollify(DiscreteField(lattice=lat, values=values), kernel).values
     np.testing.assert_allclose(got, want, rtol=0,
                                atol=1e-14 * np.abs(want).max())
+
+
+def _wrapped_stencil(kernel):
+    lat = kernel.lattice
+    stencil = np.zeros(lat.shape)
+    stencil[np.ix_(*[np.arange(-r, r + 1) % n for r, n in
+                     zip(kernel.radius_nodes, lat.shape)])] = \
+        kernel.profile_samples
+    return stencil
+
+
+def test_spectrum_matches_rfft2_on_the_bounded_audit_lattice(elasto):
+    # the C8 shock lattice, 512x1024 with its time extent adjusted: at
+    # eps = 2^-3 the time radius is 61 nodes, the longest cosine sums of
+    # the benchmark sweeps
+    s = np.sqrt((1.2 ** 3 - 1.0) / 0.2)
+    lat = make_shock_field(elasto, [1.0, 0.1 * s], [1.2, -0.1 * s], s,
+                           Lattice(k=1, n_time=512, n_space=1024,
+                                   extent_time=1.0,
+                                   extent_space=1.0)).lattice
+    radii = []
+    for e in 2.0 ** -np.arange(3, 7):
+        kernel = make_kernel(e, lat)
+        radii.append(kernel.radius_nodes[0])
+        want = np.fft.rfft2(_wrapped_stencil(kernel))[:257].real
+        np.testing.assert_allclose(kernel.spectrum(), want, rtol=0,
+                                   atol=1e-14 * np.abs(want).max())
+    assert radii == [61, 30, 15, 7]
+
+
+_SPECTRA_CHILD = """
+import sys
+import numpy as np
+from conslab import Lattice, make_kernel
+lat = Lattice(k=1, n_time=256, n_space=512, extent_time=1.0,
+              extent_space=1.0)
+np.save(sys.argv[1], np.stack([make_kernel(e, lat).spectrum()
+                               for e in (2.0 ** -2, 2.0 ** -4, 2.0 ** -5)]))
+"""
+
+
+def test_spectra_agree_across_blas_thread_counts(tmp_path):
+    # the time contraction is a BLAS matrix product, whose last bits
+    # follow the BLAS thread count; each count is reproducible
+    src = str(Path(mollifier.__file__).resolve().parent.parent)
+    spectra = {}
+    for run, threads in enumerate(("1", "2", "2")):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"spectra{run}.npy"
+        proc = subprocess.run([sys.executable, "-c", _SPECTRA_CHILD,
+                               str(out)], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        spectra[run] = np.load(out)
+    one, two, rerun = spectra.values()
+    np.testing.assert_allclose(two, one, rtol=0,
+                               atol=1e-15 * np.abs(one).max())
+    assert np.array_equal(rerun, two)
+
+
+@pytest.mark.parametrize("shape, epsilons", [
+    ((256, 512), (2.0 ** -2, 2.0 ** -4, 2.0 ** -6)),
+    ((128, 64, 64), (2.0 ** -3, 2.0 ** -4))])
+@pytest.mark.parametrize("space_only", [False, True])
+def test_spectrum_allocates_its_buffer_tables_and_stencil_only(
+        shape, epsilons, space_only):
+    # no complex array of the lattice's size: the peak is the buffer the
+    # spectrum lives in, the cosine tables and the stencil quadrant W; with
+    # two space axes also the space-contracted slab of r_t + 1 time slices
+    lat = Lattice(k=len(shape) - 1, n_time=shape[0], n_space=shape[1],
+                  extent_time=1.0, extent_space=1.0)
+    for e in epsilons:
+        kernel = make_kernel(e, lat, space_only=space_only)
+        tracemalloc.start()
+        try:
+            spec = kernel.spectrum()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        half = [n // 2 + 1 for n in shape]
+        radii = kernel.radius_nodes
+        buffer = spec if spec.base is None else spec.base
+        assert buffer.dtype == np.float64
+        kept = buffer.nbytes
+        tables = 8 * sum(h * (r + 1) for h, r in zip(half, radii))
+        stencil = 8 * int(np.prod([r + 1 for r in radii]))
+        slab = 8 * (radii[0] + 1) * int(np.prod(half[1:])) if lat.k > 1 \
+            else 0
+        assert kept < 2.5 * spec.nbytes
+        assert peak <= 1.1 * (kept + tables + stencil + slab)
 
 
 # ---------------------------------------------------------------------------
