@@ -1,8 +1,9 @@
 """Process-wide worker count, the value of the CLI's `--threads` flag.
 
 `set_workers` validates it (>= 1) and stores it.  No computation reads it:
-the transforms run on numpy.fft, on one thread, so reports are
-byte-identical at every value.
+the transforms run on numpy.fft, on one thread, and kernel spectra on the
+BLAS threads, which it does not set; so reports are byte-identical at every
+value on one machine and BLAS thread count, not across them.
 """
 
 from __future__ import annotations

@@ -667,7 +667,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output file stem (default: from config or command)")
         p.add_argument("--threads", type=int, default=None,
                        help="validated (>= 1) and stored; no computation "
-                       "reads it, so reports are byte-identical at any value")
+                       "reads it (kernel spectra run on BLAS threads): "
+                       "reports are byte-identical at any value per machine")
         p.add_argument("-v", "--verbose", action="count", default=0)
     return parser
 

@@ -135,7 +135,7 @@ def lemma_bound_audit(system: SystemSpec, field: Field,
     for kernel, mollified, window, _, parts in _commutators(system, field,
                                                             kernels):
         vol = mollified.node_volume
-        # squares summed in entry order, without stacking the entries
+        # squares summed in entry order, as squared_magnitude would add them
         mag2 = sum(map(np.square, parts), np.zeros(()))
         lhs.append(squares_lq_norm(mag2, q, vol))
         approx = magnitude_lq_norm(mollified.nodes - window, n_axes,

@@ -442,12 +442,9 @@ def require_q(q: float) -> None:
 
 def squared_magnitude(values: np.ndarray, n_axes: int) -> np.ndarray:
     """Pointwise squared Euclidean magnitude of values, whose first n_axes
-    axes are lattice axes and the rest value axes: up to three components
-    a sum of per-component squares in component order, from four on one
-    einsum over the value axis (one read of the array, not one each)."""
+    axes are lattice axes and the rest value axes: a sum of per-component
+    squares, each a whole lattice-shaped array, in component order."""
     flat = values.reshape(values.shape[:n_axes] + (-1,))
-    if flat.shape[-1] >= 4:
-        return np.einsum("...i,...i->...", flat, flat)
     mag2 = np.square(flat[..., 0])
     square = np.empty_like(mag2)
     for i in range(1, flat.shape[-1]):

@@ -4,8 +4,9 @@ The kernel is the classic compactly supported bump exp(-1/(1-|X/eps|^2))
 sampled on the lattice stencil of radius eps and renormalized so the
 discrete sum times the cell volume is exactly one; mollification is then
 circular convolution with that stencil.  Direct stencil summation is the
-reference semantics; the FFT path (numpy.fft, one thread) computes the
-same circular convolution and is the one every epsilon sweep uses.
+reference semantics; the FFT path (numpy.fft, one thread; the kernel
+spectrum is a BLAS product on BLAS's own threads) computes the same
+circular convolution and is the one every epsilon sweep uses.
 
 A TravelingField (an exact discrete traveling wave in one space
 dimension moving p/q nodes per step, values[t, i] = profile[q*i - p*t]
@@ -110,8 +111,9 @@ class MollifierKernel:
         (`_cosine_table`): each space axis contracted in turn, then time
         in one BLAS product, whose last bits follow the BLAS thread count.
         It fills the left half of a buffer twice as wide: a plain result
-        (8 to 32 MiB, freed per kernel) raised glibc's dynamic mmap
-        threshold; the wide one is mapped and its pad never touched.
+        (8 to 32 MiB, freed per kernel) raises glibc's dynamic mmap
+        threshold; above 16 MiB of spectrum the wide one passes the 32 MiB
+        ceiling, so it is mapped and its pad never touched.
         Cached until `line` cuts a line out of it; the next call sums the
         stencil again."""
         if self._spectrum is None:

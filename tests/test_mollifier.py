@@ -331,6 +331,17 @@ np.save(sys.argv[1], np.stack([make_kernel(e, lat).spectrum()
 """
 
 
+def _blas_name() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"][
+            "name"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode argument
+        return "unknown"
+
+
+@pytest.mark.skipif("openblas" not in _blas_name().lower(),
+                    reason="OPENBLAS_NUM_THREADS sets the thread count of "
+                    "OpenBLAS only; other BLAS would run both children alike")
 def test_spectra_agree_across_blas_thread_counts(tmp_path):
     # the time contraction is a BLAS matrix product, whose last bits
     # follow the BLAS thread count; each count is reproducible
