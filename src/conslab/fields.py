@@ -34,17 +34,18 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, ResolutionError, UnsupportedGeometryError
 from .rates import RateFit, fit_loglog
 from .systems import SystemSpec, jump_states
 
-# Nodes per row block of the blockwise lattice loops (make_shock_field,
-# ShockAlignedBump.evaluate).  A 128 KiB block temporary stays in cache and
-# under glibc's malloc trim threshold, so freed temporaries are reused
-# instead of being returned to the kernel and faulted in again by the next
-# block, as 1 MiB ones were (about 50,000 minor faults per call on a
-# 4096x2048 lattice).
+# Nodes per block of the blockwise lattice loops (make_shock_field,
+# _comoving_blocks, ShockAlignedBump.evaluate).  A 128 KiB temporary stays
+# in cache and under glibc's malloc trim threshold, so freed temporaries are
+# reused, not returned to the kernel and faulted in again by the next block
+# (1 MiB ones took about 50,000 minor faults per 4096x2048 call).  The tiled
+# rows that _comoving_blocks reads are at most two blocks per array.
 _BLOCK_NODES = 1 << 14
 
 _MAGIC = b"CLABFLD1"
@@ -220,11 +221,11 @@ class TravelingField:
     @cached_property
     def values(self) -> np.ndarray:
         lat = self.lattice
-        size = self.rows * lat.n_space
-        offsets = (np.arange(lat.n_time) * self.shift) % size
-        idx = (self.rows * np.arange(lat.n_space)[None, :]
-               - offsets[:, None]) % size
-        values = self.profile[idx]
+        values = np.empty(lat.shape + self.value_shape)
+        for block, (part,) in _comoving_blocks(
+                lat, self.shift, self.rows, lambda eta: [self.profile[eta]],
+                np.ones((lat.n_time // self.rows, self.rows), dtype=bool)):
+            values.reshape((-1, self.rows) + values.shape[1:])[block] = part
         values.flags.writeable = False
         return values
 
@@ -271,6 +272,43 @@ class TravelingField:
 
 
 Field = Union[DiscreteField, TravelingField]
+
+
+def _comoving_blocks(lattice: Lattice, shift: int, rows: int, base, live):
+    """Blocks of the lattice arrays of a wave moving shift/rows nodes per
+    step, whose row j + rows*k is row j < rows rolled by shift*k.
+
+    base(eta) returns the arrays of rows j at their fine-grid nodes eta =
+    rows*i - shift*j (mod rows*n_space), value axes last.  Yields (block,
+    views): block indexes a lattice array reshaped to (n_time/rows, rows,
+    n_space, ...), each view its rows, a sheared strided window over rows
+    j tiled by whole periods.  Blocks of about _BLOCK_NODES nodes are
+    trimmed to the rows where the (n_time/rows, rows) mask live holds."""
+    n, count = lattice.n_space, lattice.n_time // rows
+    shift %= rows * n
+    kb = min(count, max(1, _BLOCK_NODES // n))
+    jb = min(rows, max(1, _BLOCK_NODES // n) // kb)
+    step = (-shift - 1) % n + 1                 # -shift mod n, in [1, n]
+    periods = -(-(step * (kb - 1) + 2 * n - 1) // n)
+    for j0 in range(0, rows, jb):
+        js = slice(j0, min(rows, j0 + jb))
+        if not live[:, js].any():
+            continue
+        eta = (rows * np.arange(n)
+               - shift * np.arange(js.start, js.stop)[:, None]) % (rows * n)
+        windows = [np.moveaxis(sliding_window_view(np.concatenate(
+            [arr] * periods, axis=1), n, axis=1), -1, 2) for arr in base(eta)]
+        for k0 in range(0, count, kb):
+            box = live[k0:k0 + kb, js]
+            ks, jj = (np.flatnonzero(box.any(axis=ax)) for ax in (1, 0))
+            if not ks.size:
+                continue
+            a, b, j = k0 + ks[0], k0 + ks[-1] + 1, slice(jj[0], jj[-1] + 1)
+            # window offsets start, start + step, ... are -shift*k mod n
+            start = -shift * int(a) % n
+            yield (slice(a, b), slice(j0 + j.start, j0 + j.stop)), \
+                [np.swapaxes(w[j, start::step][:, :b - a], 0, 1)
+                 for w in windows]
 
 
 def remainder(a: np.ndarray, period: float) -> np.ndarray:

@@ -10,15 +10,14 @@ bumps, and the shock-path-aligned plateau used to localize a single
 traveling jump on the torus (a periodic shock field always carries two
 interfaces; the plateau isolates one).
 
-ShockAlignedBump fills psi and grad psi one block of time rows at a time
-(_BLOCK_NODES nodes per block): the wrapped co-moving coordinate, the
-plateau transition, its sign factor and the products with the time
-profile live on the block only, so the two outputs are its only
-whole-lattice arrays.  Blocks are trimmed to their rows where the time
-profile or its derivative is nonzero; the other rows stay zero without
-evaluating the plateau.  Every operation is elementwise, so the
-values are those of one whole-lattice evaluation, bit for bit up to the
-sign of zeros.
+ShockAlignedBump fills psi and grad psi in blocks of about _BLOCK_NODES
+nodes, trimmed to the rows where the time profile or its derivative is
+nonzero; other rows stay zero and all temporaries are block-sized.  On a
+lattice snapped for its speed (fields._snap: p/q nodes per step) the
+plateau is evaluated once per node of the fine co-moving grid eta = q*i -
+p*t, and row t + q is row t rolled by p (fields._comoving_blocks); on any
+other, on every live node.  The two agree within rounding, bit for bit on
+the shipped configs (binary-fraction spacings, speeds and centres).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 
 from ._bumps import bump, bump_deriv, bump_line_integral, smoothstep_pair
 from .errors import ParameterError, TestSupportError, UnsupportedGeometryError
-from .fields import _BLOCK_NODES, Lattice, remainder
+from .fields import _BLOCK_NODES, Lattice, _comoving_blocks, _snap, remainder
 
 
 def _wrap(z: np.ndarray, period: float) -> np.ndarray:
@@ -113,12 +112,13 @@ class TensorBump(TestFunction):
             factors.append(bump(w))
             dfactors.append(bump_deriv(w) / radius[axis])
         psi = _outer(factors)
-        psi *= self.amplitude
         grad = np.empty(lattice.shape + (lattice.n_axes,))
         for axis in range(lattice.n_axes):
             _outer([dfactors[a] if a == axis else f
                     for a, f in enumerate(factors)], out=grad[..., axis])
-        grad *= self.amplitude
+        if self.amplitude != 1.0:       # x*1.0 is x, bit for bit
+            psi *= self.amplitude
+            grad *= self.amplitude
         return psi, grad
 
 
@@ -198,6 +198,14 @@ class ShockAlignedBump(TestFunction):
                         unit_integral=self.unit_time_integral)
 
     def evaluate(self, lattice: Lattice, periodic_time: bool = True):
+        try:    # the co-moving path needs a lattice snapped for the speed
+            snapped, p, q = _snap(lattice, self.speed)
+        except ParameterError:      # no finite snapped extent_time
+            snapped = None
+        return self._evaluate(lattice, periodic_time,
+                              (p, q) if snapped == lattice else None)
+
+    def _evaluate(self, lattice, periodic_time, shift):
         if lattice.k != 1:
             raise UnsupportedGeometryError(
                 "shock-aligned test functions require k = 1")
@@ -210,28 +218,42 @@ class ShockAlignedBump(TestFunction):
                 f"outer radius {self.outer_radius:g} exceeds half the period {L:g}")
         phi, dphi = self._time_part()._profile(
             lattice.times(), lattice.extent_time, periodic_time)
-        t = lattice.times()
-        x = lattice.space_nodes()
-        width = self.outer_radius - self.inner_radius
         psi = np.zeros(lattice.shape)
         grad = np.zeros(lattice.shape + (2,))
         live = (phi != 0.0) | (dphi != 0.0)
-        block_rows = max(1, _BLOCK_NODES // lattice.n_space)
-        for start in range(0, lattice.n_time, block_rows):
-            rows = np.flatnonzero(live[start:start + block_rows])
-            if not rows.size:
-                continue
-            block = slice(start + rows[0], start + rows[-1] + 1)
-            p, dp = phi[block, None], dphi[block, None]
-            d = _wrap(x - self.speed * t[block, None] - self.xi_center, L)
-            u = (self.outer_radius - np.abs(d)) / width
-            chi, dchi = smoothstep_pair(u)
-            dchi *= -np.sign(d) / width
+        blocks = self._row_blocks(lattice, live)
+        if shift is not None:
+            # the plateau once per fine-grid node eta = q*i - p*t, t = j + q*k
+            q = shift[1]
+            phi, dphi, live, psi, grad = (a.reshape(-1, q, *a.shape[1:])
+                                          for a in (phi, dphi, live, psi, grad))
+            blocks = _comoving_blocks(lattice, *shift, lambda eta: (
+                self._plateau(eta * (lattice.h_space / q), L)), live)
+        for block, (chi, dchi) in blocks:
+            p, dp = phi[block][..., None], dphi[block][..., None]
             np.multiply(p, chi, out=psi[block])
-            g_t, g_x = grad[block, :, 0], grad[block, :, 1]
+            g_t, g_x = grad[block][..., 0], grad[block][..., 1]
             np.multiply(p, dchi, out=g_x)
             np.add(dp * chi, g_x * (-self.speed), out=g_t)
-        return psi, grad
+        return psi.reshape(lattice.shape), grad.reshape(lattice.shape + (2,))
+
+    def _row_blocks(self, lattice, live):
+        # any lattice: the plateau on every node of the live rows
+        t, x, L = lattice.times(), lattice.space_nodes(), lattice.extent_space
+        size = max(1, _BLOCK_NODES // lattice.n_space)
+        for start in range(0, lattice.n_time, size):
+            rows = np.flatnonzero(live[start:start + size])
+            if rows.size:
+                block = slice(start + rows[0], start + rows[-1] + 1)
+                yield block, self._plateau(x - self.speed * t[block, None], L)
+
+    def _plateau(self, z: np.ndarray, L: float) -> tuple:
+        """chi and chi' at the co-moving coordinate z = x - speed*t."""
+        d = _wrap(z - self.xi_center, L)
+        width = self.outer_radius - self.inner_radius
+        chi, dchi = smoothstep_pair((self.outer_radius - np.abs(d)) / width)
+        dchi *= -np.sign(d) / width
+        return chi, dchi
 
     @property
     def time_integral(self) -> float:

@@ -1,0 +1,114 @@
+"""Property tests on random inputs: the Burgers shock rate against its
+closed form, the field container round trip, and the exact zeros of
+affine flux rows in the commutator."""
+
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import STATE_BOXES
+from conslab import (DiscreteField, Lattice, TravelingField, commutator_field,
+                     load_field, make_builtin, make_kernel, mollify,
+                     save_field, shock_dissipation_rate)
+
+SETTINGS = settings(max_examples=30, deadline=None)
+
+speeds = st.floats(-4.0, 4.0, allow_subnormal=False)
+
+
+@SETTINGS
+@given(speeds, speeds)
+def test_burgers_rate_is_the_cubic_jump(u_l, u_r):
+    if abs(u_l - u_r) < 1e-3:
+        return
+    burgers = make_builtin("burgers")
+    rate = shock_dissipation_rate(burgers, [u_l], [u_r])
+    jump = u_l - u_r
+    # the rate is a difference of cubes in the states: rounding scales
+    # with them, not with the jump
+    tol = 1e-14 * max(1.0, abs(u_l), abs(u_r)) ** 3
+    assert rate == pytest.approx(-jump ** 3 / 12.0, rel=0.0, abs=tol)
+    # compressive shocks (u_l > u_r) dissipate, expansion shocks produce
+    assert math.copysign(1.0, rate) == -math.copysign(1.0, jump)
+    swapped = shock_dissipation_rate(burgers, [u_r], [u_l])
+    assert swapped == pytest.approx(-rate, rel=0.0, abs=tol)
+
+
+@st.composite
+def state_fields(draw):
+    """A DiscreteField (k = 1 or 2, either time flag) or a TravelingField
+    (k = 1) of random finite states, values of any magnitude."""
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(1, 3))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 2))
+        lattice = Lattice(k=k, n_time=draw(st.integers(8, 12)),
+                          n_space=draw(st.integers(8, 12)),
+                          extent_time=draw(st.floats(0.1, 10.0)),
+                          extent_space=draw(st.floats(0.1, 10.0)))
+        return DiscreteField(lattice=lattice,
+                             values=scale * rng.normal(
+                                 size=lattice.shape + (n,)),
+                             periodic_time=draw(st.booleans()))
+    q = draw(st.integers(1, 3))
+    p = draw(st.integers(-3 * q, 3 * q).filter(lambda p: math.gcd(p, q) == 1))
+    n_space = draw(st.sampled_from([8, 12, 16]))
+    period = q * n_space // math.gcd(p, q * n_space)
+    lattice = Lattice(k=1, n_time=period * -(-8 // period), n_space=n_space,
+                      extent_time=1.0, extent_space=1.0)
+    return TravelingField(lattice=lattice, shift=p, rows=q,
+                          profile=scale * rng.normal(size=(q * n_space, n)))
+
+
+@SETTINGS
+@given(state_fields())
+def test_save_load_roundtrip_is_lossless(field):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "field.bin"
+        save_field(field, path)
+        back = load_field(path)
+    assert isinstance(back, DiscreteField)
+    assert back.lattice == field.lattice
+    assert back.periodic_time == field.periodic_time
+    assert back.values.shape == field.values.shape
+    assert np.array_equal(back.values.view(np.int64),
+                          field.values.view(np.int64))
+
+
+AFFINE_ROW_SYSTEMS = ["euler-compressible-m-form-1d", "elastodynamics-1d",
+                      "mhd-incompressible-1d"]
+
+
+@SETTINGS
+@given(st.sampled_from(AFFINE_ROW_SYSTEMS), st.integers(0, 2 ** 16),
+       st.integers(16, 24), st.floats(1.0, 1.9))
+def test_affine_rows_commute_exactly(name, seed, n_space, widen):
+    # random states inside the system's box: the declared affine rows of
+    # the commutator are exact zeros, and evaluating those entries instead
+    # leaves only rounding, since mollification commutes with affine maps
+    system = make_builtin(name)
+    lower, upper = STATE_BOXES[name]
+    lattice = Lattice(k=1, n_time=16, n_space=n_space, extent_time=1.0,
+                      extent_space=1.0)
+    rng = np.random.default_rng(seed)
+    U = rng.uniform(lower, upper, size=lattice.shape + (len(lower),))
+    field = DiscreteField(lattice=lattice, values=U)
+    kernel = make_kernel(4.0 * lattice.h_time * widen, lattice)
+    W = commutator_field(system, field, kernel)
+    rows = sorted(system.affine_rows)
+    assert rows and np.all(W.values[..., rows, :] == 0.0)
+    G = system.G(U)
+    smoothed = mollify(DiscreteField(
+        lattice=lattice, values=G[..., rows, :].reshape(lattice.shape + (-1,))),
+        kernel).values
+    direct = system.G(mollify(field, kernel).values)[..., rows, :]
+    scale = max(1.0, float(np.max(np.abs(G[..., rows, :]))))
+    assert np.max(np.abs(direct.reshape(smoothed.shape) - smoothed)) \
+        <= 1e-12 * scale

@@ -12,7 +12,8 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from conslab import (Lattice, ParameterError, ShockAlignedBump, TensorBump,
-                     TimeBump, UnsupportedGeometryError, testfunctions)
+                     TimeBump, UnsupportedGeometryError, fields,
+                     testfunctions)
 from conslab import TestSupportError as SupportError
 from conslab._bumps import (bump, bump_deriv, bump_line_integral,
                             smoothstep_pair)
@@ -374,9 +375,11 @@ def test_remainder_is_bitwise_np_remainder(period, turns, frac):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def _old_shock_aligned(fn, lattice, periodic_time):
+def _old_shock_aligned(fn, lattice, periodic_time, shift=None):
     # the whole-lattice ShockAlignedBump.evaluate the row-block one
-    # replaced, with TimeBump._profile and the np.remainder wrap inlined
+    # replaced, with TimeBump._profile and the np.remainder wrap inlined;
+    # given shift = (p, q), at the co-moving coordinate of the fine grid
+    # eta = q*i - p*t instead of x - speed*t
     T, L = lattice.extent_time, lattice.extent_space
     times = lattice.times()
     radius = fn.time_radius
@@ -390,7 +393,13 @@ def _old_shock_aligned(fn, lattice, periodic_time):
     phi, dphi = scale * bump(w), scale * bump_deriv(w) / radius
     t = times[:, None]
     x = lattice.space_nodes()[None, :]
-    d = (x - fn.speed * t - fn.xi_center + 0.5 * L) % L - 0.5 * L
+    z = x - fn.speed * t
+    if shift is not None:
+        p, q = shift
+        i, j = np.arange(lattice.n_space), np.arange(lattice.n_time)
+        eta = (q * i[None, :] - p * j[:, None]) % (q * lattice.n_space)
+        z = eta * (lattice.h_space / q)
+    d = (z - fn.xi_center + 0.5 * L) % L - 0.5 * L
     width = fn.outer_radius - fn.inner_radius
     u = (fn.outer_radius - np.abs(d)) / width
     chi, dchi = _old_smoothstep_pair(u)
@@ -452,9 +461,11 @@ def _aligned(speed, time_center, amplitude=1.0, unit=True):
 @example((_aligned(0.0, 0.5, -1.5, False), _LAT, False, 36))
 @example((_aligned(1.3, 0.95, -0.5), _LAT, True, testfunctions._BLOCK_NODES))
 def test_row_blocks_are_the_whole_lattice_evaluation(case):
+    # the row-block path directly: a drawn lattice may be snapped for the
+    # drawn speed, and evaluate would then take the co-moving path
     fn, lattice, periodic_time, block = case
     with mock.patch.object(testfunctions, "_BLOCK_NODES", block):
-        psi, grad = fn.evaluate(lattice, periodic_time)
+        psi, grad = fn._evaluate(lattice, periodic_time, None)
     want_psi, want_grad = _old_shock_aligned(fn, lattice, periodic_time)
     # array_equal compares with ==: zeros may differ in sign, every
     # other entry must match bit for bit
@@ -463,18 +474,127 @@ def test_row_blocks_are_the_whole_lattice_evaluation(case):
 
 
 def test_shock_aligned_evaluate_allocates_little_beyond_its_outputs():
-    lattice = Lattice(k=1, n_time=1024, n_space=512, extent_time=2.0,
-                      extent_space=1.0)
+    # both paths, on lattices snapped for speed 1/2 (extent_time 2), where
+    # the wave moves 1/2 and 256/511 nodes per step
     fn = ShockAlignedBump(speed=0.5, xi_center=0.5, inner_radius=0.15,
                           outer_radius=0.35, time_center=1.0,
                           time_radius=0.8)
-    tracemalloc.start()
-    try:
-        psi, grad = fn.evaluate(lattice)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * (psi.nbytes + grad.nbytes)
+    for n_time, q in ((1024, 2), (1022, 511)):
+        lattice = Lattice(k=1, n_time=n_time, n_space=512, extent_time=2.0,
+                          extent_space=1.0)
+        snapped, p, q_snap = fields._snap(lattice, fn.speed)
+        assert snapped == lattice and q_snap == q
+        for shift in ((p, q), None):
+            tracemalloc.start()
+            try:
+                psi, grad = fn._evaluate(lattice, True, shift)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * (psi.nbytes + grad.nbytes)
+
+
+def _is_bitwise(got, want):
+    return all(a.shape == b.shape and
+               np.array_equal(a.view(np.int64), b.view(np.int64))
+               for a, b in zip(got, want))
+
+
+@st.composite
+def snapped_cases(draw):
+    """A ShockAlignedBump on a lattice snapped for its speed, whether time
+    is periodic, and nodes per block (1 to 3 rows, or the module's)."""
+    speed = draw(st.sampled_from([0.0, -0.5, 0.5]) |
+                 st.floats(0.01, 3.0).map(lambda s: -s) | st.floats(0.01, 3.0))
+    n_space = draw(st.integers(8, 40))
+    lattice, p, q = fields._snap(
+        Lattice(k=1, n_time=draw(st.integers(8, 96)), n_space=n_space,
+                extent_time=draw(st.floats(0.5, 3.0)),
+                extent_space=draw(st.floats(0.5, 2.0))), speed)
+    T, L = lattice.extent_time, lattice.extent_space
+    periodic_time = draw(st.booleans())
+    time_radius = draw(st.floats(0.05, 0.45)) * T
+    if periodic_time:
+        time_center = draw(st.floats(-1.0, 2.0)) * T
+    else:
+        time_center = draw(st.floats(time_radius + 1e-3 * T,
+                                     T - time_radius - 1e-3 * T))
+    outer = draw(st.floats(0.05, 0.5)) * L
+    fn = ShockAlignedBump(
+        speed=speed, xi_center=draw(st.floats(-2.0, 2.0)) * L,
+        inner_radius=outer * draw(st.floats(0.05, 0.8)), outer_radius=outer,
+        time_center=time_center, time_radius=time_radius,
+        amplitude=draw(st.floats(0.1, 2.0)) * draw(st.sampled_from([1, -1])),
+        unit_time_integral=draw(st.booleans()))
+    block = draw(st.sampled_from([n_space, 2 * n_space + 1, 3 * n_space,
+                                  fields._BLOCK_NODES]))
+    return fn, lattice, (p, q), periodic_time, block
+
+
+# a lattice where q = n_time (12/37 nodes per step), speeds of both signs,
+# speed 0, and rows j without a live row in whole blocks
+_SNAPPED = fields._snap(_LAT, 0.7)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(snapped_cases())
+@example((_aligned(0.7, 0.2), _SNAPPED, (12, 37), True, 24))
+@example((_aligned(-0.7, 0.7, -2.0), fields._snap(_LAT, -0.7)[0], (-12, 37),
+          False, 12))
+@example((_aligned(0.0, 0.5, -1.5, False), _LAT, (0, 1), True, 36))
+def test_comoving_path_is_the_whole_lattice_evaluation(case):
+    fn, lattice, shift, periodic_time, block = case
+    with mock.patch.object(fields, "_BLOCK_NODES", block):
+        psi, grad = fn.evaluate(lattice, periodic_time)
+        assert _is_bitwise((psi, grad),
+                           fn._evaluate(lattice, periodic_time, shift))
+    # at the same coordinate every entry matches (zeros up to sign)
+    want = _old_shock_aligned(fn, lattice, periodic_time, shift)
+    assert np.array_equal(psi, want[0]) and np.array_equal(grad, want[1])
+    # x - speed*t rounds at its own magnitude, which the plateau turns
+    # into errors of about that over the band width
+    T, L = lattice.extent_time, lattice.extent_space
+    kappa = (abs(fn.speed) * T + abs(fn.xi_center) + L) / \
+        (fn.outer_radius - fn.inner_radius)
+    for got, want in zip((psi, grad),
+                         _old_shock_aligned(fn, lattice, periodic_time)):
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-13 * kappa * scale
+
+
+@settings(max_examples=50, deadline=None)
+@given(snapped_cases())
+def test_comoving_row_t_plus_q_is_row_t_rolled_by_p(case):
+    # with a time profile of 1 every output is a function of the plateau
+    # alone, and the plateau moves p nodes per q rows exactly
+    fn, lattice, (p, q), periodic_time, block = case
+    unit = mock.patch.object(
+        TimeBump, "_profile",
+        lambda self, t, *_: (np.ones_like(t), np.zeros_like(t)))
+    with unit, mock.patch.object(fields, "_BLOCK_NODES", block):
+        psi, grad = fn.evaluate(lattice, periodic_time)
+    for out in (psi, grad):
+        assert np.array_equal(out[q:], np.roll(out[:-q], p, axis=1))
+
+
+@pytest.mark.parametrize("config, lattice", [
+    ("commutator_sweep", (256, 256)), ("dissipation_shock", (1024, 1024)),
+    ("onsager_suite", (2048, 1024))])
+def test_comoving_path_is_bitwise_the_row_blocks_on_the_configs(config,
+                                                                lattice):
+    import json
+    from pathlib import Path
+    spec = json.loads((Path(__file__).parent.parent / "configs"
+                       / f"{config}.json").read_text())
+    spec = spec.get("shock", spec)
+    spec = spec.get("test_function") or spec["test_functions"][0]
+    fn = build_testfn(spec)
+    lat, p, q = fields._snap(Lattice(k=1, n_time=lattice[0],
+                                     n_space=lattice[1], extent_time=1.0,
+                                     extent_space=1.0), fn.speed)
+    got = fn.evaluate(lat)
+    assert _is_bitwise(got, fn._evaluate(lat, True, None))
+    assert _is_bitwise(got, fn._evaluate(lat, True, (p, q)))
 
 
 def _old_tensor_bump(fn, lattice, periodic_time):

@@ -5,15 +5,16 @@ floating-point definitions."""
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conslab import (Lattice, TravelingField, lacunary_profile, make_builtin,
-                     make_kernel, make_lacunary_field, make_shock_field,
-                     mollify)
+from conslab import (Lattice, TravelingField, fields, lacunary_profile,
+                     make_builtin, make_kernel, make_lacunary_field,
+                     make_shock_field, mollify)
 from conslab.mollifier import _convolve_fft
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -56,6 +57,34 @@ def test_values_are_the_fine_grid_samples(field):
     # the profile nodes share the lattice volume equally
     assert field.node_volume * len(field.profile) == \
         pytest.approx(lat.extent_time * lat.extent_space, rel=1e-14)
+
+
+def _former_gather(field):
+    # values as built before the sheared rows: one lattice-sized index
+    lat = field.lattice
+    size = field.rows * lat.n_space
+    offsets = (np.arange(lat.n_time) * field.shift) % size
+    idx = (field.rows * np.arange(lat.n_space)[None, :]
+           - offsets[:, None]) % size
+    return field.profile[idx]
+
+
+@SETTINGS
+@given(waves(), st.sampled_from([1, 17, 40, 1 << 14]))
+@example(TravelingField(lattice=Lattice(k=1, n_time=37, n_space=12,
+                                        extent_time=1.0, extent_space=1.0),
+                        profile=np.arange(37.0 * 12)[:, None], shift=-12,
+                        rows=37), 24)
+def test_values_are_the_former_gather(field, block):
+    # blocks of one row up to the module's, so that row classes share a
+    # block or a class spans several
+    with mock.patch.object(fields, "_BLOCK_NODES", block):
+        values = TravelingField(lattice=field.lattice, profile=field.profile,
+                                shift=field.shift, rows=field.rows).values
+    want = _former_gather(field)
+    assert values.shape == want.shape
+    assert np.array_equal(values.view(np.int64), want.view(np.int64))
+    assert not values.flags.writeable
 
 
 @SETTINGS
