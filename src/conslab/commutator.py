@@ -4,7 +4,12 @@ leaves in the mollified companion law.
 The central object is W = G([U]_eps) - [G(U)]_eps.  Entries in affine
 flux columns or rows vanish identically (mollification commutes with
 affine maps against a kernel of unit discrete mass) and are short-
-circuited to exact zeros.
+circuited to exact zeros.  A compact-range extension has no affine entries
+globally, but where U and [U]_eps both lie in its delta enlargement every
+flux it evaluates is the base system's, so at such a level the base's
+affine entries are short-circuited too (SystemSpec.extension_of); at any
+other level every entry is computed.  Evaluation still goes through the
+extension's own G.
 
 residual_R integrates the defect of the mollified companion law against a
 test function, split as the multiplier-derivative part I1 and the
@@ -27,14 +32,15 @@ psi and D_X psi onto that grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ParameterError
-from .fields import (Field, magnitude_lq_norm, require_q,
-                     squared_magnitude, squares_lq_norm)
+from .fields import (_BLOCK_NODES, Field, magnitude_lq_norm, power_sum,
+                     require_q, squared_magnitude, squares_lq_norm)
 from .mollifier import MollifierKernel, axis_derivative, mollify, sweep
 from .rates import RateFit, aitken_limit, fit_loglog
 from .systems import (SystemSpec, fd_jacobian, require_delta,
@@ -58,23 +64,40 @@ def _commutator(system: SystemSpec, field: Field,
             for m, (i, j) in enumerate(entries)]
 
 
+def _entries(system: SystemSpec) -> list:
+    """The flux entries (i, j) outside the system's affine rows and columns."""
+    return [(i, j)
+            for i in range(system.n) if i not in system.affine_rows
+            for j in range(system.k + 1) if j not in system.affine_columns]
+
+
 def _commutators(system: SystemSpec, field: Field,
                  kernels: Sequence[MollifierKernel]):
     """Yield (kernel, [U]_eps, U on its window, entries, parts) per kernel,
     coarsest epsilon first, where parts[m] is the commutator entry
-    entries[m] (affine rows and columns left out)."""
+    entries[m] (affine rows and columns left out).
+
+    On a compact-range extension, a level where both U and [U]_eps pass the
+    extension's interior test also leaves out the base system's affine
+    entries: every flux the level evaluates is the base's there."""
     require_states(system, field, f"field of {system.name!r}")
-    entries = [(i, j)
-               for i in range(system.n) if i not in system.affine_rows
-               for j in range(system.k + 1) if j not in system.affine_columns]
+    entries = _entries(system)
+    narrow = entries
+    if system.extension_of is not None:
+        base, interior = system.extension_of
+        if interior(field.nodes):
+            narrow = _entries(base)
     for kernel, mollified, window in sweep(field, kernels):
         require_in_domain(
             system.domain, mollified.nodes,
             f"mollified field of {system.name!r} at eps {kernel.epsilon:g} "
             "(replace the system with extend_to_compact_range(...) over the "
             "field's range box)")
-        yield (kernel, mollified, window, entries,
-               _commutator(system, field, kernel, mollified, entries))
+        level = entries
+        if narrow is not entries and interior(mollified.nodes):
+            level = narrow
+        yield (kernel, mollified, window, level,
+               _commutator(system, field, kernel, mollified, level))
 
 
 def commutator_field(system: SystemSpec, field: Field,
@@ -123,7 +146,9 @@ def lemma_bound_audit(system: SystemSpec, field: Field,
     all nonzero stencil offsets, so the cost grows with the stencil size;
     intended for audit-scale lattices.  On a TravelingField an offset
     (a, c) is the profile shift q*c - p*a, and each distinct one is
-    visited once.
+    visited once.  Each visit rolls the nodes once and sums |v|^{2q}
+    block by block, so a shift norm agrees with a whole-array sum to
+    rounding, not bit for bit.
     """
     require_q(q)
     if not field.periodic_time:
@@ -156,8 +181,10 @@ def lemma_bound_audit(system: SystemSpec, field: Field,
 
 def _max_shift_norm(field: Field, kernel: MollifierKernel,
                     q: float) -> float:
+    """max over the kernel's nonzero offsets Y of ||U - U(. - Y)||_{L^q},
+    one _roll_difference_norm per distinct node shift."""
     n_axes = field.lattice.n_axes
-    nodes = field.nodes
+    nodes = np.ascontiguousarray(field.nodes)
     seen = set()
     best = 0.0
     for off, _w in kernel.offsets():
@@ -173,11 +200,29 @@ def _max_shift_norm(field: Field, kernel: MollifierKernel,
         if shift in seen:
             continue
         seen.add(shift)
-        diff = np.roll(nodes, shift=shift, axis=tuple(range(n_axes)))
-        np.subtract(nodes, diff, out=diff)
-        best = max(best, magnitude_lq_norm(diff, n_axes, q,
-                                           field.node_volume))
+        best = max(best, _roll_difference_norm(nodes, shift, n_axes, q,
+                                               field.node_volume))
     return best
+
+
+def _roll_difference_norm(nodes: np.ndarray, shift: tuple, n_axes: int,
+                          q: float, volume: float) -> float:
+    """L^q norm of |nodes - roll(nodes, shift)|.
+
+    One np.roll; the difference, its squared magnitude and the |v|^q sum
+    then run in blocks of _BLOCK_NODES nodes, in place in the rolled array,
+    which dies on return: a shift holds that array and a few cache-sized
+    temporaries."""
+    count = math.prod(nodes.shape[:n_axes])
+    flat = nodes.reshape(count, -1)
+    diff = np.roll(nodes, shift=shift,
+                   axis=tuple(range(n_axes))).reshape(count, -1)
+    total = 0.0
+    for start in range(0, count, _BLOCK_NODES):
+        block = diff[start:start + _BLOCK_NODES]
+        np.subtract(flat[start:start + _BLOCK_NODES], block, out=block)
+        total += power_sum(squared_magnitude(block, 1), q)
+    return float((total * volume) ** (1.0 / q))
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,11 @@ from .rates import RateFit, fit_loglog
 from .systems import SystemSpec, jump_states
 
 # Nodes per block of the blockwise lattice loops (make_shock_field,
-# _comoving_blocks, ShockAlignedBump.evaluate).  A 128 KiB temporary stays
-# in cache and under glibc's malloc trim threshold, so freed temporaries are
-# reused, not returned to the kernel and faulted in again by the next block
-# (1 MiB ones took about 50,000 minor faults per 4096x2048 call).  The tiled
+# _comoving_blocks, ShockAlignedBump.evaluate, the lemma's shift loop in
+# commutator).  A 128 KiB temporary stays in cache and under glibc's malloc
+# trim threshold, so freed temporaries are reused, not returned to the
+# kernel and faulted in again by the next block (1 MiB ones took about
+# 50,000 minor faults per 4096x2048 call).  The tiled
 # rows that _comoving_blocks reads are at most two blocks per array.
 _BLOCK_NODES = 1 << 14
 
@@ -339,12 +340,25 @@ def _snap(lattice: Lattice, speed: float) -> tuple:
     """Snap extent_time so that |speed|*extent_time is mult whole spatial
     periods (mult the nearest count >= 1) and return (lattice, p, q): a wave
     of this speed moves p/q = sign(speed)*mult*n_space/n_time nodes per
-    time step, in lowest terms ((0, 1) at speed 0)."""
+    time step, in lowest terms ((0, 1) at speed 0).  A speed so small that
+    extent_space/|speed| overflows, or so large that the count does, has
+    no such extent: ParameterError."""
     if speed == 0.0:
         return lattice, 0, 1
     period = lattice.extent_space
-    mult = max(1, round(abs(speed) * lattice.extent_time / period))
-    lattice = replace(lattice, extent_time=mult * period / abs(speed))
+    periods = abs(speed) * lattice.extent_time / period
+    if not periods < math.inf:
+        raise ParameterError(
+            f"speed {speed!r} is too large for a time-periodic wave: "
+            f"|speed|*extent_time/extent_space overflows")
+    mult = max(1, round(periods))
+    extent_time = mult * period / abs(speed)
+    if not extent_time < math.inf:
+        raise ParameterError(
+            f"speed {speed!r} is too small for a time-periodic wave: "
+            f"extent_space/|speed| = {period!r}/{abs(speed)!r} has no finite "
+            f"snapped time extent")
+    lattice = replace(lattice, extent_time=extent_time)
     p = mult * lattice.n_space if speed > 0 else -mult * lattice.n_space
     g = math.gcd(p, lattice.n_time)
     return lattice, p // g, lattice.n_time // g
@@ -499,7 +513,12 @@ def magnitude_lq_norm(values: np.ndarray, n_axes: int, q: float,
 
 def squares_lq_norm(mag2: np.ndarray, q: float, cell_volume: float) -> float:
     """L^q norm of |v| = sqrt(mag2), given the squared magnitudes mag2
-    (left unchanged) on cells of cell_volume.
+    (left unchanged) on cells of cell_volume."""
+    return float((power_sum(mag2, q) * cell_volume) ** (1.0 / q))
+
+
+def power_sum(mag2: np.ndarray, q: float) -> float:
+    """Sum of |v|^q over the squared magnitudes mag2 (left unchanged).
 
     For integer q, |v|^q is a product of q//2 factors |v|^2, times |v| when
     q is odd, so no pow runs; any other q takes (|v|^2)^(q/2)."""
@@ -512,7 +531,7 @@ def squares_lq_norm(mag2: np.ndarray, q: float, cell_volume: float) -> float:
         for _ in range(half - 1 + odd):
             power = np.multiply(power, mag2,
                                 out=None if power is mag2 else power)
-    return float((np.sum(power) * cell_volume) ** (1.0 / q))
+    return np.sum(power)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ with the original near a prescribed range box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -121,7 +121,15 @@ class SystemSpec:
 
     affine_columns (affine_rows) lists flux columns j (rows i) whose
     entries are affine functions of the state; mollification commutes with
-    those entries exactly, which downstream code exploits.
+    those entries exactly, which downstream code exploits.  Both state
+    global facts: they hold at every state.
+
+    extension_of is set by extend_to_compact_range alone: the pair (base,
+    interior) of the system it extends and the predicate on state arrays
+    under which the two evaluate alike.  The commutator sweep leaves out
+    the base's affine entries wherever that predicate holds (see
+    commutator); replace() carries the pair over, so a copy whose G is
+    swapped for one that differs must drop it.
     """
 
     name: str
@@ -136,6 +144,8 @@ class SystemSpec:
     DQ: Optional[Evaluator] = None
     affine_columns: frozenset = frozenset()
     affine_rows: frozenset = frozenset()
+    extension_of: Optional[tuple] = field(default=None, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.k < 1:
@@ -879,8 +889,11 @@ def extend_to_compact_range(system: SystemSpec, range_box, delta: float) -> Syst
     on the delta enlargement and 0 outside the 2*delta enlargement;
     arguments are clamped to the 2*delta box before the original
     evaluators are applied, so every evaluation is legal.  The returned
-    domain is all of state space, and the affine annotations are
-    dropped because the cutoff destroys global affinity.
+    domain is all of state space.  Its affine_columns and affine_rows are
+    empty, because the cutoff destroys global affinity; its extension_of
+    records the original system and the interior test below, so the
+    commutator can still leave out the original's affine entries on
+    arguments that pass it.
 
     The cutoff is a product of per-component factors, broadcast over the
     whole argument together with its gradient; DG, DB and DQ apply the
@@ -930,8 +943,9 @@ def extend_to_compact_range(system: SystemSpec, range_box, delta: float) -> Syst
 
     def interior(U):
         """Whether every state of U lies in the delta enlargement (and so
-        in the 2*delta box): the per-component extremes, compared as the
-        cutoff compares each node; NaN fails."""
+        in the 2*delta box), where every evaluator is the original one: the
+        per-component extremes, compared as the cutoff compares each node;
+        NaN fails."""
         for m in range(n):
             u = U[..., m]
             lo, hi = u.min(initial=np.inf), u.max(initial=-np.inf)
@@ -983,6 +997,7 @@ def extend_to_compact_range(system: SystemSpec, range_box, delta: float) -> Syst
         DQ=wrap_jacobian(system.Q, system.DQ) if system.DQ else None,
         affine_columns=frozenset(),
         affine_rows=frozenset(),
+        extension_of=(system, interior),
     )
 
 

@@ -3,11 +3,13 @@
 import dataclasses
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import oracles
+from conslab import commutator
 from conslab import (DiscreteField, DomainViolationError, Lattice,
                      ParameterError, ShockAlignedBump, StateDomain,
                      SystemSpec, TensorBump, TravelingField,
@@ -178,52 +180,97 @@ def test_lemma_constant_field_sentinel(burgers, space_lattice):
     assert np.all(sweep.commutator_Lq_norms <= 1e-14)
 
 
-def _brute_lemma_bounds(field, kernels, q):
+def _brute_lemma_bounds(field, kernels, qs):
     """||[U]_eps - U||^2 + sup_Y ||U - U(. - Y)||^2 in L^{2q} on the
     materialized lattice, the sup over every nonzero stencil offset with
-    both signs and no deduplication."""
+    both signs and no deduplication: {q: bounds per kernel}."""
     lat = field.lattice
     U = np.array(field.values)
     axes = tuple(range(lat.n_axes))
 
-    def norm(v):
+    def norms(v):
         mag = np.linalg.norm(v.reshape(lat.shape + (-1,)), axis=-1)
-        return (np.sum(mag ** (2 * q)) * lat.cell_volume) ** (1 / (2 * q))
+        return np.array([(np.sum(mag ** (2 * q)) * lat.cell_volume)
+                         ** (1 / (2 * q)) for q in qs])
 
     bounds = []
     for kernel in kernels:
         smoothed = mollify(DiscreteField(lattice=lat, values=U), kernel)
-        sup = max(norm(U - np.roll(U, tuple(sign * o for o in off), axis=axes))
-                  for off, _ in kernel.offsets() if any(off)
-                  for sign in (1, -1))
-        bounds.append(norm(smoothed.values - U) ** 2 + sup ** 2)
-    return np.array(bounds)
+        sup = np.max([norms(U - np.roll(U, tuple(sign * o for o in off),
+                                        axis=axes))
+                      for off, _ in kernel.offsets() if any(off)
+                      for sign in (1, -1)], axis=0)
+        bounds.append(norms(smoothed.values - U) ** 2 + sup ** 2)
+    return dict(zip(qs, np.transpose(bounds)))
 
 
-@pytest.mark.parametrize("form", ["discrete", "traveling"])
-def test_lemma_bound_matches_brute_force_shift_sup(elasto, form):
-    if form == "discrete":
-        s = np.sqrt((1.2 ** 3 - 1.0) / 0.2)
-        shock = make_shock_field(
-            elasto, [1.0, 0.1 * s], [1.2, -0.1 * s], s,
-            Lattice(k=1, n_time=32, n_space=64, extent_time=1.0,
-                    extent_space=1.0))
-        field = DiscreteField(lattice=shock.lattice, values=shock.values)
-    else:
-        rng = np.random.default_rng(3)
-        profile = np.column_stack([1.1 + 0.05 * rng.normal(size=64),
-                                   0.1 * rng.normal(size=64)])
-        field = TravelingField(
-            lattice=Lattice(k=1, n_time=64, n_space=32, extent_time=1.0,
-                            extent_space=1.0),
-            profile=profile, shift=1, rows=2)
-    kernels = [make_kernel(e, field.lattice) for e in (0.25, 0.15)]
+_LEMMA_QS = (1.0, 1.25, 1.5, 2.5, 3.0, 6.0)   # 2q even, fractional, odd
+
+
+@pytest.fixture(scope="module")
+def lemma_cases(elasto, euler2d, plane_field):
+    """form -> (system, field, kernels, small block, brute bounds per q):
+    a 2-D shock over 30 rows, a traveling wave, and the 16x32x32 k = 2
+    lattice.  The small block leaves a partial last one and is no multiple
+    of a row."""
+    s = np.sqrt((1.2 ** 3 - 1.0) / 0.2)
+    shock = make_shock_field(
+        elasto, [1.0, 0.1 * s], [1.2, -0.1 * s], s,
+        Lattice(k=1, n_time=30, n_space=64, extent_time=1.0,
+                extent_space=1.0))
+    rng = np.random.default_rng(3)
+    profile = np.column_stack([1.1 + 0.05 * rng.normal(size=64),
+                               0.1 * rng.normal(size=64)])
+    traveling = TravelingField(
+        lattice=Lattice(k=1, n_time=64, n_space=32, extent_time=1.0,
+                        extent_space=1.0),
+        profile=profile, shift=1, rows=2)
+    cases = {}
+    for form, system, field, epsilons, small in (
+            ("discrete", elasto,
+             DiscreteField(lattice=shock.lattice, values=shock.values),
+             (0.25, 0.15), 100),
+            ("traveling", elasto, traveling, (0.25, 0.15), 27),
+            ("k2", euler2d, plane_field, (0.25,), 5 * 32 * 32 + 7)):
+        kernels = [make_kernel(e, field.lattice) for e in epsilons]
+        cases[form] = (system, field, kernels, small,
+                       _brute_lemma_bounds(field, kernels, _LEMMA_QS))
+    return cases
+
+
+@pytest.mark.parametrize("form", ["discrete", "traveling", "k2"])
+def test_lemma_bound_matches_brute_force_shift_sup(lemma_cases, form):
+    # the shift loop sums |v|^{2q} block by block: the module's blocks and
+    # a small odd one give the brute-force sup
+    system, field, kernels, small, brute = lemma_cases[form]
     before = np.array(field.nodes)
-    sweep = lemma_bound_audit(elasto, field, kernels, q=1.5)
-    np.testing.assert_allclose(sweep.lemma_bound_values,
-                               _brute_lemma_bounds(field, kernels, 1.5),
-                               rtol=1e-12)
+    for q, block in itertools.product(_LEMMA_QS,
+                                      (commutator._BLOCK_NODES, small)):
+        with mock.patch.object(commutator, "_BLOCK_NODES", block):
+            sweep = lemma_bound_audit(system, field, kernels, q=q)
+        np.testing.assert_allclose(sweep.lemma_bound_values, brute[q],
+                                   rtol=1e-12, err_msg=f"q {q}, block {block}")
     assert np.array_equal(field.nodes, before)
+
+
+def test_shift_loop_holds_one_rolled_array_and_block_temporaries(rng):
+    # one np.roll per shift, then cache-sized blocks: the loop's peak is
+    # one rolled lattice array and a few block temporaries, not the
+    # lattice-sized difference, squares and powers
+    lattice = Lattice(k=1, n_time=128, n_space=1024, extent_time=1.0,
+                      extent_space=1.0)
+    field = DiscreteField(lattice=lattice,
+                          values=rng.normal(size=lattice.shape + (2,)))
+    kernel = make_kernel(2.0 ** -7, lattice, space_only=True)
+    list(kernel.offsets())          # the stencil is built before tracing
+    for q in (3.0, 5.0):
+        tracemalloc.start()
+        try:
+            commutator._max_shift_norm(field, kernel, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= field.nodes.nbytes + 4 * 8 * commutator._BLOCK_NODES
 
 
 def test_lemma_audit_validation(burgers, unit_shock, space_lattice, rng):
@@ -352,6 +399,133 @@ def test_residual_identical_between_raw_and_extended_system(elasto):
     # extension is the identity
     assert wrapped.total[0] == pytest.approx(raw.total[0], abs=1e-10)
     assert wrapped.I1[0] == pytest.approx(raw.I1[0], abs=1e-10)
+
+
+# the bounded-audit system: the box holds both states of the C8 shock
+_C8_SPEED = np.sqrt((1.2 ** 3 - 1.0) / 0.2)
+_C8_STATES = ([1.0, 0.1 * _C8_SPEED], [1.2, -0.1 * _C8_SPEED])
+
+
+@pytest.fixture(scope="module")
+def c8_extension(elasto):
+    return extend_to_compact_range(elasto, ([1.0, -1.0], [2.0, 1.0]), 0.25)
+
+
+def _c8_bump(field):
+    T = field.lattice.extent_time
+    return ShockAlignedBump(speed=_C8_SPEED, xi_center=0.5, inner_radius=0.1,
+                            outer_radius=0.3, time_center=0.5 * T,
+                            time_radius=0.4 * T)
+
+
+def _bitwise(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@pytest.mark.parametrize("form", ["discrete", "traveling"])
+def test_extension_on_interior_field_is_the_raw_system_bit_for_bit(
+        elasto, c8_extension, form):
+    # every state and every mollified state lies in the delta enlargement,
+    # so the extension evaluates only the raw entries, through its own G
+    lat = Lattice(k=1, n_time=64, n_space=128, extent_time=1.0,
+                  extent_space=1.0)
+    if form == "discrete":
+        shock = make_shock_field(elasto, *_C8_STATES, _C8_SPEED, lat)
+        field = DiscreteField(lattice=shock.lattice, values=shock.values)
+    else:
+        field = make_shock_field(elasto, [1.2, 0.1], [1.6, -0.1], 0.0, lat)
+        assert isinstance(field, TravelingField)
+    kernels = [make_kernel(e, field.lattice) for e in (1 / 4, 1 / 8)]
+    for (_, _, _, ext_entries, ext_parts), (_, _, _, entries, parts) in zip(
+            commutator._commutators(c8_extension, field, kernels),
+            commutator._commutators(elasto, field, kernels)):
+        assert ext_entries == entries == [(1, 1)]
+        assert all(map(_bitwise, ext_parts, parts))
+    bump = _c8_bump(field)
+    ext = residual_R(c8_extension, field, kernels, bump)
+    raw = residual_R(elasto, field, kernels, bump)
+    for name in ("I1", "I2", "total"):
+        assert _bitwise(getattr(ext, name), getattr(raw, name))
+    ext_lemma = lemma_bound_audit(c8_extension, field, kernels, 3.0)
+    raw_lemma = lemma_bound_audit(elasto, field, kernels, 3.0)
+    for name in ("commutator_Lq_norms", "lemma_bound_values", "measured_C"):
+        assert _bitwise(getattr(ext_lemma, name), getattr(raw_lemma, name))
+    assert _bitwise(commutator_field(c8_extension, field, kernels[0]).nodes,
+                    commutator_field(elasto, field, kernels[0]).nodes)
+
+
+def test_extension_with_a_state_in_the_shell_evaluates_every_entry(
+        elasto, c8_extension):
+    # one state between the delta and the 2 delta enlargement sends every
+    # evaluation through the cutoff: the affine entries are not zero there,
+    # and each entry is G([U]_eps) - [G(U)]_eps as computed in full
+    lat = Lattice(k=1, n_time=64, n_space=128, extent_time=1.0,
+                  extent_space=1.0)
+    shock = make_shock_field(elasto, *_C8_STATES, _C8_SPEED, lat)
+    values = np.array(shock.values)
+    values[3, 5, 0] = 0.65          # 0.35 below the box, delta = 0.25
+    field = DiscreteField(lattice=shock.lattice, values=values)
+    interior = c8_extension.extension_of[1]
+    assert not interior(field.nodes)
+    kernels = [make_kernel(e, field.lattice) for e in (1 / 4, 1 / 8)]
+    everything = [(i, j) for i in range(2) for j in range(2)]
+    for kernel in kernels:
+        W = commutator_field(c8_extension, field, kernel).nodes
+        smoothed = mollify(field, kernel)
+        G = c8_extension.G(field.nodes)
+        mollified_G = mollify(field.with_nodes(
+            G[..., [0, 0, 1, 1], [0, 1, 0, 1]]), kernel).nodes
+        want = c8_extension.G(smoothed.nodes)
+        for m, (i, j) in enumerate(everything):
+            want[..., i, j] -= mollified_G[..., m]
+        assert _bitwise(W, want)
+        assert np.any(W[..., 0, :] != 0.0) and np.any(W[..., :, 0] != 0.0)
+    # residual and lemma are those of a system with no agreement recorded
+    full = dataclasses.replace(c8_extension, extension_of=None)
+    bump = _c8_bump(field)
+    for name in ("I1", "I2", "total"):
+        assert _bitwise(
+            getattr(residual_R(c8_extension, field, kernels, bump), name),
+            getattr(residual_R(full, field, kernels, bump), name))
+    assert _bitwise(
+        lemma_bound_audit(c8_extension, field, kernels, 3.0).measured_C,
+        lemma_bound_audit(full, field, kernels, 3.0).measured_C)
+
+
+@pytest.mark.parametrize("answers, want", [
+    ((True, True, False), [[(1, 1)], "all"]),   # [U]_eps leaves at level 2
+    ((False,), ["all", "all"]),                 # U leaves: no level asks
+])
+def test_extension_narrows_only_levels_inside_the_interior(
+        elasto, c8_extension, answers, want):
+    # the interior test is asked of U once, then of [U]_eps per level
+    lat = Lattice(k=1, n_time=64, n_space=128, extent_time=1.0,
+                  extent_space=1.0)
+    field = make_shock_field(elasto, [1.2, 0.1], [1.6, -0.1], 0.0, lat)
+    kernels = [make_kernel(e, lat) for e in (1 / 4, 1 / 8)]
+    replies = iter(answers)
+    system = dataclasses.replace(
+        c8_extension, extension_of=(elasto, lambda U: next(replies)))
+    everything = [(i, j) for i in range(2) for j in range(2)]
+    got = [entries for _, _, _, entries, _ in
+           commutator._commutators(system, field, kernels)]
+    assert got == [everything if w == "all" else w for w in want]
+
+
+def test_c8_gap_is_exactly_zero(elasto, c8_extension):
+    # criterion 8's field, test function and sweep: the extended and the
+    # raw residual agree to the last bit, not only within its 1e-10
+    lat = Lattice(k=1, n_time=512, n_space=1024, extent_time=1.0,
+                  extent_space=1.0)
+    field = make_shock_field(elasto, *_C8_STATES, _C8_SPEED, lat)
+    kernels = [make_kernel(2.0 ** -i, field.lattice) for i in range(3, 7)]
+    bump = _c8_bump(field)
+    ext = residual_R(c8_extension, field, kernels, bump)
+    raw = residual_R(elasto, field, kernels, bump)
+    assert np.max(np.abs(ext.total - raw.total)) == 0.0
+    assert _bitwise(ext.I1, raw.I1) and _bitwise(ext.I2, raw.I2)
 
 
 def test_residual_finite_difference_DB_matches_analytic(elasto):

@@ -197,6 +197,35 @@ def test_lacunary_field_fractional_speed_snaps():
     assert ratio == pytest.approx(round(ratio))
 
 
+_SNAP_LAT = Lattice(k=1, n_time=16, n_space=64, extent_time=1.0,
+                    extent_space=1.0)
+
+
+@pytest.mark.parametrize("make, speed", [
+    (lambda s: make_lacunary_field(0.6, 3, 0, s, _SNAP_LAT), 1e-310),
+    (lambda s: make_shock_field(make_builtin("burgers"), [1.0], [0.0], s,
+                                _SNAP_LAT), 1e-320),
+    (lambda s: make_shock_field(make_builtin("burgers"), [1.0], [0.0], s,
+                                _SNAP_LAT), -1e-320),
+])
+def test_generators_name_a_speed_with_no_finite_snapped_extent(make, speed):
+    # extent_space/|speed| overflows: the message names the speed and the
+    # cause, not the generic lattice-extent check it used to reach
+    with pytest.raises(ParameterError) as info:
+        make(speed)
+    message = str(info.value)
+    assert f"speed {speed!r}" in message
+    assert "extent_space/|speed|" in message
+    assert "no finite snapped time extent" in message
+
+
+def test_shock_field_names_a_speed_whose_period_count_overflows(burgers):
+    lat = Lattice(k=1, n_time=16, n_space=64, extent_time=10.0,
+                  extent_space=1.0)
+    with pytest.raises(ParameterError, match=r"speed 1e\+308 is too large"):
+        make_shock_field(burgers, [1.0], [0.0], 1e308, lat)
+
+
 def test_lacunary_field_validation():
     lat = Lattice(k=1, n_time=8, n_space=256, extent_time=1.0,
                   extent_space=1.0)

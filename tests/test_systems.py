@@ -343,6 +343,20 @@ def test_extension_domain_and_annotations(extended):
     assert np.all(np.isfinite(extended.G(wild)))
 
 
+def test_extension_records_its_base_and_interior(extended):
+    # the affine annotations stay empty; the agreement with the base is
+    # recorded beside them, and replace() keeps it
+    base, interior = extended.extension_of
+    assert base.name == "elastodynamics-1d"
+    assert base.affine_rows == frozenset({0})
+    assert interior(np.array([[1.0, -1.0], [2.0 + 0.9 * DELTA, 0.5]]))
+    assert not interior(np.array([[1.5, 0.0], [2.0 + 1.3 * DELTA, 0.0]]))
+    assert not interior(np.array([[np.nan, 0.0]]))
+    assert replace(extended, DB=None).extension_of \
+        == extended.extension_of
+    assert make_builtin("burgers").extension_of is None
+
+
 def test_extension_jacobians_consistent_in_shell(extended):
     # product rule through cutoff and clamp; probe all three zones
     pts = np.array([[1.5, 0.0],            # chi = 1

@@ -494,6 +494,20 @@ def test_shock_aligned_evaluate_allocates_little_beyond_its_outputs():
             assert peak <= 1.25 * (psi.nbytes + grad.nbytes)
 
 
+@pytest.mark.parametrize("speed", [1e-310, -1e-320])
+def test_shock_aligned_speed_without_snapped_extent_takes_row_blocks(speed):
+    # _snap refuses the speed (extent_space/|speed| overflows), so evaluate
+    # falls back to the row blocks
+    fn = _aligned(speed, 0.5)
+    with pytest.raises(ParameterError, match="no finite snapped time extent"):
+        fields._snap(_LAT, speed)
+    with mock.patch.object(ShockAlignedBump, "_evaluate", autospec=True,
+                           side_effect=ShockAlignedBump._evaluate) as spy:
+        got = fn.evaluate(_LAT)
+    assert spy.call_args.args[3] is None
+    assert _is_bitwise(got, fn._evaluate(_LAT, True, None))
+
+
 def _is_bitwise(got, want):
     return all(a.shape == b.shape and
                np.array_equal(a.view(np.int64), b.view(np.int64))
