@@ -27,7 +27,9 @@ Everything here runs on the field's nodes (see fields): on a
 TravelingField moving p/q nodes per step the commutator, the multiplier
 and every norm live on the q*n_space profile nodes of the co-moving grid
 eta = q*i - p*t, and the integrals pair them with the shear averages of
-psi and D_X psi onto that grid.
+psi and D_X psi onto that grid.  psi is evaluated once per residual_R
+call, on the field's own lattice and clock; a level trimmed in time reads
+the rows of its window.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, TestSupportError
 from .fields import (_BLOCK_NODES, Field, magnitude_lq_norm, power_sum,
                      require_q, squared_magnitude, squares_lq_norm)
 from .mollifier import MollifierKernel, axis_derivative, mollify, sweep
@@ -73,9 +75,10 @@ def _entries(system: SystemSpec) -> list:
 
 def _commutators(system: SystemSpec, field: Field,
                  kernels: Sequence[MollifierKernel]):
-    """Yield (kernel, [U]_eps, U on its window, entries, parts) per kernel,
-    coarsest epsilon first, where parts[m] is the commutator entry
-    entries[m] (affine rows and columns left out).
+    """Check the field's states, then return an iterator over the sweep
+    that yields (kernel, [U]_eps, rows, entries, parts) per kernel,
+    coarsest epsilon first: rows as in mollifier.sweep, parts[m] the
+    commutator entry entries[m] (affine rows and columns left out).
 
     On a compact-range extension, a level where both U and [U]_eps pass the
     extension's interior test also leaves out the base system's affine
@@ -87,17 +90,20 @@ def _commutators(system: SystemSpec, field: Field,
         base, interior = system.extension_of
         if interior(field.nodes):
             narrow = _entries(base)
-    for kernel, mollified, window in sweep(field, kernels):
-        require_in_domain(
-            system.domain, mollified.nodes,
-            f"mollified field of {system.name!r} at eps {kernel.epsilon:g} "
-            "(replace the system with extend_to_compact_range(...) over the "
-            "field's range box)")
-        level = entries
-        if narrow is not entries and interior(mollified.nodes):
-            level = narrow
-        yield (kernel, mollified, window, level,
-               _commutator(system, field, kernel, mollified, level))
+
+    def levels():
+        for kernel, mollified, rows in sweep(field, kernels):
+            require_in_domain(
+                system.domain, mollified.nodes,
+                f"mollified field of {system.name!r} at eps "
+                f"{kernel.epsilon:g} (replace the system with "
+                "extend_to_compact_range(...) over the field's range box)")
+            level = entries
+            if narrow is not entries and interior(mollified.nodes):
+                level = narrow
+            yield (kernel, mollified, rows, level,
+                   _commutator(system, field, kernel, mollified, level))
+    return levels()
 
 
 def commutator_field(system: SystemSpec, field: Field,
@@ -157,14 +163,14 @@ def lemma_bound_audit(system: SystemSpec, field: Field,
             "maximum wraps every axis)")
     n_axes = field.lattice.n_axes
     eps, lhs, bounds = [], [], []
-    for kernel, mollified, window, _, parts in _commutators(system, field,
-                                                            kernels):
+    for kernel, mollified, rows, _, parts in _commutators(system, field,
+                                                          kernels):
         vol = mollified.node_volume
         # squares summed in entry order, as squared_magnitude would add them
         mag2 = sum(map(np.square, parts), np.zeros(()))
         lhs.append(squares_lq_norm(mag2, q, vol))
-        approx = magnitude_lq_norm(mollified.nodes - window, n_axes,
-                                   2.0 * q, vol)
+        approx = magnitude_lq_norm(mollified.nodes - field.nodes[rows],
+                                   n_axes, 2.0 * q, vol)
         shift_sup = _max_shift_norm(field, kernel, 2.0 * q)
         bounds.append(approx ** 2 + shift_sup ** 2)
         eps.append(kernel.epsilon)
@@ -251,16 +257,20 @@ def residual_R(system: SystemSpec, field: Field,
     along D_X[U]_eps times psi; I2 pairs it with the multiplier times
     D_X psi.  The multiplier Jacobian D_U B uses the system's analytic DB
     when present, else central differences with step fd_step.
+
+    psi is evaluated once, on the field's own lattice and clock, and
+    averaged onto its nodes; each level reads the rows of its window.  On
+    a field that is not periodic in time a level keeps the time window
+    its kernel's radius leaves at both ends, and psi and D_X psi must
+    vanish outside it: TestSupportError otherwise.
     """
+    levels = _commutators(system, field, kernels)
+    psi_all, dpsi_all = map(field.node_mean, testfn.evaluate(
+        field.lattice, field.periodic_time))
     eps, I1s, I2s, totals = [], [], [], []
-    test_cache = {}
-    for kernel, mollified, _, entries, parts in _commutators(system, field,
-                                                             kernels):
-        key = (mollified.lattice, mollified.periodic_time)
-        if key not in test_cache:
-            test_cache[key] = tuple(map(mollified.node_mean,
-                                        testfn.evaluate(*key)))
-        psi, dpsi = test_cache[key]
+    for kernel, mollified, rows, entries, parts in levels:
+        _require_window_support(field, kernel, rows, psi_all, dpsi_all)
+        psi, dpsi = psi_all[rows], dpsi_all[rows]
         vol = mollified.node_volume
         B = system.B(mollified.nodes)
         if system.DB is not None:
@@ -288,11 +298,24 @@ def residual_R(system: SystemSpec, field: Field,
                           limit_estimate=aitken_limit(totals))
 
 
+def _require_window_support(field: Field, kernel: MollifierKernel,
+                            rows: slice, *parts: np.ndarray) -> None:
+    """Raise TestSupportError where a part is nonzero on a row the level
+    at kernel trims."""
+    if any(np.any(p[:rows.start]) or np.any(p[rows.stop:]) for p in parts):
+        h = field.lattice.h_time
+        raise TestSupportError(
+            f"test function is nonzero outside the time window "
+            f"[{rows.start * h:g}, {(rows.stop - 1) * h:g}] that the level "
+            f"at eps {kernel.epsilon:g} keeps; shrink its time support or "
+            "epsilon")
+
+
 def good_set_measure(field: Field, kernel: MollifierKernel,
                      delta: float) -> float:
     """Fraction of lattice nodes where |U - [U]_eps| < delta."""
     require_delta(delta)
-    _, mollified, window = next(sweep(field, [kernel]))
-    mag = np.sqrt(squared_magnitude(mollified.nodes - window,
+    _, mollified, rows = next(sweep(field, [kernel]))
+    mag = np.sqrt(squared_magnitude(mollified.nodes - field.nodes[rows],
                                     field.lattice.n_axes))
     return float(np.mean(mag < delta))

@@ -45,7 +45,7 @@ from .systems import SystemSpec, jump_states
 # commutator).  A 128 KiB temporary stays in cache and under glibc's malloc
 # trim threshold, so freed temporaries are reused, not returned to the
 # kernel and faulted in again by the next block (1 MiB ones took about
-# 50,000 minor faults per 4096x2048 call).  The tiled
+# 50,000 minor faults per 4096x2048 call).  The doubled
 # rows that _comoving_blocks reads are at most two blocks per array.
 _BLOCK_NODES = 1 << 14
 
@@ -281,16 +281,16 @@ def _comoving_blocks(lattice: Lattice, shift: int, rows: int, base, live):
 
     base(eta) returns the arrays of rows j at their fine-grid nodes eta =
     rows*i - shift*j (mod rows*n_space), value axes last.  Yields (block,
-    views): block indexes a lattice array reshaped to (n_time/rows, rows,
-    n_space, ...), each view its rows, a sheared strided window over rows
-    j tiled by whole periods.  Blocks of about _BLOCK_NODES nodes are
-    trimmed to the rows where the (n_time/rows, rows) mask live holds."""
+    parts): block indexes a lattice array reshaped to (n_time/rows, rows,
+    n_space, ...), each part its values, read with one gather from the
+    rows j doubled along space: row j + rows*k is the window of n_space
+    nodes from offset -shift*k mod n_space.  Blocks of about _BLOCK_NODES
+    nodes are trimmed to the rows where the (n_time/rows, rows) mask live
+    holds."""
     n, count = lattice.n_space, lattice.n_time // rows
     shift %= rows * n
     kb = min(count, max(1, _BLOCK_NODES // n))
     jb = min(rows, max(1, _BLOCK_NODES // n) // kb)
-    step = (-shift - 1) % n + 1                 # -shift mod n, in [1, n]
-    periods = -(-(step * (kb - 1) + 2 * n - 1) // n)
     for j0 in range(0, rows, jb):
         js = slice(j0, min(rows, j0 + jb))
         if not live[:, js].any():
@@ -298,18 +298,17 @@ def _comoving_blocks(lattice: Lattice, shift: int, rows: int, base, live):
         eta = (rows * np.arange(n)
                - shift * np.arange(js.start, js.stop)[:, None]) % (rows * n)
         windows = [np.moveaxis(sliding_window_view(np.concatenate(
-            [arr] * periods, axis=1), n, axis=1), -1, 2) for arr in base(eta)]
+            [arr, arr], axis=1), n, axis=1), -1, 2) for arr in base(eta)]
         for k0 in range(0, count, kb):
             box = live[k0:k0 + kb, js]
             ks, jj = (np.flatnonzero(box.any(axis=ax)) for ax in (1, 0))
             if not ks.size:
                 continue
-            a, b, j = k0 + ks[0], k0 + ks[-1] + 1, slice(jj[0], jj[-1] + 1)
-            # window offsets start, start + step, ... are -shift*k mod n
-            start = -shift * int(a) % n
-            yield (slice(a, b), slice(j0 + j.start, j0 + j.stop)), \
-                [np.swapaxes(w[j, start::step][:, :b - a], 0, 1)
-                 for w in windows]
+            a, b = k0 + ks[0], k0 + ks[-1] + 1
+            j = np.arange(jj[0], jj[-1] + 1)
+            offsets = (-shift * np.arange(a, b) % n)[:, None]
+            yield (slice(a, b), slice(j0 + j[0], j0 + j[-1] + 1)), \
+                [w[j, offsets] for w in windows]
 
 
 def remainder(a: np.ndarray, period: float) -> np.ndarray:

@@ -267,17 +267,18 @@ def mollify(field: Field, kernel: MollifierKernel,
 
 
 def sweep(field: Field, kernels: Sequence[MollifierKernel]):
-    """Yield (kernel, [U]_eps, window) per kernel, coarsest epsilon first;
-    window is the nodes of U on the lattice of [U]_eps, the time slab a
-    trim keeps.  [U]_eps has the form of U, so a TravelingField stays
+    """Yield (kernel, [U]_eps, rows) per kernel, coarsest epsilon first;
+    rows slices the leading axis of U's nodes (or of any array on them) to
+    the lattice of [U]_eps: the time slab a trim keeps, all of it
+    otherwise.  [U]_eps has the form of U, so a TravelingField stays
     compact through the sweep."""
     if not kernels:
         raise ParameterError("empty kernel sweep")
-    nodes = field.nodes
+    count = len(field.nodes)
     for kernel in sorted(kernels, key=lambda k: -k.epsilon):
         mollified = mollify(field, kernel)
         r_t = (field.lattice.n_time - mollified.lattice.n_time) // 2
-        yield kernel, mollified, nodes[r_t:len(nodes) - r_t]
+        yield kernel, mollified, slice(r_t, count - r_t)
 
 
 def lq_norm(field: Field, q: float) -> float:
@@ -352,13 +353,13 @@ def verify_estimates(field: Field, q: float,
     lat = field.lattice
     kernels = [make_kernel(e, lat) for e in epsilons]
     eps, grad_norms, diff_norms, trans_norms = [], [], [], []
-    for kernel, smoothed, window in sweep(field, kernels):
+    for kernel, smoothed, rows in sweep(field, kernels):
         e = kernel.epsilon
         vol = smoothed.node_volume
         eps.append(e)
         grad_norms.append(squares_lq_norm(_squared_gradient(smoothed), q,
                                           vol))
-        diff_norms.append(magnitude_lq_norm(smoothed.nodes - window,
+        diff_norms.append(magnitude_lq_norm(smoothed.nodes - field.nodes[rows],
                                             lat.n_axes, q, vol))
         best = 0.0
         for axis in range(lat.n_axes):

@@ -163,8 +163,13 @@ class SystemSpec:
 
 
 def require_states(system: SystemSpec, field, what: str) -> None:
-    """Raise ParameterError unless a field holds system.n state components
-    per node, then check its states against the system's domain."""
+    """Raise ParameterError unless a field lives on a lattice of system.k
+    space dimensions and holds system.n state components per node, then
+    check its states against the system's domain."""
+    if field.lattice.k != system.k:
+        raise ParameterError(
+            f"{what} lives on a lattice of k = {field.lattice.k} space "
+            f"dimensions, but {system.name!r} has k = {system.k}")
     if field.value_shape != (system.n,):
         raise ParameterError(
             f"{what} has values of shape {field.value_shape} per node, but "

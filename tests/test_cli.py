@@ -307,6 +307,34 @@ def test_field_state_count_must_match_system(tmp_path, capsys):
     assert "shape (2,)" in err and "has 1 state components" in err
 
 
+def test_field_space_dimension_must_match_system(tmp_path):
+    # a k = 1 lattice under a k = 2 system once died in axis_derivative
+    # with a raw IndexError
+    config = {
+        "command": "commutator-sweep",
+        "system": {"name": "euler-incompressible-2d"},
+        "lattice": {"n_time": 32, "n_space": 32},
+        "field": {"kind": "constant", "value": [0.0, 0.1, 0.2]},
+        "sweep": {"eps_max": 0.25, "n_levels": 2},
+        "test_function": {"kind": "bump", "center": [0.5, 0.5],
+                          "radius": [0.3, 0.3]},
+    }
+    path = write_config(tmp_path, config)
+    src = str(Path(conslab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "conslab.cli", "commutator-sweep",
+         "--config", str(path), "--outdir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1
+    assert "k = 1" in errors[0] and "k = 2" in errors[0]
+
+
 # ---------------------------------------------------------------------------
 # artifact layout and determinism
 

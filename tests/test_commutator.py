@@ -9,15 +9,17 @@ import numpy as np
 import pytest
 
 import oracles
+from conslab import TestSupportError as SupportError
 from conslab import commutator
 from conslab import (DiscreteField, DomainViolationError, Lattice,
                      ParameterError, ShockAlignedBump, StateDomain,
-                     SystemSpec, TensorBump, TravelingField,
+                     SystemSpec, TensorBump, TimeBump, TravelingField,
                      commutator_field, extend_to_compact_range,
                      good_set_measure,
                      lemma_bound_audit, lq_norm, make_builtin, make_kernel,
                      make_lacunary_field, make_shock_field, mollify,
                      residual_R)
+from conslab.mollifier import axis_derivative
 
 
 @pytest.fixture(scope="module")
@@ -587,6 +589,92 @@ def test_residual_rejects_field_with_wrong_state_count(burgers,
     with pytest.raises(ParameterError,
                        match=r"shape \(2,\).*'burgers' has 1 state"):
         residual_R(burgers, field, [kernel], psi)
+
+
+def test_residual_rejects_field_of_other_space_dimension(space_lattice):
+    # a k = 1 lattice under a k = 2 system once died in axis_derivative;
+    # the check comes before the test function, here one built for k = 2
+    euler2d = make_builtin("euler-incompressible-2d")
+    field = DiscreteField(lattice=space_lattice,
+                          values=np.full(space_lattice.shape + (3,), 0.1))
+    kernel = make_kernel(0.0625, space_lattice, space_only=True)
+    psi = TensorBump(center=[0.5, 0.5, 0.5], radius=[0.3, 0.3, 0.3])
+    with pytest.raises(ParameterError,
+                       match=r"k = 1 space dimensions.*has k = 2"):
+        residual_R(euler2d, field, [kernel], psi)
+
+
+def open_time_field():
+    # 64 x 64 over [0, 2) x [0, 1), not periodic in time; at eps = 1/8 the
+    # kernel's time radius is r_t = 4 nodes
+    lattice = Lattice(k=1, n_time=64, n_space=64, extent_time=2.0,
+                      extent_space=1.0)
+    values = np.cumsum(np.random.default_rng(0).normal(size=(64, 64, 1)),
+                       axis=0) * 0.1
+    return DiscreteField(lattice=lattice, values=values, periodic_time=False)
+
+
+def test_residual_reads_psi_on_the_fields_own_clock(burgers):
+    # each trimmed level once evaluated psi on a lattice whose clock
+    # restarted at 0, so psi slid by r_t*h_t: I1 read 0.005630
+    field = open_time_field()
+    kernel = make_kernel(1 / 8, field.lattice)
+    assert kernel.radius_nodes[0] == 4
+    testfn = TimeBump(center=1.0, radius=0.5)
+    report = residual_R(burgers, field, [kernel], testfn)
+
+    psi = testfn.evaluate(field.lattice, periodic_time=False)[0][4:60]
+    smoothed = mollify(field, kernel)
+    W = commutator_field(burgers, field, kernel).values[..., 0, 1]
+    chain = burgers.DB(smoothed.values)[..., 0, 0] \
+        * axis_derivative(smoothed, 1)[..., 0]
+    want = -np.sum(W * chain * psi) * smoothed.node_volume
+    assert report.I1[0] == pytest.approx(want, rel=1e-12)
+    assert report.I1[0] == pytest.approx(0.004044, abs=5e-7)
+
+
+def test_residual_rejects_psi_on_trimmed_rows(burgers):
+    field = open_time_field()
+    # support [0.15, 1.85]: inside the rows 4..59 that eps 1/8 keeps, but
+    # nonzero on rows 5 and 58, which eps 3/16 (r_t = 6) trims
+    testfn = TimeBump(center=1.0, radius=0.85)
+    kernels = [make_kernel(e, field.lattice) for e in (1 / 8, 3 / 16)]
+    residual_R(burgers, field, kernels[:1], testfn)
+    with pytest.raises(SupportError,
+                       match=r"window \[0.1875, 1.78125\].*eps 0.1875"):
+        residual_R(burgers, field, kernels, testfn)
+
+
+class CountingTestFunction:
+    """Forwards evaluate to a test function and counts the calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def evaluate(self, lattice, periodic_time=True):
+        self.calls += 1
+        return self.inner.evaluate(lattice, periodic_time)
+
+
+@pytest.mark.parametrize("form", ["traveling", "discrete", "open-time"])
+def test_residual_evaluates_psi_once_per_call(burgers, form):
+    lattice = Lattice(k=1, n_time=64, n_space=64, extent_time=2.0,
+                      extent_space=1.0)
+    if form == "open-time":
+        field = open_time_field()
+        testfn = TimeBump(center=1.0, radius=0.5)
+    else:
+        field = make_lacunary_field(0.6, 4, 3, 1.0, lattice)
+        assert isinstance(field, TravelingField)
+        if form == "discrete":
+            field = DiscreteField(lattice=field.lattice, values=field.values)
+        testfn = TensorBump(center=(1.0, 0.5), radius=(0.5, 0.35))
+    counting = CountingTestFunction(testfn)
+    kernels = [make_kernel(e, field.lattice) for e in (1 / 8, 3 / 16, 1 / 4)]
+    report = residual_R(burgers, field, kernels, counting)
+    assert counting.calls == 1
+    assert len(report.total) == 3
 
 
 def test_compact_sweep_retains_no_lattice_array(burgers):
