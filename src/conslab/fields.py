@@ -11,10 +11,11 @@ A DiscreteField stores every lattice node.  A TravelingField, an exact
 discrete traveling wave that moves p/q nodes per time step, stores one
 profile on the fine co-moving grid eta = q*i - p*t (mod q*n_space): its
 q*n_space nodes hold every value the n_time*n_space lattice takes, each
-for n_time/q cells.  Both generators snap extent_time so their wave is
-time-periodic, which fixes p/q exactly; lacunary fields are always
-TravelingFields, shock fields whenever their floating-point left/right
-test is such a wave row for row.
+for n_time/q cells; rows j, j + q, ... read one residue class of eta, each
+from its own node (`_row_classes`).  Both generators snap extent_time so
+their wave is time-periodic, which fixes p/q exactly; lacunary fields are
+always TravelingFields, shock fields whenever their floating-point
+left/right test is such a wave row for row.
 
 Consumers work through the node protocol both forms share: `nodes` (the
 distinct node values, lattice axes first), `node_volume` (the lattice
@@ -34,24 +35,29 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, ResolutionError, UnsupportedGeometryError
 from .rates import RateFit, fit_loglog
 from .systems import SystemSpec, jump_states
 
-# Nodes per block of the blockwise lattice loops (make_shock_field,
-# _comoving_blocks, ShockAlignedBump.evaluate, the lemma's shift loop in
+# Nodes per block of the blockwise lattice loops (make_shock_field's
+# left/right test, ShockAlignedBump's row blocks, the lemma's shift loop in
 # commutator).  A 128 KiB temporary stays in cache and under glibc's malloc
 # trim threshold, so freed temporaries are reused, not returned to the
 # kernel and faulted in again by the next block (1 MiB ones took about
-# 50,000 minor faults per 4096x2048 call).  The doubled
-# rows that _comoving_blocks reads are at most two blocks per array.
+# 50,000 minor faults per 4096x2048 call).
 _BLOCK_NODES = 1 << 14
 
 _MAGIC = b"CLABFLD1"
 _FORMAT_VERSION = 1
 _HEADER = struct.Struct("<8sIIIB3xQQdd")
+
+
+def _integer(value, what: str) -> int:
+    """value as an int; ParameterError unless it is an integer, not a bool."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -67,6 +73,9 @@ class Lattice:
     extent_space: float
 
     def __post_init__(self):
+        for name in ("k", "n_time", "n_space"):
+            object.__setattr__(self, name, _integer(
+                getattr(self, name), f"lattice {name}"))
         if self.k < 1:
             raise ParameterError("space dimension k must be >= 1")
         if self.n_time < 8 or self.n_space < 8:
@@ -186,12 +195,8 @@ class TravelingField:
         profile = np.asarray(self.profile, dtype=float)
         lat = self.lattice
         for name in ("shift", "rows"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not hasattr(value, "__index__"):
-                raise ParameterError(
-                    f"a traveling wave's {name} must be an integer, got "
-                    f"{value!r}")
-            object.__setattr__(self, name, operator.index(value))
+            object.__setattr__(self, name, _integer(
+                getattr(self, name), f"a traveling wave's {name}"))
         shift, rows = self.shift, self.rows
         if rows < 1:
             raise ParameterError(
@@ -221,12 +226,13 @@ class TravelingField:
 
     @cached_property
     def values(self) -> np.ndarray:
-        lat = self.lattice
-        values = np.empty(lat.shape + self.value_shape)
-        for block, (part,) in _comoving_blocks(
-                lat, self.shift, self.rows, lambda eta: [self.profile[eta]],
-                np.ones((lat.n_time // self.rows, self.rows), dtype=bool)):
-            values.reshape((-1, self.rows) + values.shape[1:])[block] = part
+        n = self.lattice.n_space
+        values = np.empty(self.lattice.shape + self.value_shape)
+        for r, ts, ss in _row_classes(self.lattice, self.shift, self.rows):
+            # class r doubled along space: row t is its window from s
+            cls = np.concatenate([self.profile[r::self.rows]] * 2)
+            for t, s in zip(ts.tolist(), ss.tolist()):
+                values[t] = cls[s:s + n]
         values.flags.writeable = False
         return values
 
@@ -255,17 +261,18 @@ class TravelingField:
         """Shear average of a lattice array onto the profile nodes: the
         mean of arr[t, i] over the n_time/rows cells with
         rows*i - shift*t = eta."""
-        n, rows = self.lattice.n_space, self.rows
-        # row t lands in residue class r of eta, moved by s whole nodes;
+        lat, n, rows = self.lattice, self.lattice.n_space, self.rows
+        if arr.shape[:2] != lat.shape:
+            raise ParameterError(f"an array of shape {arr.shape} is not over "
+                                 f"this wave's {lat.n_time} x {n} lattice")
         # each class is summed contiguously and interleaved at the end
         acc = np.zeros((rows,) + arr.shape[1:])
-        for t, row in enumerate(arr):
-            s, r = divmod(-self.shift * t, rows)
-            s %= n
-            acc[r, s:] += row[:n - s]
-            acc[r, :s] += row[n - s:]
+        for r, ts, ss in _row_classes(lat, self.shift, rows):
+            for t, s in zip(ts.tolist(), ss.tolist()):
+                acc[r, s:] += arr[t, :n - s]
+                acc[r, :s] += arr[t, n - s:]
         out = np.moveaxis(acc, 0, 1).reshape((rows * n,) + arr.shape[2:])
-        return (out / (self.lattice.n_time / rows))[None]
+        return (out / (lat.n_time / rows))[None]
 
     def with_nodes(self, nodes: np.ndarray) -> "TravelingField":
         return TravelingField(lattice=self.lattice, profile=nodes[0],
@@ -275,40 +282,19 @@ class TravelingField:
 Field = Union[DiscreteField, TravelingField]
 
 
-def _comoving_blocks(lattice: Lattice, shift: int, rows: int, base, live):
-    """Blocks of the lattice arrays of a wave moving shift/rows nodes per
-    step, whose row j + rows*k is row j < rows rolled by shift*k.
+def _row_classes(lattice: Lattice, shift: int, rows: int):
+    """The row rule of a wave moving shift/rows nodes per step, values[t,
+    i] = profile[(rows*i - shift*t) mod rows*n_space], by residue class.
 
-    base(eta) returns the arrays of rows j at their fine-grid nodes eta =
-    rows*i - shift*j (mod rows*n_space), value axes last.  Yields (block,
-    parts): block indexes a lattice array reshaped to (n_time/rows, rows,
-    n_space, ...), each part its values, read with one gather from the
-    rows j doubled along space: row j + rows*k is the window of n_space
-    nodes from offset -shift*k mod n_space.  Blocks of about _BLOCK_NODES
-    nodes are trimmed to the rows where the (n_time/rows, rows) mask live
-    holds."""
-    n, count = lattice.n_space, lattice.n_time // rows
-    shift %= rows * n
-    kb = min(count, max(1, _BLOCK_NODES // n))
-    jb = min(rows, max(1, _BLOCK_NODES // n) // kb)
-    for j0 in range(0, rows, jb):
-        js = slice(j0, min(rows, j0 + jb))
-        if not live[:, js].any():
-            continue
-        eta = (rows * np.arange(n)
-               - shift * np.arange(js.start, js.stop)[:, None]) % (rows * n)
-        windows = [np.moveaxis(sliding_window_view(np.concatenate(
-            [arr, arr], axis=1), n, axis=1), -1, 2) for arr in base(eta)]
-        for k0 in range(0, count, kb):
-            box = live[k0:k0 + kb, js]
-            ks, jj = (np.flatnonzero(box.any(axis=ax)) for ax in (1, 0))
-            if not ks.size:
-                continue
-            a, b = k0 + ks[0], k0 + ks[-1] + 1
-            j = np.arange(jj[0], jj[-1] + 1)
-            offsets = (-shift * np.arange(a, b) % n)[:, None]
-            yield (slice(a, b), slice(j0 + j[0], j0 + j[-1] + 1)), \
-                [w[j, offsets] for w in windows]
+    Yields (r, t, s) once per class, for j = 0, ..., rows - 1: lattice rows
+    t = j, j + rows, ... read class r of the profile from node s, values[t,
+    i] = profile[rows*((i + s) mod n_space) + r].  t (ascending) and s are
+    integer arrays of n_time/rows entries."""
+    n = lattice.n_space
+    k = np.arange(lattice.n_time // rows)
+    for j in range(rows):
+        s, r = divmod(-shift * j, rows)
+        yield r, j + rows * k, (s % n - shift % n * k) % n
 
 
 def remainder(a: np.ndarray, period: float) -> np.ndarray:
@@ -401,12 +387,11 @@ def make_shock_field(system: SystemSpec, U_left, U_right, speed: float,
     for start in range(0, lattice.n_time, block):
         rows = slice(start, start + block)
         left[rows] = remainder(x - speed * t[rows, None], L) < 0.5 * L
-    n = lattice.n_space
     if 2 * q <= lattice.n_time and np.array_equal(
             left[q:], np.roll(left[:-q], p, axis=1)):
-        fine = np.empty(q * n, dtype=bool)
-        fine[(q * np.arange(n) - p * np.arange(q)[:, None]) % (q * n)] = \
-            left[:q]
+        fine = np.empty(q * lattice.n_space, dtype=bool)
+        for r, ts, ss in _row_classes(lattice, p, q):
+            fine[r::q] = np.roll(left[ts[0]], ss[0])
         return TravelingField(lattice=lattice, shift=p, rows=q,
                               profile=np.where(fine[:, None], U_left, U_right))
     values = np.where(left[..., None], U_left, U_right)
@@ -443,8 +428,11 @@ def make_lacunary_field(alpha: float, n_octaves: int, seed: int,
     if lattice.k != 1:
         raise UnsupportedGeometryError(
             f"lacunary fields are one-dimensional; got k={lattice.k}")
+    n_octaves, seed = _integer(n_octaves, "n_octaves"), _integer(seed, "seed")
     if n_octaves < 1:
         raise ParameterError("n_octaves must be >= 1")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     max_octaves = int(np.floor(np.log2(lattice.n_space / 4)))
     if 2 ** n_octaves > lattice.n_space / 4:
         raise ResolutionError(

@@ -10,13 +10,14 @@ bumps, and the shock-path-aligned plateau used to localize a single
 traveling jump on the torus (a periodic shock field always carries two
 interfaces; the plateau isolates one).
 
-ShockAlignedBump fills psi and grad psi in blocks of about _BLOCK_NODES
-nodes, trimmed to the rows where the time profile or its derivative is
-nonzero; other rows stay zero and all temporaries are block-sized.  On a
-lattice snapped for its speed (fields._snap: p/q nodes per step) the
-plateau is evaluated once per node of the fine co-moving grid eta = q*i -
-p*t, and row t + q is row t rolled by p (fields._comoving_blocks); on any
-other, on every live node.  The two agree within rounding, bit for bit on
+ShockAlignedBump fills psi and grad psi only on the rows where the time
+profile or its derivative is nonzero; other rows stay zero.  On a lattice
+snapped for its speed (fields._snap: p/q nodes per step) the plateau is
+evaluated once per node of the fine co-moving grid eta = q*i - p*t, one
+residue class of n_space nodes at a time, and each live row is written
+from its window of its class (fields._row_classes); on any other lattice,
+on every live node, in blocks of about _BLOCK_NODES nodes.  Temporaries
+are row- or block-sized.  The two agree within rounding, bit for bit on
 the shipped configs (binary-fraction spacings, speeds and centres).
 """
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from ._bumps import bump, bump_deriv, bump_line_integral, smoothstep_pair
 from .errors import ParameterError, TestSupportError, UnsupportedGeometryError
-from .fields import _BLOCK_NODES, Lattice, _comoving_blocks, _snap, remainder
+from .fields import _BLOCK_NODES, Lattice, _row_classes, _snap, remainder
 
 
 def _wrap(z: np.ndarray, period: float) -> np.ndarray:
@@ -221,21 +222,28 @@ class ShockAlignedBump(TestFunction):
         psi = np.zeros(lattice.shape)
         grad = np.zeros(lattice.shape + (2,))
         live = (phi != 0.0) | (dphi != 0.0)
-        blocks = self._row_blocks(lattice, live)
-        if shift is not None:
-            # the plateau once per fine-grid node eta = q*i - p*t, t = j + q*k
-            q = shift[1]
-            phi, dphi, live, psi, grad = (a.reshape(-1, q, *a.shape[1:])
-                                          for a in (phi, dphi, live, psi, grad))
-            blocks = _comoving_blocks(lattice, *shift, lambda eta: (
-                self._plateau(eta * (lattice.h_space / q), L)), live)
+        blocks = self._row_blocks(lattice, live) if shift is None \
+            else self._class_rows(lattice, *shift, live)
         for block, (chi, dchi) in blocks:
             p, dp = phi[block][..., None], dphi[block][..., None]
             np.multiply(p, chi, out=psi[block])
             g_t, g_x = grad[block][..., 0], grad[block][..., 1]
             np.multiply(p, dchi, out=g_x)
             np.add(dp * chi, g_x * (-self.speed), out=g_t)
-        return psi.reshape(lattice.shape), grad.reshape(lattice.shape + (2,))
+        return psi, grad
+
+    def _class_rows(self, lattice, p, q, live):
+        # snapped lattice: the plateau once per class of the fine grid eta
+        # = q*i - p*t, each live row its window (fields._row_classes)
+        n = lattice.n_space
+        eta = q * np.arange(n)
+        for r, ts, ss in _row_classes(lattice, p, q):
+            on = live[ts]
+            if on.any():
+                chi, dchi = (np.concatenate([a, a]) for a in self._plateau(
+                    (eta + r) * (lattice.h_space / q), lattice.extent_space))
+                for t, s in zip(ts[on].tolist(), ss[on].tolist()):
+                    yield t, (chi[s:s + n], dchi[s:s + n])
 
     def _row_blocks(self, lattice, live):
         # any lattice: the plateau on every node of the live rows

@@ -42,10 +42,25 @@ def test_lattice_geometry():
     dict(k=1, n_time=8, n_space=8, extent_time=0.0, extent_space=1.0),
     dict(k=1, n_time=8, n_space=8, extent_time=1.0, extent_space=-2.0),
     dict(k=1, n_time=8, n_space=8, extent_time=np.inf, extent_space=1.0),
+    # counts must be integers, and a bool is not one
+    dict(k=True, n_time=8, n_space=8, extent_time=1.0, extent_space=1.0),
+    dict(k=1.0, n_time=8, n_space=8, extent_time=1.0, extent_space=1.0),
+    dict(k=1, n_time=16.5, n_space=8, extent_time=1.0, extent_space=1.0),
+    dict(k=1, n_time=16.0, n_space=8, extent_time=1.0, extent_space=1.0),
+    dict(k=1, n_time=8, n_space="8", extent_time=1.0, extent_space=1.0),
+    dict(k=1, n_time=8, n_space=None, extent_time=1.0, extent_space=1.0),
 ])
 def test_lattice_validation(kwargs):
     with pytest.raises(ParameterError):
         Lattice(**kwargs)
+
+
+def test_lattice_counts_take_numpy_integers_as_ints():
+    lat = Lattice(k=np.int64(1), n_time=np.int32(16), n_space=np.uint16(24),
+                  extent_time=1.0, extent_space=1.0)
+    assert lat == Lattice(k=1, n_time=16, n_space=24, extent_time=1.0,
+                          extent_space=1.0)
+    assert all(type(c) is int for c in (lat.k, lat.n_time, lat.n_space))
 
 
 def test_subnormal_speed_is_rejected():
@@ -242,6 +257,14 @@ def test_lacunary_field_validation():
     for speed in (np.nan, np.inf, 1e400):
         with pytest.raises(ParameterError, match="travel_speed must be finite"):
             make_lacunary_field(0.5, 4, 0, speed, lat)
+    for n_octaves, seed, match in [
+            (2.5, 0, "n_octaves must be an integer, got 2.5"),
+            (True, 0, "n_octaves must be an integer, got True"),
+            (2, 1.0, "seed must be an integer, got 1.0"),
+            (2, -1, "seed must be >= 0, got -1"),
+            (2, np.int64(-3), "seed must be >= 0, got -3")]:
+        with pytest.raises(ParameterError, match=match):
+            make_lacunary_field(0.5, n_octaves, seed, 0.0, lat)
 
 
 def test_lacunary_seed_reproducibility():

@@ -516,8 +516,8 @@ def _is_bitwise(got, want):
 
 @st.composite
 def snapped_cases(draw):
-    """A ShockAlignedBump on a lattice snapped for its speed, whether time
-    is periodic, and nodes per block (1 to 3 rows, or the module's)."""
+    """A ShockAlignedBump on a lattice snapped for its speed, and whether
+    time is periodic."""
     speed = draw(st.sampled_from([0.0, -0.5, 0.5]) |
                  st.floats(0.01, 3.0).map(lambda s: -s) | st.floats(0.01, 3.0))
     n_space = draw(st.integers(8, 40))
@@ -540,28 +540,25 @@ def snapped_cases(draw):
         time_center=time_center, time_radius=time_radius,
         amplitude=draw(st.floats(0.1, 2.0)) * draw(st.sampled_from([1, -1])),
         unit_time_integral=draw(st.booleans()))
-    block = draw(st.sampled_from([n_space, 2 * n_space + 1, 3 * n_space,
-                                  fields._BLOCK_NODES]))
-    return fn, lattice, (p, q), periodic_time, block
+    return fn, lattice, (p, q), periodic_time
 
 
 # a lattice where q = n_time (12/37 nodes per step), speeds of both signs,
-# speed 0, and rows j without a live row in whole blocks
+# speed 0, and residue classes without a live row
 _SNAPPED = fields._snap(_LAT, 0.7)[0]
 
 
 @settings(max_examples=100, deadline=None)
 @given(snapped_cases())
-@example((_aligned(0.7, 0.2), _SNAPPED, (12, 37), True, 24))
+@example((_aligned(0.7, 0.2), _SNAPPED, (12, 37), True))
 @example((_aligned(-0.7, 0.7, -2.0), fields._snap(_LAT, -0.7)[0], (-12, 37),
-          False, 12))
-@example((_aligned(0.0, 0.5, -1.5, False), _LAT, (0, 1), True, 36))
+          False))
+@example((_aligned(0.0, 0.5, -1.5, False), _LAT, (0, 1), True))
 def test_comoving_path_is_the_whole_lattice_evaluation(case):
-    fn, lattice, shift, periodic_time, block = case
-    with mock.patch.object(fields, "_BLOCK_NODES", block):
-        psi, grad = fn.evaluate(lattice, periodic_time)
-        assert _is_bitwise((psi, grad),
-                           fn._evaluate(lattice, periodic_time, shift))
+    fn, lattice, shift, periodic_time = case
+    psi, grad = fn.evaluate(lattice, periodic_time)
+    assert _is_bitwise((psi, grad),
+                       fn._evaluate(lattice, periodic_time, shift))
     # at the same coordinate every entry matches (zeros up to sign)
     want = _old_shock_aligned(fn, lattice, periodic_time, shift)
     assert np.array_equal(psi, want[0]) and np.array_equal(grad, want[1])
@@ -581,11 +578,10 @@ def test_comoving_path_is_the_whole_lattice_evaluation(case):
 def test_comoving_row_t_plus_q_is_row_t_rolled_by_p(case):
     # with a time profile of 1 every output is a function of the plateau
     # alone, and the plateau moves p nodes per q rows exactly
-    fn, lattice, (p, q), periodic_time, block = case
-    unit = mock.patch.object(
-        TimeBump, "_profile",
-        lambda self, t, *_: (np.ones_like(t), np.zeros_like(t)))
-    with unit, mock.patch.object(fields, "_BLOCK_NODES", block):
+    fn, lattice, (p, q), periodic_time = case
+    with mock.patch.object(
+            TimeBump, "_profile",
+            lambda self, t, *_: (np.ones_like(t), np.zeros_like(t))):
         psi, grad = fn.evaluate(lattice, periodic_time)
     for out in (psi, grad):
         assert np.array_equal(out[q:], np.roll(out[:-q], p, axis=1))

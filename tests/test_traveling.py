@@ -3,6 +3,7 @@ emit it, and every consumer against the same call on the materialized
 2-D field."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -72,6 +73,38 @@ def test_node_mean_is_the_shear_average(rng):
     want = np.mean([np.roll(arr[t], -2 * t, axis=0) for t in range(64)],
                    axis=0)
     assert_close(field.node_mean(arr)[0], want)
+
+
+def test_node_mean_rejects_an_array_off_the_lattice(rng):
+    lat = Lattice(k=1, n_time=64, n_space=64, extent_time=1.0,
+                  extent_space=1.0)
+    field = TravelingField(lattice=lat, profile=rng.normal(size=(64, 1)),
+                           shift=1)
+    for shape in ((10, 64), (64, 32), (64,), (128, 64, 1)):
+        with pytest.raises(ParameterError,
+                           match="not over this wave's 64 x 64 lattice"):
+            field.node_mean(np.ones(shape))
+
+
+@pytest.mark.parametrize("n_time, shift, rows", [(1024, 3, 1),
+                                                 (1022, 256, 511)])
+def test_values_allocate_little_beyond_the_output(n_time, shift, rows):
+    # q = 1 and q = n_time/2: besides the output, one class doubled along
+    # space and a few words of row offsets per lattice row; a lattice-sized
+    # index (8*n_time*n_space bytes) does not fit
+    lat = Lattice(k=1, n_time=n_time, n_space=512, extent_time=1.0,
+                  extent_space=1.0)
+    profile = np.random.default_rng(0).normal(size=(rows * 512, 2))
+    field = TravelingField(lattice=lat, profile=profile, shift=shift,
+                           rows=rows)
+    row_bytes = profile.nbytes // rows
+    tracemalloc.start()
+    try:
+        values = field.values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= values.nbytes + 4 * row_bytes + 128 * n_time
 
 
 def test_traveling_field_validation(rng):

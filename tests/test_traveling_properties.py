@@ -5,14 +5,13 @@ floating-point definitions."""
 
 import math
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conslab import (Lattice, TravelingField, fields, lacunary_profile,
+from conslab import (Lattice, TravelingField, lacunary_profile,
                      make_builtin, make_kernel, make_lacunary_field,
                      make_shock_field, mollify)
 from conslab.mollifier import _convolve_fft
@@ -70,17 +69,14 @@ def _former_gather(field):
 
 
 @SETTINGS
-@given(waves(), st.sampled_from([1, 17, 40, 1 << 14]))
+@given(waves())
 @example(TravelingField(lattice=Lattice(k=1, n_time=37, n_space=12,
                                         extent_time=1.0, extent_space=1.0),
                         profile=np.arange(37.0 * 12)[:, None], shift=-12,
-                        rows=37), 24)
-def test_values_are_the_former_gather(field, block):
-    # blocks of one row up to the module's, so that row classes share a
-    # block or a class spans several
-    with mock.patch.object(fields, "_BLOCK_NODES", block):
-        values = TravelingField(lattice=field.lattice, profile=field.profile,
-                                shift=field.shift, rows=field.rows).values
+                        rows=37))
+def test_values_are_the_former_gather(field):
+    values = TravelingField(lattice=field.lattice, profile=field.profile,
+                            shift=field.shift, rows=field.rows).values
     want = _former_gather(field)
     assert values.shape == want.shape
     assert np.array_equal(values.view(np.int64), want.view(np.int64))
