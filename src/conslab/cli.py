@@ -34,7 +34,7 @@ from .commutator import lemma_bound_audit, residual_R
 from .dissipation import build_dissipation_report, rankine_hugoniot_speed, \
     shock_dissipation_rate
 from .mollifier import kernel_table, make_kernel, verify_estimates
-from .systems import (BUILTIN_NAMES, SystemSpec, check_compatibility,
+from .systems import (BUILTIN_NAMES, FD_STEP, SystemSpec, check_compatibility,
                       extend_to_compact_range, make_builtin,
                       uniform_box_sampler)
 from .testfunctions import from_config as testfn_from_config
@@ -436,7 +436,7 @@ def run_check_companion(config: dict):
     n_samples = config.get("n_samples", 1000)
     seed = config.get("seed", 0)
     method = config.get("method", "auto")
-    fd_step = config.get("fd_step", 1e-5)
+    fd_step = config.get("fd_step", FD_STEP)
     tolerance = config.get("tolerance")
 
     entries = []

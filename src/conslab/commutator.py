@@ -45,7 +45,7 @@ from .fields import (_BLOCK_NODES, Field, magnitude_lq_norm, power_sum,
                      require_q, squared_magnitude, squares_lq_norm)
 from .mollifier import MollifierKernel, axis_derivative, mollify, sweep
 from .rates import RateFit, aitken_limit, fit_loglog
-from .systems import (SystemSpec, fd_jacobian, require_delta,
+from .systems import (FD_STEP, SystemSpec, fd_jacobian, require_delta,
                       require_in_domain, require_states)
 from .testfunctions import TestFunction
 
@@ -249,14 +249,14 @@ class ResidualReport:
 
 
 def residual_R(system: SystemSpec, field: Field,
-               kernels: Sequence[MollifierKernel], testfn: TestFunction,
-               fd_step: float = 1e-5) -> ResidualReport:
+               kernels: Sequence[MollifierKernel],
+               testfn: TestFunction) -> ResidualReport:
     """Integrate the mollified companion-law defect against a test function.
 
     Per epsilon: I1 pairs the commutator with the multiplier derivative
     along D_X[U]_eps times psi; I2 pairs it with the multiplier times
     D_X psi.  The multiplier Jacobian D_U B uses the system's analytic DB
-    when present, else central differences with step fd_step.
+    when present, else central differences with step systems.FD_STEP.
 
     psi is evaluated once, on the field's own lattice and clock, and
     averaged onto its nodes; each level reads the rows of its window.  On
@@ -276,7 +276,7 @@ def residual_R(system: SystemSpec, field: Field,
         if system.DB is not None:
             DB = system.DB(mollified.nodes)
         else:
-            DB = fd_jacobian(system.B, mollified.nodes, fd_step)
+            DB = fd_jacobian(system.B, mollified.nodes, FD_STEP)
         deriv_cache = {}
         I1 = 0.0
         I2 = 0.0

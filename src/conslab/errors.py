@@ -42,3 +42,13 @@ class InconsistentShockError(ConslabError, ValueError):
 class ConfigError(ConslabError, ValueError):
     """A run configuration failed schema validation or referenced an unknown
     catalogue entry."""
+
+
+def _integer(value, what: str, least=None) -> int:
+    """value as a non-bool int (>= least if given), else ParameterError."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    value = value.__index__()
+    if least is not None and value < least:
+        raise ParameterError(f"{what} must be >= {least}, got {value}")
+    return value

@@ -28,7 +28,6 @@ averaged onto the nodes, turning lattice integrals into node sums) and
 from __future__ import annotations
 
 import math
-import operator
 import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -36,28 +35,22 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ParameterError, ResolutionError, UnsupportedGeometryError
+from .errors import (ParameterError, ResolutionError,
+                     UnsupportedGeometryError, _integer)
 from .rates import RateFit, fit_loglog
 from .systems import SystemSpec, jump_states
 
 # Nodes per block of the blockwise lattice loops (make_shock_field's
-# left/right test, ShockAlignedBump's row blocks, the lemma's shift loop in
-# commutator).  A 128 KiB temporary stays in cache and under glibc's malloc
-# trim threshold, so freed temporaries are reused, not returned to the
-# kernel and faulted in again by the next block (1 MiB ones took about
-# 50,000 minor faults per 4096x2048 call).
+# left/right test, the lemma's shift loop in commutator).  A 128 KiB
+# temporary stays in cache and under glibc's malloc trim threshold, so
+# freed temporaries are reused, not returned to the kernel and faulted in
+# again by the next block (1 MiB ones took about 50,000 minor faults per
+# 4096x2048 call).
 _BLOCK_NODES = 1 << 14
 
 _MAGIC = b"CLABFLD1"
 _FORMAT_VERSION = 1
 _HEADER = struct.Struct("<8sIIIB3xQQdd")
-
-
-def _integer(value, what: str) -> int:
-    """value as an int; ParameterError unless it is an integer, not a bool."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ParameterError(f"{what} must be an integer, got {value!r}")
-    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -73,15 +66,9 @@ class Lattice:
     extent_space: float
 
     def __post_init__(self):
-        for name in ("k", "n_time", "n_space"):
+        for name, least in (("k", 1), ("n_time", 8), ("n_space", 8)):
             object.__setattr__(self, name, _integer(
-                getattr(self, name), f"lattice {name}"))
-        if self.k < 1:
-            raise ParameterError("space dimension k must be >= 1")
-        if self.n_time < 8 or self.n_space < 8:
-            raise ParameterError(
-                f"lattice counts must be >= 8, got n_time={self.n_time}, "
-                f"n_space={self.n_space}")
+                getattr(self, name), f"lattice {name}", least))
         if not (0 < self.extent_time < math.inf
                 and 0 < self.extent_space < math.inf):
             raise ParameterError("lattice extents must be positive and finite")
@@ -402,12 +389,18 @@ def lacunary_profile(alpha: float, n_octaves: int, seed: int, period: float,
                      amplitude: float, x: np.ndarray) -> np.ndarray:
     """Evaluate amplitude * sum_j 2^{-alpha j} cos(2^j 2 pi x/period + phi_j)
     with phases phi_j drawn once from the seeded generator."""
+    n_octaves, seed = _lacunary_counts(n_octaves, seed)
     phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, n_octaves)
     out = np.zeros_like(np.asarray(x, dtype=float))
     base = 2.0 * np.pi / period
     for j in range(1, n_octaves + 1):
         out += 2.0 ** (-alpha * j) * np.cos((2 ** j) * base * x + phases[j - 1])
     return amplitude * out
+
+
+def _lacunary_counts(n_octaves, seed) -> tuple:
+    """n_octaves >= 1 and seed >= 0 as ints, else ParameterError."""
+    return _integer(n_octaves, "n_octaves", 1), _integer(seed, "seed", 0)
 
 
 def make_lacunary_field(alpha: float, n_octaves: int, seed: int,
@@ -428,11 +421,7 @@ def make_lacunary_field(alpha: float, n_octaves: int, seed: int,
     if lattice.k != 1:
         raise UnsupportedGeometryError(
             f"lacunary fields are one-dimensional; got k={lattice.k}")
-    n_octaves, seed = _integer(n_octaves, "n_octaves"), _integer(seed, "seed")
-    if n_octaves < 1:
-        raise ParameterError("n_octaves must be >= 1")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    n_octaves, seed = _lacunary_counts(n_octaves, seed)
     max_octaves = int(np.floor(np.log2(lattice.n_space / 4)))
     if 2 ** n_octaves > lattice.n_space / 4:
         raise ResolutionError(
@@ -457,10 +446,11 @@ def shift_difference_norm(field: Field, axis: int, nodes: int,
     along one axis.  Periodic axes wrap; a non-periodic time axis restricts
     to the overlap window."""
     require_q(q)
-    if nodes < 1:
-        raise ParameterError("shift must be >= 1 node")
-    v = field.nodes
+    axis, nodes = _integer(axis, "axis", 0), _integer(nodes, "nodes", 1)
     n_axes = field.lattice.n_axes
+    if axis >= n_axes:
+        raise ParameterError(f"axis must be < {n_axes}, got {axis}")
+    v = field.nodes
     if axis == 0 and not field.periodic_time:
         if nodes >= field.lattice.n_time:
             raise ResolutionError("shift exceeds the time extent")
@@ -550,8 +540,7 @@ def estimate_besov(field: Field, q: float, n_shifts: int = 9) -> BesovEstimate:
     The regression drops the smallest and largest shift.
     """
     require_q(q)
-    if n_shifts < 3:
-        raise ParameterError("n_shifts must be >= 3")
+    n_shifts = _integer(n_shifts, "n_shifts", 3)
     lat = field.lattice
     shifts = []
     norms = []

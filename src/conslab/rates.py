@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterError
+
 
 @dataclass(frozen=True)
 class RateFit:
@@ -37,7 +39,7 @@ def fit_loglog(x, y, drop_endpoints: bool = False) -> RateFit:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("fit_loglog expects two 1-d arrays of equal length")
+        raise ParameterError("fit_loglog expects two 1-d arrays of equal length")
     usable = np.isfinite(x) & np.isfinite(y) & (x > 0) & (y > 0)
     xs, ys = x[usable], y[usable]
     order = np.argsort(xs)

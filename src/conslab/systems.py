@@ -25,9 +25,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._bumps import smoothstep_pair
-from .errors import DomainViolationError, GeometryError, ParameterError
+from .errors import (DomainViolationError, GeometryError, ParameterError,
+                     _integer)
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
+
+# finite-difference step of check_compatibility, the CLI and residual_R's DB
+FD_STEP = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +250,7 @@ def uniform_box_sampler(lower, upper):
 
 
 def check_compatibility(system: SystemSpec, sampler, n_samples: int,
-                        fd_step: float = 1e-5, *, rng=0,
+                        fd_step: float = FD_STEP, *, rng=0,
                         method: str = "auto") -> CompatibilityReport:
     """Sample the identity D_U Q_j = B . D_U G_j over random interior states.
 
@@ -256,8 +260,7 @@ def check_compatibility(system: SystemSpec, sampler, n_samples: int,
     Jacobians when the system supplies them), "analytic", or
     "finite-difference".
     """
-    if n_samples < 1:
-        raise ParameterError("n_samples must be >= 1")
+    n_samples = _integer(n_samples, "n_samples", 1)
     if fd_step <= 0:
         raise ParameterError(f"fd_step must be positive, got {fd_step}")
     if method not in ("auto", "analytic", "finite-difference"):

@@ -16,9 +16,9 @@ snapped for its speed (fields._snap: p/q nodes per step) the plateau is
 evaluated once per node of the fine co-moving grid eta = q*i - p*t, one
 residue class of n_space nodes at a time, and each live row is written
 from its window of its class (fields._row_classes); on any other lattice,
-on every live node, in blocks of about _BLOCK_NODES nodes.  Temporaries
-are row- or block-sized.  The two agree within rounding, bit for bit on
-the shipped configs (binary-fraction spacings, speeds and centres).
+at x - speed*t, one live row at a time.  Temporaries are row-sized.  The
+two agree within rounding, bit for bit on the shipped configs
+(binary-fraction spacings, speeds and centres).
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ import numpy as np
 
 from ._bumps import bump, bump_deriv, bump_line_integral, smoothstep_pair
 from .errors import ParameterError, TestSupportError, UnsupportedGeometryError
-from .fields import _BLOCK_NODES, Lattice, _row_classes, _snap, remainder
+from .fields import Lattice, _row_classes, _snap
 
 
 def _wrap(z: np.ndarray, period: float) -> np.ndarray:
-    """(z + period/2) % period - period/2, bit for bit (see `remainder`)."""
-    return remainder(z + 0.5 * period, period) - 0.5 * period
+    """z shifted by whole periods into [-period/2, period/2)."""
+    return (z + 0.5 * period) % period - 0.5 * period
 
 
 def _support(z: np.ndarray, center: float, radius: float, extent: float,
@@ -222,14 +222,13 @@ class ShockAlignedBump(TestFunction):
         psi = np.zeros(lattice.shape)
         grad = np.zeros(lattice.shape + (2,))
         live = (phi != 0.0) | (dphi != 0.0)
-        blocks = self._row_blocks(lattice, live) if shift is None \
+        rows = self._lattice_rows(lattice, live) if shift is None \
             else self._class_rows(lattice, *shift, live)
-        for block, (chi, dchi) in blocks:
-            p, dp = phi[block][..., None], dphi[block][..., None]
-            np.multiply(p, chi, out=psi[block])
-            g_t, g_x = grad[block][..., 0], grad[block][..., 1]
-            np.multiply(p, dchi, out=g_x)
-            np.add(dp * chi, g_x * (-self.speed), out=g_t)
+        for t, (chi, dchi) in rows:
+            np.multiply(phi[t], chi, out=psi[t])
+            g_t, g_x = grad[t, :, 0], grad[t, :, 1]
+            np.multiply(phi[t], dchi, out=g_x)
+            np.add(dphi[t] * chi, g_x * (-self.speed), out=g_t)
         return psi, grad
 
     def _class_rows(self, lattice, p, q, live):
@@ -245,15 +244,11 @@ class ShockAlignedBump(TestFunction):
                 for t, s in zip(ts[on].tolist(), ss[on].tolist()):
                     yield t, (chi[s:s + n], dchi[s:s + n])
 
-    def _row_blocks(self, lattice, live):
-        # any lattice: the plateau on every node of the live rows
+    def _lattice_rows(self, lattice, live):
+        # any lattice: the plateau at x - speed*t, one live row at a time
         t, x, L = lattice.times(), lattice.space_nodes(), lattice.extent_space
-        size = max(1, _BLOCK_NODES // lattice.n_space)
-        for start in range(0, lattice.n_time, size):
-            rows = np.flatnonzero(live[start:start + size])
-            if rows.size:
-                block = slice(start + rows[0], start + rows[-1] + 1)
-                yield block, self._plateau(x - self.speed * t[block, None], L)
+        for row in np.flatnonzero(live).tolist():
+            yield row, self._plateau(x - self.speed * t[row], L)
 
     def _plateau(self, z: np.ndarray, L: float) -> tuple:
         """chi and chi' at the co-moving coordinate z = x - speed*t."""

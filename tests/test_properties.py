@@ -1,6 +1,7 @@
 """Property tests on random inputs: the Burgers shock rate against its
 closed form, the field container round trip, and the exact zeros of
-affine flux rows in the commutator."""
+affine flux rows in the commutator; and a table of bad inputs to exported
+functions, each of which must end in a ConslabError."""
 
 import math
 import tempfile
@@ -12,9 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import STATE_BOXES
-from conslab import (DiscreteField, Lattice, TravelingField, commutator_field,
-                     load_field, make_builtin, make_kernel, mollify,
-                     save_field, shock_dissipation_rate)
+from conslab import (ConslabError, DiscreteField, Lattice, TravelingField,
+                     check_compatibility, commutator_field, estimate_besov,
+                     lacunary_profile, load_field, make_builtin, make_kernel,
+                     make_lacunary_field, mollify, save_field,
+                     shift_difference_norm, shock_dissipation_rate,
+                     uniform_box_sampler)
+from conslab.rates import fit_loglog
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -112,3 +117,35 @@ def test_affine_rows_commute_exactly(name, seed, n_space, widen):
     scale = max(1.0, float(np.max(np.abs(G[..., rows, :]))))
     assert np.max(np.abs(direct.reshape(smoothed.shape) - smoothed)) \
         <= 1e-12 * scale
+
+
+def _wave():
+    return make_lacunary_field(0.6, 3, 0, 1.0, Lattice(
+        k=1, n_time=16, n_space=64, extent_time=1.0, extent_space=1.0))
+
+
+# one row per exported function and bad argument; later exports join here
+BAD_CALLS = {
+    "shift-fractional-nodes": lambda: shift_difference_norm(
+        _wave(), 1, 1.5, 3.0),
+    "shift-nearly-two-nodes": lambda: shift_difference_norm(
+        _wave(), 1, 1.9999, 3.0),
+    "shift-axis-out-of-range": lambda: shift_difference_norm(
+        _wave(), 5, 1, 3.0),
+    "besov-fractional-shifts": lambda: estimate_besov(
+        _wave(), 3.0, n_shifts=3.5),
+    "compatibility-fractional-samples": lambda: check_compatibility(
+        make_builtin("burgers"), uniform_box_sampler([-1.0], [1.0]), 2.5),
+    "lacunary-fractional-octaves": lambda: lacunary_profile(
+        0.6, 2.5, 0, 1.0, 1.0, np.linspace(0.0, 1.0, 8)),
+    "lacunary-negative-seed": lambda: lacunary_profile(
+        0.6, 2, -1, 1.0, 1.0, np.linspace(0.0, 1.0, 8)),
+    "fit-shape-mismatch": lambda: fit_loglog(np.ones(3), np.ones(4)),
+}
+
+
+@pytest.mark.parametrize("call", BAD_CALLS.values(), ids=BAD_CALLS.keys())
+def test_bad_input_raises_a_conslab_error(call):
+    # a ConslabError, never a raw TypeError, ValueError or IndexError
+    with pytest.raises(ConslabError):
+        call()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conslab.errors import ParameterError
 from conslab.rates import RateFit, aitken_limit, fit_loglog
 
 
@@ -52,9 +53,9 @@ def test_fit_degenerate_cases():
 
 
 def test_fit_shape_mismatch_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         fit_loglog(np.ones(3), np.ones(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         fit_loglog(np.ones((2, 2)), np.ones((2, 2)))
 
 

@@ -12,8 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from conslab import (Lattice, ParameterError, ShockAlignedBump, TensorBump,
-                     TimeBump, UnsupportedGeometryError, fields,
-                     testfunctions)
+                     TimeBump, UnsupportedGeometryError, fields)
 from conslab import TestSupportError as SupportError
 from conslab._bumps import (bump, bump_deriv, bump_line_integral,
                             smoothstep_pair)
@@ -376,7 +375,7 @@ def test_remainder_is_bitwise_np_remainder(period, turns, frac):
 
 
 def _old_shock_aligned(fn, lattice, periodic_time, shift=None):
-    # the whole-lattice ShockAlignedBump.evaluate the row-block one
+    # the whole-lattice ShockAlignedBump.evaluate the per-row one
     # replaced, with TimeBump._profile and the np.remainder wrap inlined;
     # given shift = (p, q), at the co-moving coordinate of the fine grid
     # eta = q*i - p*t instead of x - speed*t
@@ -413,8 +412,8 @@ def _old_shock_aligned(fn, lattice, periodic_time, shift=None):
 
 @st.composite
 def shock_aligned_cases(draw):
-    """A valid ShockAlignedBump on a small lattice, whether time is
-    periodic, and nodes per row block (1 to 3 rows, or the module's)."""
+    """A valid ShockAlignedBump on a small lattice, and whether time is
+    periodic."""
     n_time = draw(st.integers(8, 150))
     n_space = draw(st.integers(8, 40))
     T = draw(st.floats(0.5, 3.0))
@@ -437,14 +436,11 @@ def shock_aligned_cases(draw):
         unit_time_integral=draw(st.booleans()))
     lattice = Lattice(k=1, n_time=n_time, n_space=n_space, extent_time=T,
                       extent_space=L)
-    block = draw(st.sampled_from([n_space, 2 * n_space + 1, 3 * n_space,
-                                  testfunctions._BLOCK_NODES]))
-    return fn, lattice, periodic_time, block
+    return fn, lattice, periodic_time
 
 
-# a support that wraps across t = 0, speeds of both signs and zero, a
-# negative amplitude, blocks that do not divide n_time, and (the module's
-# block size on these lattices) fewer rows than one block
+# a support that wraps across t = 0, speeds of both signs and zero, and a
+# negative amplitude
 _LAT = Lattice(k=1, n_time=37, n_space=12, extent_time=1.0, extent_space=1.0)
 
 
@@ -457,15 +453,14 @@ def _aligned(speed, time_center, amplitude=1.0, unit=True):
 
 @settings(max_examples=100, deadline=None)
 @given(shock_aligned_cases())
-@example((_aligned(-0.7, 0.05), _LAT, True, 24))
-@example((_aligned(0.0, 0.5, -1.5, False), _LAT, False, 36))
-@example((_aligned(1.3, 0.95, -0.5), _LAT, True, testfunctions._BLOCK_NODES))
+@example((_aligned(-0.7, 0.05), _LAT, True))
+@example((_aligned(0.0, 0.5, -1.5, False), _LAT, False))
+@example((_aligned(1.3, 0.95, -0.5), _LAT, True))
 def test_row_blocks_are_the_whole_lattice_evaluation(case):
-    # the row-block path directly: a drawn lattice may be snapped for the
+    # the per-row path directly: a drawn lattice may be snapped for the
     # drawn speed, and evaluate would then take the co-moving path
-    fn, lattice, periodic_time, block = case
-    with mock.patch.object(testfunctions, "_BLOCK_NODES", block):
-        psi, grad = fn._evaluate(lattice, periodic_time, None)
+    fn, lattice, periodic_time = case
+    psi, grad = fn._evaluate(lattice, periodic_time, None)
     want_psi, want_grad = _old_shock_aligned(fn, lattice, periodic_time)
     # array_equal compares with ==: zeros may differ in sign, every
     # other entry must match bit for bit
@@ -497,7 +492,7 @@ def test_shock_aligned_evaluate_allocates_little_beyond_its_outputs():
 @pytest.mark.parametrize("speed", [1e-310, -1e-320])
 def test_shock_aligned_speed_without_snapped_extent_takes_row_blocks(speed):
     # _snap refuses the speed (extent_space/|speed| overflows), so evaluate
-    # falls back to the row blocks
+    # falls back to the per-row path at x - speed*t
     fn = _aligned(speed, 0.5)
     with pytest.raises(ParameterError, match="no finite snapped time extent"):
         fields._snap(_LAT, speed)
