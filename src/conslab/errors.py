@@ -4,6 +4,8 @@ Every precondition failure raises one of these with an actionable message
 (what was violated, and where applicable the admissible range).
 """
 
+import numbers
+
 
 class ConslabError(Exception):
     """Base class for all package-specific errors."""
@@ -51,4 +53,12 @@ def _integer(value, what: str, least=None) -> int:
     value = value.__index__()
     if least is not None and value < least:
         raise ParameterError(f"{what} must be >= {least}, got {value}")
+    return value
+
+
+def _real(value, what: str):
+    """value unchanged if it is a real number other than a bool, else
+    ParameterError; the caller checks its range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{what} must be a real number, got {value!r}")
     return value

@@ -36,7 +36,7 @@ from typing import Union
 import numpy as np
 
 from .errors import (ParameterError, ResolutionError,
-                     UnsupportedGeometryError, _integer)
+                     UnsupportedGeometryError, _integer, _real)
 from .rates import RateFit, fit_loglog
 from .systems import SystemSpec, jump_states
 
@@ -69,9 +69,10 @@ class Lattice:
         for name, least in (("k", 1), ("n_time", 8), ("n_space", 8)):
             object.__setattr__(self, name, _integer(
                 getattr(self, name), f"lattice {name}", least))
-        if not (0 < self.extent_time < math.inf
-                and 0 < self.extent_space < math.inf):
-            raise ParameterError("lattice extents must be positive and finite")
+        for name in ("extent_time", "extent_space"):
+            if not 0 < _real(getattr(self, name), f"lattice {name}") < math.inf:
+                raise ParameterError(
+                    "lattice extents must be positive and finite")
 
     @property
     def h_time(self) -> float:
@@ -361,7 +362,7 @@ def make_shock_field(system: SystemSpec, U_left, U_right, speed: float,
     if lattice.k != 1:
         raise UnsupportedGeometryError(
             f"shock fields are one-dimensional; got k={lattice.k}")
-    if not np.isfinite(speed):
+    if not np.isfinite(_real(speed, "speed")):
         raise ParameterError("speed must be finite")
     U_left, U_right = jump_states(system, U_left, U_right, "make_shock_field")
 
@@ -414,9 +415,10 @@ def make_lacunary_field(alpha: float, n_octaves: int, seed: int,
     samples f at eta*h_space/q on the fine grid eta = q*i - p*t; for q = 1
     these are the lattice nodes.
     """
-    if not np.isfinite(travel_speed):
+    if not np.isfinite(_real(travel_speed, "travel_speed")):
         raise ParameterError("travel_speed must be finite")
-    if not 0.0 < alpha < 1.0:
+    _real(amplitude, "amplitude")
+    if not 0.0 < _real(alpha, "alpha") < 1.0:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
     if lattice.k != 1:
         raise UnsupportedGeometryError(
@@ -465,7 +467,7 @@ def shift_difference_norm(field: Field, axis: int, nodes: int,
 def require_q(q: float) -> None:
     """Raise ParameterError unless the integrability exponent q is >= 1 and
     finite."""
-    if not 1 <= q < math.inf:
+    if not 1 <= _real(q, "q") < math.inf:
         raise ParameterError(f"q must be >= 1 and finite, got {q}")
 
 

@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._bumps import bump
-from .errors import ParameterError, ResolutionError
+from .errors import ParameterError, ResolutionError, _real
 from .fields import (DiscreteField, Field, Lattice, TravelingField,
                      magnitude_lq_norm, require_q, shift_difference_norm,
                      squared_magnitude, squares_lq_norm)
@@ -60,7 +60,7 @@ class MollifierKernel:
 
     def __init__(self, epsilon: float, lattice: Lattice,
                  space_only: bool = False):
-        if not 0 < epsilon < np.inf:
+        if not 0 < _real(epsilon, "epsilon") < np.inf:
             raise ParameterError(
                 f"epsilon must be positive and finite, got {epsilon}")
         spacings = [lattice.h_space] * lattice.k if space_only else \

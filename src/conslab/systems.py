@@ -26,7 +26,7 @@ import numpy as np
 
 from ._bumps import smoothstep_pair
 from .errors import (DomainViolationError, GeometryError, ParameterError,
-                     _integer)
+                     _integer, _real)
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
@@ -884,7 +884,7 @@ def make_builtin(name: str, params: Optional[dict] = None) -> SystemSpec:
 
 def require_delta(delta: float) -> None:
     """Raise ParameterError unless the margin delta is positive and finite."""
-    if not 0 < delta < np.inf:
+    if not 0 < _real(delta, "delta") < np.inf:
         raise ParameterError(f"delta must be positive and finite, got {delta}")
 
 

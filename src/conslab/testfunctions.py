@@ -10,21 +10,25 @@ bumps, and the shock-path-aligned plateau used to localize a single
 traveling jump on the torus (a periodic shock field always carries two
 interfaces; the plateau isolates one).
 
-ShockAlignedBump fills psi and grad psi only on the rows where the time
-profile or its derivative is nonzero; other rows stay zero.  On a lattice
-snapped for its speed (fields._snap: p/q nodes per step) the plateau is
-evaluated once per node of the fine co-moving grid eta = q*i - p*t, one
-residue class of n_space nodes at a time, and each live row is written
-from its window of its class (fields._row_classes); on any other lattice,
-at x - speed*t, one live row at a time.  Temporaries are row-sized.  The
-two agree within rounding, bit for bit on the shipped configs
-(binary-fraction spacings, speeds and centres).
+Every catalogue class writes psi and grad psi only on its live rows, the
+time rows where its time factor or that factor's derivative is nonzero
+(`_live_rows`); the outputs come from np.zeros, so the other rows stay
++0.0 and their pages are never written.  TensorBump and TimeBump write
+each contiguous run of live rows (two when a periodic support wraps
+across t = 0) with whole-run products.  ShockAlignedBump writes one live
+row at a time.  On a lattice snapped for its speed (fields._snap: p/q
+nodes per step) its plateau is evaluated once per node of the fine
+co-moving grid eta = q*i - p*t, one residue class of n_space nodes at a
+time, and each live row is written from its window of its class
+(fields._row_classes); on any other lattice, at x - speed*t, row by row.
+Temporaries are row-sized.  The two agree within rounding, bit for bit
+on the shipped configs (binary-fraction spacings, speeds and centres).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -59,10 +63,26 @@ def _support(z: np.ndarray, center: float, radius: float, extent: float,
     return (z - center) / radius
 
 
+def _live_rows(phi: np.ndarray, dphi: np.ndarray) -> np.ndarray:
+    """The live-row rule: time row t is live where the time factor phi or
+    its derivative dphi is nonzero there; psi and every component of
+    grad psi vanish on the other rows."""
+    return (phi != 0.0) | (dphi != 0.0)
+
+
+def _live_runs(phi: np.ndarray, dphi: np.ndarray) -> list:
+    """The live rows as slices over maximal contiguous runs, in order."""
+    edges = np.flatnonzero(np.diff(_live_rows(phi, dphi), prepend=False,
+                                   append=False)).tolist()
+    return [slice(a, b) for a, b in zip(edges[::2], edges[1::2])]
+
+
 class TestFunction:
     """Interface: evaluate(lattice, periodic_time) -> (psi, grad) with
     psi over the lattice and grad carrying one trailing axis of length
-    k + 1 (time derivative first)."""
+    k + 1 (time derivative first).  Rows outside the time support (see
+    `_live_rows`) are +0.0 and are never written, so their pages stay
+    unfaulted."""
 
     def evaluate(self, lattice: Lattice, periodic_time: bool = True):
         raise NotImplementedError
@@ -112,14 +132,20 @@ class TensorBump(TestFunction):
                          "time" if axis == 0 else f"space axis {axis}")
             factors.append(bump(w))
             dfactors.append(bump_deriv(w) / radius[axis])
-        psi = _outer(factors)
-        grad = np.empty(lattice.shape + (lattice.n_axes,))
-        for axis in range(lattice.n_axes):
-            _outer([dfactors[a] if a == axis else f
-                    for a, f in enumerate(factors)], out=grad[..., axis])
-        if self.amplitude != 1.0:       # x*1.0 is x, bit for bit
-            psi *= self.amplitude
-            grad *= self.amplitude
+        psi = np.zeros(lattice.shape)
+        grad = np.zeros(lattice.shape + (lattice.n_axes,))
+        phi, dphi = factors[0], dfactors[0]
+        for run in _live_runs(phi, dphi):
+            factors[0], dfactors[0] = phi[run], dphi[run]
+            _outer(factors, out=psi[run])
+            for axis in range(lattice.n_axes):
+                _outer([dfactors[a] if a == axis else f
+                        for a, f in enumerate(factors)],
+                       out=grad[run, ..., axis])
+            # per run: a whole-array *= would write every page; x*1.0 is x
+            if self.amplitude != 1.0:
+                psi[run] *= self.amplitude
+                grad[run] *= self.amplitude
         return psi, grad
 
 
@@ -160,9 +186,11 @@ class TimeBump(TestFunction):
         phi, dphi = self._profile(lattice.times(), lattice.extent_time,
                                   periodic_time)
         column = (-1,) + (1,) * lattice.k
-        psi = np.broadcast_to(phi.reshape(column), lattice.shape).copy()
+        psi = np.zeros(lattice.shape)
         grad = np.zeros(lattice.shape + (lattice.n_axes,))
-        grad[..., 0] = dphi.reshape(column)
+        for run in _live_runs(phi, dphi):
+            psi[run] = phi[run].reshape(column)
+            grad[run, ..., 0] = dphi[run].reshape(column)
         return psi, grad
 
     @property
@@ -221,7 +249,7 @@ class ShockAlignedBump(TestFunction):
             lattice.times(), lattice.extent_time, periodic_time)
         psi = np.zeros(lattice.shape)
         grad = np.zeros(lattice.shape + (2,))
-        live = (phi != 0.0) | (dphi != 0.0)
+        live = _live_rows(phi, dphi)
         rows = self._lattice_rows(lattice, live) if shift is None \
             else self._class_rows(lattice, *shift, live)
         for t, (chi, dchi) in rows:
@@ -269,6 +297,9 @@ _CATALOGUE = {"bump": TensorBump, "time-bump": TimeBump,
 
 def from_config(spec: dict) -> TestFunction:
     """Build a catalogue test function from a plain config mapping."""
+    if not isinstance(spec, Mapping):
+        raise ParameterError(
+            f"a test function spec must be a mapping, got {spec!r}")
     spec = dict(spec)
     kind = spec.pop("kind", None)
     if not isinstance(kind, str) or kind not in _CATALOGUE:

@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 from conftest import STATE_BOXES
 from conslab import (ConslabError, DiscreteField, Lattice, TravelingField,
                      check_compatibility, commutator_field, estimate_besov,
-                     lacunary_profile, load_field, make_builtin, make_kernel,
-                     make_lacunary_field, mollify, save_field,
+                     good_set_measure, lacunary_profile, load_field,
+                     make_builtin, make_kernel, make_lacunary_field,
+                     make_shock_field, mollify, save_field,
                      shift_difference_norm, shock_dissipation_rate,
                      uniform_box_sampler)
+from conslab import test_function_from_config as build_test_function
 from conslab.rates import fit_loglog
 
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -134,6 +136,7 @@ BAD_CALLS = {
         _wave(), 5, 1, 3.0),
     "besov-fractional-shifts": lambda: estimate_besov(
         _wave(), 3.0, n_shifts=3.5),
+    "besov-text-exponent": lambda: estimate_besov(_wave(), "a"),
     "compatibility-fractional-samples": lambda: check_compatibility(
         make_builtin("burgers"), uniform_box_sampler([-1.0], [1.0]), 2.5),
     "lacunary-fractional-octaves": lambda: lacunary_profile(
@@ -141,6 +144,16 @@ BAD_CALLS = {
     "lacunary-negative-seed": lambda: lacunary_profile(
         0.6, 2, -1, 1.0, 1.0, np.linspace(0.0, 1.0, 8)),
     "fit-shape-mismatch": lambda: fit_loglog(np.ones(3), np.ones(4)),
+    "kernel-text-epsilon": lambda: make_kernel("a", _wave().lattice),
+    "lattice-text-extent": lambda: Lattice(
+        k=1, n_time=16, n_space=64, extent_time="a", extent_space=1.0),
+    "lacunary-text-alpha": lambda: make_lacunary_field(
+        "a", 3, 0, 1.0, _wave().lattice),
+    "shock-text-speed": lambda: make_shock_field(
+        make_builtin("burgers"), [1.0], [0.0], "a", _wave().lattice),
+    "good-set-text-delta": lambda: good_set_measure(
+        _wave(), make_kernel(0.25, _wave().lattice), "x"),
+    "test-function-spec-not-a-mapping": lambda: build_test_function(3),
 }
 
 

@@ -1,7 +1,11 @@
 """Test-function catalogue: values, analytic gradients, support guards."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -456,7 +460,7 @@ def _aligned(speed, time_center, amplitude=1.0, unit=True):
 @example((_aligned(-0.7, 0.05), _LAT, True))
 @example((_aligned(0.0, 0.5, -1.5, False), _LAT, False))
 @example((_aligned(1.3, 0.95, -0.5), _LAT, True))
-def test_row_blocks_are_the_whole_lattice_evaluation(case):
+def test_lattice_rows_are_the_whole_lattice_evaluation(case):
     # the per-row path directly: a drawn lattice may be snapped for the
     # drawn speed, and evaluate would then take the co-moving path
     fn, lattice, periodic_time = case
@@ -490,7 +494,7 @@ def test_shock_aligned_evaluate_allocates_little_beyond_its_outputs():
 
 
 @pytest.mark.parametrize("speed", [1e-310, -1e-320])
-def test_shock_aligned_speed_without_snapped_extent_takes_row_blocks(speed):
+def test_shock_aligned_speed_without_snapped_extent_takes_lattice_rows(speed):
     # _snap refuses the speed (extent_space/|speed| overflows), so evaluate
     # falls back to the per-row path at x - speed*t
     fn = _aligned(speed, 0.5)
@@ -585,10 +589,9 @@ def test_comoving_row_t_plus_q_is_row_t_rolled_by_p(case):
 @pytest.mark.parametrize("config, lattice", [
     ("commutator_sweep", (256, 256)), ("dissipation_shock", (1024, 1024)),
     ("onsager_suite", (2048, 1024))])
-def test_comoving_path_is_bitwise_the_row_blocks_on_the_configs(config,
-                                                                lattice):
+def test_comoving_path_is_bitwise_the_lattice_rows_on_the_configs(config,
+                                                                  lattice):
     import json
-    from pathlib import Path
     spec = json.loads((Path(__file__).parent.parent / "configs"
                        / f"{config}.json").read_text())
     spec = spec.get("shock", spec)
@@ -604,7 +607,8 @@ def test_comoving_path_is_bitwise_the_row_blocks_on_the_configs(config,
 
 def _old_tensor_bump(fn, lattice, periodic_time):
     # the evaluation before the in-place one: amplitude times fresh outer
-    # products, with _support's np.remainder wrap inlined
+    # products on every row, with _support's np.remainder wrap inlined;
+    # also the rows where the time factor or its derivative is nonzero
     factors, dfactors = [], []
     for axis in range(lattice.n_axes):
         z = lattice.times() if axis == 0 else lattice.space_nodes()
@@ -627,7 +631,17 @@ def _old_tensor_bump(fn, lattice, periodic_time):
     for axis in range(lattice.n_axes):
         grad[..., axis] = outer([dfactors[a] if a == axis else f
                                  for a, f in enumerate(factors)])
-    return fn.amplitude * outer(factors), fn.amplitude * grad
+    live = (factors[0] != 0.0) | (dfactors[0] != 0.0)
+    return fn.amplitude * outer(factors), fn.amplitude * grad, live
+
+
+def _assert_live_rows_are(got, want, live):
+    # the live rows bit for bit, zeros' signs included; every other row
+    # +0.0, whose bit pattern is all zeros
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(a[live].view(np.int64), b[live].view(np.int64))
+        assert not np.any(a[~live].view(np.int64))
 
 
 @st.composite
@@ -661,13 +675,68 @@ def tensor_bump_cases(draw):
                                               extent_time=1.0,
                                               extent_space=1.0), False))
 def test_tensor_bump_in_place_is_the_old_evaluation(case):
+    # x*a and a*x round alike, so live rows match bit for bit; the old
+    # products gave -0.0 on other rows where the amplitude is negative
     fn, lattice, periodic_time = case
-    psi, grad = fn.evaluate(lattice, periodic_time)
-    want_psi, want_grad = _old_tensor_bump(fn, lattice, periodic_time)
-    assert psi.shape == want_psi.shape and grad.shape == want_grad.shape
-    # x*a and a*x round alike, so every bit matches, zeros' signs included
-    assert np.array_equal(psi.view(np.int64), want_psi.view(np.int64))
-    assert np.array_equal(grad.view(np.int64), want_grad.view(np.int64))
+    *want, live = _old_tensor_bump(fn, lattice, periodic_time)
+    _assert_live_rows_are(fn.evaluate(lattice, periodic_time), want, live)
+
+
+def _old_time_bump(fn, lattice, periodic_time):
+    # the broadcast evaluation before live rows: the profile copied down
+    # every row, its derivative into every row of grad's time component,
+    # with _support's wrap inlined; also the rows where either is nonzero
+    T, t = lattice.extent_time, lattice.times()
+    if periodic_time:
+        w = ((t - fn.center + 0.5 * T) % T - 0.5 * T) / fn.radius
+    else:
+        w = (t - fn.center) / fn.radius
+    scale = fn.amplitude
+    if fn.unit_integral:
+        scale = scale / (fn.radius * bump_line_integral())
+    phi, dphi = scale * bump(w), scale * bump_deriv(w) / fn.radius
+    column = (-1,) + (1,) * lattice.k
+    psi = np.broadcast_to(phi.reshape(column), lattice.shape).copy()
+    grad = np.zeros(lattice.shape + (lattice.n_axes,))
+    grad[..., 0] = dphi.reshape(column)
+    return psi, grad, (phi != 0.0) | (dphi != 0.0)
+
+
+@st.composite
+def time_bump_cases(draw):
+    """A valid TimeBump for k = 1 or 2 and whether time is periodic."""
+    k = draw(st.integers(1, 2))
+    T = draw(st.floats(0.5, 3.0))
+    periodic_time = draw(st.booleans())
+    radius = draw(st.floats(0.05, 0.45)) * T
+    if periodic_time:
+        center = draw(st.floats(-T, 2.0 * T))
+    else:
+        center = draw(st.floats(radius + 1e-3 * T, T - radius - 1e-3 * T))
+    amplitude = draw(st.floats(0.1, 3.0) | st.sampled_from([1, 2, -3])) \
+        * draw(st.sampled_from([1, -1]))
+    fn = TimeBump(center=center, radius=radius, amplitude=amplitude,
+                  unit_integral=draw(st.booleans()))
+    lattice = Lattice(k=k, n_time=draw(st.integers(8, 24)),
+                      n_space=draw(st.integers(8, 24 if k == 1 else 12)),
+                      extent_time=T, extent_space=draw(st.floats(0.5, 2.0)))
+    return fn, lattice, periodic_time
+
+
+@settings(max_examples=60, deadline=None)
+@given(time_bump_cases())
+@example((TimeBump(center=0.05, radius=0.3, amplitude=-1.5),
+          Lattice(k=2, n_time=9, n_space=8, extent_time=1.0,
+                  extent_space=1.0), True))
+@example((TimeBump(center=0.5, radius=0.3, amplitude=-2.0,
+                   unit_integral=True),
+          Lattice(k=1, n_time=9, n_space=8, extent_time=1.0,
+                  extent_space=1.0), False))
+def test_time_bump_live_rows_are_the_old_evaluation(case):
+    # a negative amplitude gave -0.0 outside the support
+    fn, lattice, periodic_time = case
+    *want, live = _old_time_bump(fn, lattice, periodic_time)
+    _assert_live_rows_are(fn.evaluate(lattice, periodic_time), want, live)
 
 
 def test_tensor_bump_evaluate_allocates_little_beyond_its_outputs():
@@ -681,3 +750,42 @@ def test_tensor_bump_evaluate_allocates_little_beyond_its_outputs():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * (psi.nbytes + grad.nbytes)
+
+
+# an exec'd process reports at least its parent's peak as ru_maxrss (this
+# test's pytest process); a process forked from it starts from its own
+_RSS_CHILD = """
+import os, resource, sys
+if os.fork():
+    sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
+from conslab import Lattice, TensorBump, TimeBump
+lattice = Lattice(k=1, n_time=2048, n_space=2048, extent_time=1.0,
+                  extent_space=1.0)
+fn = {"tensor": TensorBump(center=(0.05, 0.5), radius=(0.1, 0.35),
+                           amplitude=-2.0),
+      "time": TimeBump(center=0.05, radius=0.1, amplitude=-2.0)}[sys.argv[1]]
+fn.evaluate(Lattice(k=1, n_time=64, n_space=64, extent_time=1.0,
+                    extent_space=1.0))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+psi, grad = fn.evaluate(lattice)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) * 1024, psi.nbytes + grad.nbytes)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.parametrize("kind", ["tensor", "time"])
+def test_evaluate_leaves_rows_outside_the_support_unwritten(kind):
+    # a time support of 0.2 of the period, wrapping across t = 0, on a
+    # lattice whose outputs (32 and 64 MiB) pass glibc's 32 MiB mmap
+    # ceiling, so np.zeros hands out fresh pages that only a write faults
+    # in; writing every row would grow the peak RSS by the outputs' size
+    src = str(Path(fields.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _RSS_CHILD, kind], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    grown, nbytes = map(int, proc.stdout.split())
+    assert grown <= 0.5 * nbytes
