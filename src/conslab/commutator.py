@@ -7,9 +7,10 @@ affine maps against a kernel of unit discrete mass) and are short-
 circuited to exact zeros.  A compact-range extension has no affine entries
 globally, but where U and [U]_eps both lie in its delta enlargement every
 flux it evaluates is the base system's, so at such a level the base's
-affine entries are short-circuited too (SystemSpec.extension_of); at any
-other level every entry is computed.  Evaluation still goes through the
-extension's own G.
+affine entries are short-circuited too (SystemSpec.extension_of) and G, B
+and DB are the base's own evaluators, which the extension would return
+unchanged there; at any other level every entry is computed through the
+extension.  A finite-difference DB always differences the extension's B.
 
 residual_R integrates the defect of the mollified companion law against a
 test function, split as the multiplier-derivative part I1 and the
@@ -30,12 +31,19 @@ eta = q*i - p*t, and the integrals pair them with the shear averages of
 psi and D_X psi onto that grid.  psi is evaluated once per residual_R
 call, on the field's own lattice and clock; a level trimmed in time reads
 the rows of its window.
+
+A consumer holds one level at a time.  residual_R and lemma_bound_audit
+take a level's terms in a function that map hands the level to, so the
+level's [U]_eps, commutator entries, B, DB and derivatives are dropped
+before the next level is computed: a sweep peaks where its costliest
+single level does, however many kernels it has.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -53,8 +61,9 @@ from .testfunctions import TestFunction
 def _commutator(system: SystemSpec, field: Field,
                 kernel: MollifierKernel, mollified: Field,
                 entries) -> list:
-    """One node array per commutator entry in `entries`.  The flux
-    temporaries die with this frame, so no sweep holds them across eps."""
+    """One node array per commutator entry in `entries`, with the fluxes of
+    `system`.  The flux temporaries die with this frame, so no sweep holds
+    them across eps."""
     if not entries:
         return []
     rows, cols = zip(*entries)
@@ -76,13 +85,21 @@ def _entries(system: SystemSpec) -> list:
 def _commutators(system: SystemSpec, field: Field,
                  kernels: Sequence[MollifierKernel]):
     """Check the field's states, then return an iterator over the sweep
-    that yields (kernel, [U]_eps, rows, entries, parts) per kernel,
-    coarsest epsilon first: rows as in mollifier.sweep, parts[m] the
-    commutator entry entries[m] (affine rows and columns left out).
+    that yields (kernel, [U]_eps, rows, local, entries, parts) per kernel,
+    coarsest epsilon first: rows as in mollifier.sweep, local the system
+    whose evaluators the level reads, parts[m] the commutator entry
+    entries[m] (affine rows and columns left out).
 
     On a compact-range extension, a level where both U and [U]_eps pass the
     extension's interior test also leaves out the base system's affine
-    entries: every flux the level evaluates is the base's there."""
+    entries, and its local system is the base: every flux the level
+    evaluates is the base's there, so calling the base skips the test the
+    extension's evaluators would repeat per call.  Elsewhere local is the
+    system itself.
+
+    The iterator keeps no level it has yielded once it computes the next,
+    beyond [U]_eps while the next is mollified: a consumer that drops its
+    level before asking for the next holds one level at a time."""
     require_states(system, field, f"field of {system.name!r}")
     entries = _entries(system)
     narrow = entries
@@ -98,11 +115,11 @@ def _commutators(system: SystemSpec, field: Field,
                 f"mollified field of {system.name!r} at eps "
                 f"{kernel.epsilon:g} (replace the system with "
                 "extend_to_compact_range(...) over the field's range box)")
-            level = entries
+            local, level = system, entries
             if narrow is not entries and interior(mollified.nodes):
-                level = narrow
-            yield (kernel, mollified, rows, level,
-                   _commutator(system, field, kernel, mollified, level))
+                local, level = base, narrow
+            yield (kernel, mollified, rows, local, level,
+                   _commutator(local, field, kernel, mollified, level))
     return levels()
 
 
@@ -116,7 +133,7 @@ def commutator_field(system: SystemSpec, field: Field,
     state domain; the fix is to extend the system to a compact range
     first.
     """
-    _, mollified, _, entries, parts = next(
+    _, mollified, _, _, entries, parts = next(
         _commutators(system, field, [kernel]))
     nodes = mollified.nodes
     out = np.zeros(nodes.shape[:-1] + (system.n, system.k + 1))
@@ -161,28 +178,30 @@ def lemma_bound_audit(system: SystemSpec, field: Field,
         raise ParameterError(
             "lemma_bound_audit requires a fully periodic field (the shift "
             "maximum wraps every axis)")
-    n_axes = field.lattice.n_axes
-    eps, lhs, bounds = [], [], []
-    for kernel, mollified, rows, _, parts in _commutators(system, field,
-                                                          kernels):
-        vol = mollified.node_volume
-        # squares summed in entry order, as squared_magnitude would add them
-        mag2 = sum(map(np.square, parts), np.zeros(()))
-        lhs.append(squares_lq_norm(mag2, q, vol))
-        approx = magnitude_lq_norm(mollified.nodes - field.nodes[rows],
-                                   n_axes, 2.0 * q, vol)
-        shift_sup = _max_shift_norm(field, kernel, 2.0 * q)
-        bounds.append(approx ** 2 + shift_sup ** 2)
-        eps.append(kernel.epsilon)
-    eps = np.array(eps)
-    lhs = np.array(lhs)
-    bounds = np.array(bounds)
+    levels = _commutators(system, field, kernels)
+    # map drops each level once its terms are taken, before it asks for
+    # the next: one [U]_eps and its entries alive at a time
+    eps, lhs, bounds = map(np.array, zip(*map(
+        partial(_lemma_terms, field, q), levels)))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(bounds > 0, lhs / bounds, np.nan)
     return CommutatorSweep(q=float(q), epsilons=eps,
                            commutator_Lq_norms=lhs,
                            lemma_bound_values=bounds, measured_C=ratio,
                            rate_fit=fit_loglog(eps, lhs))
+
+
+def _lemma_terms(field: Field, q: float, level) -> tuple:
+    """(eps, ||W||_{L^q}, bound) of one level of _commutators."""
+    kernel, mollified, rows, _, _, parts = level
+    vol = mollified.node_volume
+    # squares summed in entry order, as squared_magnitude would add them
+    mag2 = sum(map(np.square, parts), np.zeros(()))
+    lhs = squares_lq_norm(mag2, q, vol)
+    approx = magnitude_lq_norm(mollified.nodes - field.nodes[rows],
+                               field.lattice.n_axes, 2.0 * q, vol)
+    shift_sup = _max_shift_norm(field, kernel, 2.0 * q)
+    return kernel.epsilon, lhs, approx ** 2 + shift_sup ** 2
 
 
 def _max_shift_norm(field: Field, kernel: MollifierKernel,
@@ -267,35 +286,41 @@ def residual_R(system: SystemSpec, field: Field,
     levels = _commutators(system, field, kernels)
     psi_all, dpsi_all = map(field.node_mean, testfn.evaluate(
         field.lattice, field.periodic_time))
-    eps, I1s, I2s, totals = [], [], [], []
-    for kernel, mollified, rows, entries, parts in levels:
-        _require_window_support(field, kernel, rows, psi_all, dpsi_all)
-        psi, dpsi = psi_all[rows], dpsi_all[rows]
-        vol = mollified.node_volume
-        B = system.B(mollified.nodes)
-        if system.DB is not None:
-            DB = system.DB(mollified.nodes)
-        else:
-            DB = fd_jacobian(system.B, mollified.nodes, FD_STEP)
-        deriv_cache = {}
-        I1 = 0.0
-        I2 = 0.0
-        for (i, j), W_ij in zip(entries, parts):
-            if j not in deriv_cache:
-                deriv_cache[j] = axis_derivative(mollified, j)
-            DU_j = deriv_cache[j]
-            chain = np.einsum("...m,...m->...", DB[..., i, :], DU_j)
-            I1 -= np.sum(W_ij * chain * psi) * vol
-            I2 -= np.sum(W_ij * B[..., i] * dpsi[..., j]) * vol
-        eps.append(kernel.epsilon)
-        I1s.append(float(I1))
-        I2s.append(float(I2))
-        totals.append(float(I1 + I2))
-    eps = np.array(eps)
-    I1s, I2s, totals = np.array(I1s), np.array(I2s), np.array(totals)
+    # map drops each level once its terms are summed, before it asks for
+    # the next: one [U]_eps, its entries, B and DB alive at a time
+    eps, I1s, I2s, totals = map(np.array, zip(*map(
+        partial(_residual_terms, system, field, psi_all, dpsi_all), levels)))
     return ResidualReport(epsilons=eps, I1=I1s, I2=I2s, total=totals,
                           rate_fit=fit_loglog(eps, np.abs(totals)),
                           limit_estimate=aitken_limit(totals))
+
+
+def _residual_terms(system: SystemSpec, field: Field, psi_all: np.ndarray,
+                    dpsi_all: np.ndarray, level) -> tuple:
+    """(eps, I1, I2, I1 + I2) of one level of _commutators.  B and DB are
+    the level's local system's; a finite-difference DB differences the
+    system's own B, since a perturbed state may leave where the two
+    agree."""
+    kernel, mollified, rows, local, entries, parts = level
+    _require_window_support(field, kernel, rows, psi_all, dpsi_all)
+    psi, dpsi = psi_all[rows], dpsi_all[rows]
+    vol = mollified.node_volume
+    B = local.B(mollified.nodes)
+    if local.DB is not None:
+        DB = local.DB(mollified.nodes)
+    else:
+        DB = fd_jacobian(system.B, mollified.nodes, FD_STEP)
+    deriv_cache = {}
+    I1 = 0.0
+    I2 = 0.0
+    for (i, j), W_ij in zip(entries, parts):
+        if j not in deriv_cache:
+            deriv_cache[j] = axis_derivative(mollified, j)
+        DU_j = deriv_cache[j]
+        chain = np.einsum("...m,...m->...", DB[..., i, :], DU_j)
+        I1 -= np.sum(W_ij * chain * psi) * vol
+        I2 -= np.sum(W_ij * B[..., i] * dpsi[..., j]) * vol
+    return kernel.epsilon, float(I1), float(I2), float(I1 + I2)
 
 
 def _require_window_support(field: Field, kernel: MollifierKernel,

@@ -6,6 +6,8 @@ Every precondition failure raises one of these with an actionable message
 
 import numbers
 
+import numpy as np
+
 
 class ConslabError(Exception):
     """Base class for all package-specific errors."""
@@ -62,3 +64,13 @@ def _real(value, what: str):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ParameterError(f"{what} must be a real number, got {value!r}")
     return value
+
+
+def _reals(value, what: str) -> np.ndarray:
+    """value as an array of floats, else ParameterError; the caller checks
+    its shape and range."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ParameterError(
+            f"{what} must be real numbers, got {value!r}") from None

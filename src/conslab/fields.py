@@ -391,6 +391,9 @@ def lacunary_profile(alpha: float, n_octaves: int, seed: int, period: float,
     """Evaluate amplitude * sum_j 2^{-alpha j} cos(2^j 2 pi x/period + phi_j)
     with phases phi_j drawn once from the seeded generator."""
     n_octaves, seed = _lacunary_counts(n_octaves, seed)
+    _real(alpha, "alpha")
+    _real(period, "period")
+    _real(amplitude, "amplitude")
     phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, n_octaves)
     out = np.zeros_like(np.asarray(x, dtype=float))
     base = 2.0 * np.pi / period

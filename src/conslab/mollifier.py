@@ -28,6 +28,12 @@ The line path caches only the line it reads, q*n_space/2 + 1 entries per
 a compact sweep keeps no lattice-sized array per kernel.  A kernel that
 later meets a 2-D field sums its stencil again, with the same result.
 
+What a sweep retains: `sweep` keeps [U]_eps only until the next
+mollification returns, and each consumer (verify_estimates here, and
+residual_R and lemma_bound_audit in commutator) takes a level's terms in a
+function and drops the level before asking for the next, so a sweep over
+a 2-D field holds one level's arrays, not one set per kernel.
+
 verify_estimates audits the three smoothing estimates that drive the
 commutator analysis: the gradient bound (slope alpha - 1), the
 approximation bound (slope alpha), and the translation bound (slope
@@ -37,6 +43,7 @@ alpha), for fields of Besov exponent alpha.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -171,6 +178,14 @@ def _fold(index: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(index, n - index)
 
 
+def _require_kernel(kernel) -> MollifierKernel:
+    """kernel unchanged if it is a MollifierKernel, else ParameterError."""
+    if not isinstance(kernel, MollifierKernel):
+        raise ParameterError(
+            f"expected a MollifierKernel (see make_kernel), got {kernel!r}")
+    return kernel
+
+
 def make_kernel(epsilon: float, lattice: Lattice,
                 space_only: bool = False) -> MollifierKernel:
     """Build the discrete mollification kernel at scale epsilon."""
@@ -239,7 +254,7 @@ def mollify(field: Field, kernel: MollifierKernel,
     back as a TravelingField, equal to the 2-D transform to rounding;
     "direct" materializes it and returns a DiscreteField.
     """
-    if kernel.lattice != field.lattice:
+    if _require_kernel(kernel).lattice != field.lattice:
         raise ParameterError("kernel was built for a different lattice")
     if method not in ("fft", "direct"):
         raise ParameterError(f"unknown method {method!r}")
@@ -350,26 +365,11 @@ def verify_estimates(field: Field, q: float,
         raise ParameterError("need at least 4 epsilons for stable fits")
     if not 0.0 < alpha_ref < 1.0:
         raise ParameterError(f"alpha_ref must lie in (0, 1), got {alpha_ref}")
-    lat = field.lattice
-    kernels = [make_kernel(e, lat) for e in epsilons]
-    eps, grad_norms, diff_norms, trans_norms = [], [], [], []
-    for kernel, smoothed, rows in sweep(field, kernels):
-        e = kernel.epsilon
-        vol = smoothed.node_volume
-        eps.append(e)
-        grad_norms.append(squares_lq_norm(_squared_gradient(smoothed), q,
-                                          vol))
-        diff_norms.append(magnitude_lq_norm(smoothed.nodes - field.nodes[rows],
-                                            lat.n_axes, q, vol))
-        best = 0.0
-        for axis in range(lat.n_axes):
-            nodes = round(e / lat.axis_spacing(axis))
-            if nodes < 1 or nodes >= lat.shape[axis] // 2:
-                continue
-            best = max(best, shift_difference_norm(field, axis, nodes, q))
-        trans_norms.append(best)
-    eps, grad_norms, diff_norms, trans_norms = map(
-        np.array, (eps, grad_norms, diff_norms, trans_norms))
+    kernels = [make_kernel(e, field.lattice) for e in epsilons]
+    # map drops each level once its norms are taken, before it asks for
+    # the next: one [U]_eps alive at a time
+    eps, grad_norms, diff_norms, trans_norms = map(np.array, zip(*map(
+        partial(_estimate_norms, field, q), sweep(field, kernels))))
     return MollifierAudit(
         q=float(q), alpha_ref=float(alpha_ref), epsilons=eps,
         gradient_norms=grad_norms, approximation_norms=diff_norms,
@@ -380,10 +380,29 @@ def verify_estimates(field: Field, q: float,
     )
 
 
+def _estimate_norms(field: Field, q: float, level) -> tuple:
+    """(eps, gradient, approximation and translation norms) of one level
+    of sweep."""
+    kernel, smoothed, rows = level
+    lat = field.lattice
+    e = kernel.epsilon
+    vol = smoothed.node_volume
+    grad = squares_lq_norm(_squared_gradient(smoothed), q, vol)
+    diff = magnitude_lq_norm(smoothed.nodes - field.nodes[rows], lat.n_axes,
+                             q, vol)
+    best = 0.0
+    for axis in range(lat.n_axes):
+        nodes = round(e / lat.axis_spacing(axis))
+        if nodes < 1 or nodes >= lat.shape[axis] // 2:
+            continue
+        best = max(best, shift_difference_norm(field, axis, nodes, q))
+    return e, grad, diff, best
+
+
 def kernel_table(kernel: MollifierKernel):
     """The stencil as a (header, rows) table: node offsets, physical
     offsets and weight, one row per stencil node, zero weights included."""
-    lat = kernel.lattice
+    lat = _require_kernel(kernel).lattice
     idx = np.argwhere(np.ones_like(kernel.profile_samples, dtype=bool))
     offs = idx - np.array(kernel.radius_nodes)
     phys = offs * np.array([lat.axis_spacing(a) for a in range(lat.n_axes)])

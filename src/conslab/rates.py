@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _reals
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def aitken_limit(values) -> float:
     Uses the last three entries; falls back to the last entry when the
     second difference is too small for a stable update.
     """
-    v = np.asarray(values, dtype=float)
+    v = _reals(values, "aitken_limit values")
     v = v[np.isfinite(v)]
     if v.size == 0:
         return np.nan

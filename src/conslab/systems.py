@@ -19,6 +19,7 @@ with the original near a prescribed range box.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from ._bumps import smoothstep_pair
 from .errors import (DomainViolationError, GeometryError, ParameterError,
-                     _integer, _real)
+                     _integer, _real, _reals)
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
@@ -131,9 +132,10 @@ class SystemSpec:
     extension_of is set by extend_to_compact_range alone: the pair (base,
     interior) of the system it extends and the predicate on state arrays
     under which the two evaluate alike.  The commutator sweep leaves out
-    the base's affine entries wherever that predicate holds (see
-    commutator); replace() carries the pair over, so a copy whose G is
-    swapped for one that differs must drop it.
+    the base's affine entries, and calls the base's G, B and DB, wherever
+    that predicate holds (see commutator); replace() carries the pair
+    over, so a copy whose G, B or DB is swapped for one that differs must
+    drop it.
     """
 
     name: str
@@ -184,8 +186,8 @@ def require_states(system: SystemSpec, field, what: str) -> None:
 def jump_states(system: SystemSpec, U_left, U_right, what: str) -> list:
     """U_left and U_right as flat state vectors; raise unless both have
     system.n components, they differ, and both lie in the domain."""
-    states = [np.asarray(U, dtype=float).reshape(-1)
-              for U in (U_left, U_right)]
+    states = [_reals(U, f"{what} {side}").reshape(-1)
+              for U, side in ((U_left, "U_left"), (U_right, "U_right"))]
     if any(U.shape != (system.n,) for U in states):
         raise ParameterError(f"states must have shape ({system.n},)")
     if np.array_equal(*states):
@@ -236,8 +238,8 @@ class CompatibilityReport:
 
 def uniform_box_sampler(lower, upper):
     """Sampler drawing states uniformly from a box; use with check_compatibility."""
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
+    lower = _reals(lower, "sampler lower bound")
+    upper = _reals(upper, "sampler upper bound")
     if lower.shape != upper.shape or lower.ndim != 1:
         raise ParameterError("sampler bounds must be two 1-d arrays of equal length")
     if not np.all(lower < upper):
@@ -875,6 +877,9 @@ def make_builtin(name: str, params: Optional[dict] = None) -> SystemSpec:
     if name not in _BUILTIN_FACTORIES:
         raise ParameterError(
             f"unknown system {name!r}; available: {sorted(_BUILTIN_FACTORIES)}")
+    if not isinstance(params or {}, Mapping):
+        raise ParameterError(
+            f"params of {name!r} must be a mapping, got {params!r}")
     return _BUILTIN_FACTORIES[name](dict(params or {}))
 
 

@@ -379,8 +379,8 @@ def test_lemma_norm_is_bitwise_the_stacked_one(elasto, rng, q):
     field = DiscreteField(lattice=lat, values=values)
     kernels = [make_kernel(e, lat) for e in (1 / 4, 1 / 8)]
     want = []
-    for _, mollified, _, entries, parts in _commutators(system, field,
-                                                        kernels):
+    for _, mollified, _, _, entries, parts in _commutators(system, field,
+                                                           kernels):
         assert len(parts) == len(entries) == 4 and all(map(np.any, parts))
         want.append(magnitude_lq_norm(np.stack(parts, axis=-1), 2, q,
                                       mollified.node_volume))
@@ -440,7 +440,7 @@ def test_extension_on_interior_field_is_the_raw_system_bit_for_bit(
         field = make_shock_field(elasto, [1.2, 0.1], [1.6, -0.1], 0.0, lat)
         assert isinstance(field, TravelingField)
     kernels = [make_kernel(e, field.lattice) for e in (1 / 4, 1 / 8)]
-    for (_, _, _, ext_entries, ext_parts), (_, _, _, entries, parts) in zip(
+    for (*_, ext_entries, ext_parts), (*_, entries, parts) in zip(
             commutator._commutators(c8_extension, field, kernels),
             commutator._commutators(elasto, field, kernels)):
         assert ext_entries == entries == [(1, 1)]
@@ -502,7 +502,9 @@ def test_extension_with_a_state_in_the_shell_evaluates_every_entry(
 ])
 def test_extension_narrows_only_levels_inside_the_interior(
         elasto, c8_extension, answers, want):
-    # the interior test is asked of U once, then of [U]_eps per level
+    # the interior test is asked of U once, then of [U]_eps per level; a
+    # narrowed level evaluates with the base system, any other with the
+    # extension itself
     lat = Lattice(k=1, n_time=64, n_space=128, extent_time=1.0,
                   extent_space=1.0)
     field = make_shock_field(elasto, [1.2, 0.1], [1.6, -0.1], 0.0, lat)
@@ -511,9 +513,48 @@ def test_extension_narrows_only_levels_inside_the_interior(
     system = dataclasses.replace(
         c8_extension, extension_of=(elasto, lambda U: next(replies)))
     everything = [(i, j) for i in range(2) for j in range(2)]
-    got = [entries for _, _, _, entries, _ in
-           commutator._commutators(system, field, kernels)]
-    assert got == [everything if w == "all" else w for w in want]
+    levels = [(local, entries) for _, _, _, local, entries, _ in
+              commutator._commutators(system, field, kernels)]
+    assert [entries for _, entries in levels] == [
+        everything if w == "all" else w for w in want]
+    assert all(local is (system if w == "all" else elasto)
+               for (local, _), w in zip(levels, want))
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("consumer", ["residual", "lemma"])
+def test_sweep_consumer_holds_one_level_at_a_time(elasto, c8_extension,
+                                                  consumer):
+    # each level is dropped before the next is asked for, so four levels
+    # peak where the finest alone does; the kernel spectra are built, and
+    # one untraced run made, before tracing, as what a kernel caches is
+    # not a level
+    lat = Lattice(k=1, n_time=64, n_space=128, extent_time=1.0,
+                  extent_space=1.0)
+    shock = make_shock_field(elasto, *_C8_STATES, _C8_SPEED, lat)
+    field = DiscreteField(lattice=shock.lattice, values=shock.values)
+    kernels = [make_kernel(e, field.lattice)
+               for e in (1 / 4, 3 / 16, 1 / 8, 1 / 12)]
+    for kernel in kernels:
+        kernel.spectrum()
+    bump = _c8_bump(field)
+    if consumer == "residual":
+        def run(sweep):
+            residual_R(c8_extension, field, sweep, bump)
+    else:
+        def run(sweep):
+            lemma_bound_audit(c8_extension, field, sweep, 3.0)
+    run(kernels)
+    finest = _traced_peak(lambda: run(kernels[-1:]))
+    assert _traced_peak(lambda: run(kernels)) <= 1.1 * finest
 
 
 def test_c8_gap_is_exactly_zero(elasto, c8_extension):

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from conftest import STATE_BOXES
 from conslab import (ConslabError, DiscreteField, Lattice, TravelingField,
-                     check_compatibility, commutator_field, estimate_besov,
-                     good_set_measure, lacunary_profile, load_field,
-                     make_builtin, make_kernel, make_lacunary_field,
-                     make_shock_field, mollify, save_field,
+                     aitken_limit, check_compatibility, commutator_field,
+                     estimate_besov, good_set_measure, kernel_table,
+                     lacunary_profile, load_field, make_builtin, make_kernel,
+                     make_lacunary_field, make_shock_field, mollify,
+                     rankine_hugoniot_speed, save_field,
                      shift_difference_norm, shock_dissipation_rate,
                      uniform_box_sampler)
 from conslab import test_function_from_config as build_test_function
@@ -154,6 +155,17 @@ BAD_CALLS = {
     "good-set-text-delta": lambda: good_set_measure(
         _wave(), make_kernel(0.25, _wave().lattice), "x"),
     "test-function-spec-not-a-mapping": lambda: build_test_function(3),
+    "lacunary-profile-text-alpha": lambda: lacunary_profile(
+        "a", 3, 0, 1.0, 1.0, np.linspace(0.0, 1.0, 8)),
+    "builtin-params-not-a-mapping": lambda: make_builtin("burgers", 3),
+    "rankine-hugoniot-text-state": lambda: rankine_hugoniot_speed(
+        make_builtin("burgers"), "a", [0.0]),
+    "dissipation-rate-text-state": lambda: shock_dissipation_rate(
+        make_builtin("burgers"), "a", [0.0]),
+    "sampler-text-bound": lambda: uniform_box_sampler("a", [1.0]),
+    "aitken-text-values": lambda: aitken_limit(["a", "b", "c"]),
+    "mollify-text-kernel": lambda: mollify(_wave(), "a"),
+    "kernel-table-text-kernel": lambda: kernel_table("a"),
 }
 
 
