@@ -28,9 +28,13 @@ Everything here runs on the field's nodes (see fields): on a
 TravelingField moving p/q nodes per step the commutator, the multiplier
 and every norm live on the q*n_space profile nodes of the co-moving grid
 eta = q*i - p*t, and the integrals pair them with the shear averages of
-psi and D_X psi onto that grid.  psi is evaluated once per residual_R
-call, on the field's own lattice and clock; a level trimmed in time reads
-the rows of its window.
+psi and D_X psi onto that grid.  residual_R takes those averages from
+testfunctions.node_means: one evaluate call, on the field's own lattice
+and clock.  A catalogue test function's Sample gives them on a
+TravelingField from its factors, in O(n_time + q*n_space), and never
+builds psi on the lattice; on a DiscreteField, or from the plain
+(psi, grad) pair a user test function may return, the lattice arrays go
+through node_mean.  A level trimmed in time reads the rows of its window.
 
 A consumer holds one level at a time.  residual_R and lemma_bound_audit
 take a level's terms in a function that map hands the level to, so the
@@ -55,7 +59,7 @@ from .mollifier import MollifierKernel, axis_derivative, mollify, sweep
 from .rates import RateFit, aitken_limit, fit_loglog
 from .systems import (FD_STEP, SystemSpec, fd_jacobian, require_delta,
                       require_in_domain, require_states)
-from .testfunctions import TestFunction
+from .testfunctions import TestFunction, node_means
 
 
 def _commutator(system: SystemSpec, field: Field,
@@ -277,15 +281,15 @@ def residual_R(system: SystemSpec, field: Field,
     D_X psi.  The multiplier Jacobian D_U B uses the system's analytic DB
     when present, else central differences with step systems.FD_STEP.
 
-    psi is evaluated once, on the field's own lattice and clock, and
-    averaged onto its nodes; each level reads the rows of its window.  On
-    a field that is not periodic in time a level keeps the time window
-    its kernel's radius leaves at both ends, and psi and D_X psi must
-    vanish outside it: TestSupportError otherwise.
+    psi and D_X psi are averaged onto the field's nodes once, from one
+    evaluate call on its own lattice and clock (testfunctions.node_means);
+    each level reads the rows of its window.  On a field that is not
+    periodic in time a level keeps the time window its kernel's radius
+    leaves at both ends, and psi and D_X psi must vanish outside it:
+    TestSupportError otherwise.
     """
     levels = _commutators(system, field, kernels)
-    psi_all, dpsi_all = map(field.node_mean, testfn.evaluate(
-        field.lattice, field.periodic_time))
+    psi_all, dpsi_all = node_means(testfn, field)
     # map drops each level once its terms are summed, before it asks for
     # the next: one [U]_eps, its entries, B and DB alive at a time
     eps, I1s, I2s, totals = map(np.array, zip(*map(

@@ -10,6 +10,15 @@ which shock_dissipation_rate evaluates in closed form.  Shock speeds come
 from the jump conditions per flux row; a companion-law speed computed the
 same way generally disagrees, and that mismatch is the per-shock measure
 of companion-law failure.
+
+Both weak residuals sum their flux over the field's nodes against the
+node average of D_X psi, which testfunctions.node_means takes from one
+evaluate call per test function and residual: on a TravelingField a
+catalogue test function gives it from its factors, in
+O(n_time + q*n_space), without a lattice array; on a DiscreteField, or
+from a user test function's plain (psi, grad) pair, the lattice array
+goes through node_mean.  build_dissipation_report so evaluates each test
+function twice, once per weak residual.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ import numpy as np
 from .errors import InconsistentShockError, UnsupportedGeometryError
 from .fields import Field
 from .systems import SystemSpec, jump_states, require_states
-from .testfunctions import TestFunction
+from .testfunctions import TestFunction, node_means
 
 _SPEED_TOL = 1e-10
 
@@ -30,12 +39,13 @@ _SPEED_TOL = 1e-10
 def _flux_quadrature(field: Field, flux: np.ndarray,
                      testfns: Sequence[TestFunction]) -> list:
     """Node quadrature of flux . D_X psi per test function, against the
-    node mean of D_X psi; flux is per node, with a trailing axis k + 1."""
+    node mean of D_X psi (testfunctions.node_means); flux is per node, with
+    a trailing axis k + 1."""
     vol = field.node_volume
     out = []
     for tf in testfns:
-        _psi, dpsi = tf.evaluate(field.lattice, field.periodic_time)
-        out.append(float(np.sum(flux * field.node_mean(dpsi)) * vol))
+        _psi, dpsi = node_means(tf, field)
+        out.append(float(np.sum(flux * dpsi) * vol))
     return out
 
 

@@ -149,6 +149,10 @@ class DiscreteField:
         return tuple(offset)
 
     def node_mean(self, arr: np.ndarray) -> np.ndarray:
+        shape = self.lattice.shape
+        if np.shape(arr)[:len(shape)] != shape:
+            raise ParameterError(f"an array of shape {np.shape(arr)} is not "
+                                 f"over this field's {shape} lattice")
         return arr
 
     def with_nodes(self, nodes: np.ndarray) -> "DiscreteField":

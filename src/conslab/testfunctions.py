@@ -10,31 +10,56 @@ bumps, and the shock-path-aligned plateau used to localize a single
 traveling jump on the torus (a periodic shock field always carries two
 interfaces; the plateau isolates one).
 
-Every catalogue class writes psi and grad psi only on its live rows, the
-time rows where its time factor or that factor's derivative is nonzero
-(`_live_rows`); the outputs come from np.zeros, so the other rows stay
-+0.0 and their pages are never written.  TensorBump and TimeBump write
-each contiguous run of live rows (two when a periodic support wraps
-across t = 0) with whole-run products.  ShockAlignedBump writes one live
-row at a time.  On a lattice snapped for its speed (fields._snap: p/q
-nodes per step) its plateau is evaluated once per node of the fine
-co-moving grid eta = q*i - p*t, one residue class of n_space nodes at a
-time, and each live row is written from its window of its class
-(fields._row_classes); on any other lattice, at x - speed*t, row by row.
-Temporaries are row-sized.  The two agree within rounding, bit for bit
-on the shipped configs (binary-fraction spacings, speeds and centres).
+evaluate(lattice, periodic_time) checks the parameters against the
+lattice, computes the factors and returns a Sample.  On k = 1 every
+catalogue sample is amplitude*phi(t)*chi(x - v*t), with v = 0 for
+TensorBump and TimeBump (chi = 1) and v = speed for ShockAlignedBump;
+its factors are O(n_time + q*n_space) numbers.  A sample has two views.
+
+Dense: unpacking or indexing it (psi, grad = sample) builds psi and
+grad psi over the lattice on first use.  Only the live rows are written,
+the time rows where phi or its derivative is nonzero (`_live_rows`); the
+outputs come from np.zeros, so the other rows stay +0.0 and their pages
+are never written.  TensorBump and TimeBump write each contiguous run of
+live rows (two when a periodic support wraps across t = 0) with
+whole-run products.  ShockAlignedBump writes one live row at a time.  On
+a lattice snapped for its speed (fields._snap: p/q nodes per step) its
+plateau is evaluated once per node of the fine co-moving grid
+eta = q*i - p*t, one residue class of n_space nodes at a time, and each
+live row is written from its window of its class (fields._row_classes);
+on any other lattice, at x - speed*t, row by row.  Temporaries are
+row-sized.  The two agree within rounding, bit for bit on the shipped
+configs (binary-fraction spacings, speeds and centres).
+
+Node means: sample.node_means(field) is psi and grad psi averaged onto
+the field's nodes.  On a TravelingField over the sample's lattice it
+works from the factors, one residue class of the field's row rule at a
+time, and builds no lattice array: with v = 0, a class's mean is the
+shift histogram of phi (or phi') over its rows, circularly convolved
+with chi (or chi') over n_space nodes; for a ShockAlignedBump at the
+field's own p/q every cell of a node sits at that node's co-moving
+coordinate, so the mean is chi times the class mean of phi (or phi').
+Every other case (a DiscreteField, k >= 2, a shock bump at another
+speed) averages the dense view through field.node_mean.  The two views
+agree within rounding.
+
+`node_means(testfn, field)` is how the package reaches a test function:
+one evaluate call, on the field's own lattice and clock, and the node
+means of what it returns, a Sample or the plain (psi, grad) pair a user
+test function may give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property, partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ._bumps import bump, bump_deriv, bump_line_integral, smoothstep_pair
 from .errors import ParameterError, TestSupportError, UnsupportedGeometryError
-from .fields import Lattice, _row_classes, _snap
+from .fields import Field, Lattice, TravelingField, _row_classes, _snap
 
 
 def _wrap(z: np.ndarray, period: float) -> np.ndarray:
@@ -78,14 +103,190 @@ def _live_runs(phi: np.ndarray, dphi: np.ndarray) -> list:
 
 
 class TestFunction:
-    """Interface: evaluate(lattice, periodic_time) -> (psi, grad) with
-    psi over the lattice and grad carrying one trailing axis of length
-    k + 1 (time derivative first).  Rows outside the time support (see
-    `_live_rows`) are +0.0 and are never written, so their pages stay
-    unfaulted."""
+    """Interface: evaluate(lattice, periodic_time) checks the parameters
+    against the lattice, raising at call time, and returns a Sample, or a
+    plain (psi, grad) pair of arrays: psi over the lattice, grad with one
+    trailing axis of length k + 1 (time derivative first).  `node_means`
+    averages either onto a field's nodes; a catalogue Sample builds its
+    dense arrays only if they are read."""
 
     def evaluate(self, lattice: Lattice, periodic_time: bool = True):
         raise NotImplementedError
+
+
+class Sample:
+    """A test function evaluated on one lattice, in two views.
+
+    Unpacking or indexing gives the dense arrays (psi, grad): psi over the
+    lattice and grad with one trailing axis of length k + 1 (time
+    derivative first), built on first use and kept.  node_means(field)
+    gives their averages onto the field's nodes: a catalogue sample takes
+    them from its factors on a TravelingField over its lattice where it
+    can (`_wave_means`), and otherwise from the dense arrays through
+    field.node_mean."""
+
+    def __init__(self, lattice: Lattice, phi: np.ndarray, dphi: np.ndarray):
+        self.lattice, self.phi, self.dphi = lattice, phi, dphi
+
+    @cached_property
+    def _arrays(self) -> tuple:
+        psi = np.zeros(self.lattice.shape)
+        grad = np.zeros(self.lattice.shape + (self.lattice.n_axes,))
+        self._write(psi, grad)
+        return psi, grad
+
+    def __iter__(self):
+        return iter(self._arrays)
+
+    def __getitem__(self, index):
+        return self._arrays[index]
+
+    def node_means(self, field: Field) -> tuple:
+        """(psi, grad psi) averaged onto the field's nodes."""
+        if isinstance(field, TravelingField) and field.lattice == self.lattice:
+            means = self._wave_means(field)
+            if means is not None:
+                return means
+        return tuple(map(field.node_mean, self))
+
+    def _write(self, psi: np.ndarray, grad: np.ndarray) -> None:
+        """Write the live rows of the dense arrays (zeros on entry)."""
+        raise NotImplementedError
+
+    def _wave_means(self, field: TravelingField):
+        """Node means on a wave over this lattice from the factors, or None
+        where they do not give them."""
+        return None
+
+
+def _wave_nodes(field: TravelingField, sums: np.ndarray) -> tuple:
+    """(psi, grad) on a wave's nodes from per-class sums over its rows,
+    sums[r, m] = (psi, d_t psi, d_x psi) summed over the cells of fine
+    node rows*m + r, as TravelingField.node_mean interleaves its classes."""
+    lat, rows = field.lattice, field.rows
+    means = np.moveaxis(sums, 0, 1).reshape(1, -1, 3) / (lat.n_time / rows)
+    return means[..., 0], means[..., 1:]
+
+
+class _Separable(Sample):
+    """amplitude * phi(t) * prod_a f_a(x_a) with space = ((f_a, f_a'), ...)
+    per space axis, or no factor for a sample constant in space."""
+
+    def __init__(self, lattice, phi, dphi, space=(), amplitude=1.0):
+        super().__init__(lattice, phi, dphi)
+        self.space, self.amplitude = space, amplitude
+
+    def _write(self, psi, grad):
+        factors = [None] + [f for f, _ in self.space]
+        dfactors = [None] + [df for _, df in self.space]
+        column = (-1,) + (1,) * self.lattice.k
+        for run in _live_runs(self.phi, self.dphi):
+            if not self.space:      # the time profile down every row
+                psi[run] = self.phi[run].reshape(column)
+                grad[run, ..., 0] = self.dphi[run].reshape(column)
+            else:
+                factors[0], dfactors[0] = self.phi[run], self.dphi[run]
+                _outer(factors, out=psi[run])
+                for axis in range(self.lattice.n_axes):
+                    _outer([dfactors[a] if a == axis else f
+                            for a, f in enumerate(factors)],
+                           out=grad[run, ..., axis])
+            # per run: a whole-array *= would write every page; x*1.0 is x
+            if self.amplitude != 1.0:
+                psi[run] *= self.amplitude
+                grad[run] *= self.amplitude
+
+    def _wave_means(self, field):
+        # row t of class r puts phi(t)*f(x_i) on fine node q*((i + s) mod
+        # n) + r: the class's sum is the histogram of phi over its rows' s,
+        # circularly convolved with f
+        n, rows = field.lattice.n_space, field.rows
+        hist = np.empty((2, rows, n))
+        for r, ts, ss in _row_classes(field.lattice, field.shift, rows):
+            hist[0, r] = np.bincount(ss, weights=self.phi[ts], minlength=n)
+            hist[1, r] = np.bincount(ss, weights=self.dphi[ts], minlength=n)
+        sums = np.zeros((rows, n, 3))
+        if self.space:
+            (f, df), = self.space
+            h = np.fft.rfft(hist)
+            f_hat = np.fft.rfft(f)
+            sums[..., 0] = np.fft.irfft(h[0] * f_hat, n)
+            sums[..., 1] = np.fft.irfft(h[1] * f_hat, n)
+            sums[..., 2] = np.fft.irfft(h[0] * np.fft.rfft(df), n)
+        else:
+            sums[..., :2] = hist.sum(axis=-1).T[:, None]
+        return _wave_nodes(field, sums * self.amplitude)
+
+
+class _Comoving(Sample):
+    """phi(t) * chi(x - speed*t) on k = 1, with (chi, chi') =
+    plateau(x - speed*t).  shift is (p, q) on a lattice snapped for the
+    speed, where chi is read on the fine grid eta = q*i - p*t, and None
+    on any other lattice."""
+
+    def __init__(self, lattice, phi, dphi, plateau, speed, shift):
+        super().__init__(lattice, phi, dphi)
+        self.plateau, self.speed, self.shift = plateau, speed, shift
+
+    def _write(self, psi, grad):
+        live = _live_rows(self.phi, self.dphi)
+        rows = self._lattice_rows(live) if self.shift is None \
+            else self._class_rows(live)
+        for t, (chi, dchi) in rows:
+            np.multiply(self.phi[t], chi, out=psi[t])
+            g_t, g_x = grad[t, :, 0], grad[t, :, 1]
+            np.multiply(self.phi[t], dchi, out=g_x)
+            np.add(self.dphi[t] * chi, g_x * (-self.speed), out=g_t)
+
+    def _class_plateau(self, r: int) -> tuple:
+        """chi and chi' on class r of the fine grid, its nodes q*m + r."""
+        q = self.shift[1]
+        eta = q * np.arange(self.lattice.n_space)
+        return self.plateau((eta + r) * (self.lattice.h_space / q))
+
+    def _class_rows(self, live):
+        # snapped lattice: the plateau once per class, each live row its
+        # window (fields._row_classes)
+        n = self.lattice.n_space
+        for r, ts, ss in _row_classes(self.lattice, *self.shift):
+            on = live[ts]
+            if on.any():
+                chi, dchi = (np.concatenate([a, a])
+                             for a in self._class_plateau(r))
+                for t, s in zip(ts[on].tolist(), ss[on].tolist()):
+                    yield t, (chi[s:s + n], dchi[s:s + n])
+
+    def _lattice_rows(self, live):
+        # any lattice: the plateau at x - speed*t, one live row at a time
+        t, x = self.lattice.times(), self.lattice.space_nodes()
+        for row in np.flatnonzero(live).tolist():
+            yield row, self.plateau(x - self.speed * t[row])
+
+    def _wave_means(self, field):
+        # at the field's own p/q every cell of fine node q*m + r sits at
+        # that node's co-moving coordinate: the class's sum is chi there
+        # times the sum of phi over the class's rows
+        if self.shift != (field.shift, field.rows):
+            return None
+        sums = np.zeros((field.rows, field.lattice.n_space, 3))
+        for r, ts, _ in _row_classes(self.lattice, *self.shift):
+            m, dm = self.phi[ts].sum(), self.dphi[ts].sum()
+            if m or dm:
+                chi, dchi = self._class_plateau(r)
+                sums[r, :, 0] = chi * m
+                sums[r, :, 2] = dchi * m
+                sums[r, :, 1] = chi * dm - self.speed * sums[r, :, 2]
+        return _wave_nodes(field, sums)
+
+
+def node_means(testfn: TestFunction, field: Field) -> tuple:
+    """(psi, grad psi) of a test function averaged onto the field's nodes,
+    from one evaluate call on the field's own lattice and clock: a
+    Sample's node_means, or field.node_mean of a plain pair."""
+    evaluated = testfn.evaluate(field.lattice, field.periodic_time)
+    if isinstance(evaluated, Sample):
+        return evaluated.node_means(field)
+    return tuple(map(field.node_mean, evaluated))
 
 
 def _require_numeric(testfn) -> None:
@@ -118,35 +319,21 @@ class TensorBump(TestFunction):
     def __post_init__(self):
         _require_numeric(self)
 
-    def evaluate(self, lattice: Lattice, periodic_time: bool = True):
+    def evaluate(self, lattice: Lattice, periodic_time: bool = True) -> Sample:
         center = np.asarray(self.center, dtype=float)
         radius = np.asarray(self.radius, dtype=float)
         if center.shape != (lattice.n_axes,) or radius.shape != (lattice.n_axes,):
             raise ParameterError(
                 f"center/radius must have length k+1 = {lattice.n_axes}")
-        factors, dfactors = [], []
+        factors = []
         for axis in range(lattice.n_axes):
             z = lattice.times() if axis == 0 else lattice.space_nodes()
             w = _support(z, center[axis], radius[axis],
                          lattice.axis_extent(axis), axis > 0 or periodic_time,
                          "time" if axis == 0 else f"space axis {axis}")
-            factors.append(bump(w))
-            dfactors.append(bump_deriv(w) / radius[axis])
-        psi = np.zeros(lattice.shape)
-        grad = np.zeros(lattice.shape + (lattice.n_axes,))
-        phi, dphi = factors[0], dfactors[0]
-        for run in _live_runs(phi, dphi):
-            factors[0], dfactors[0] = phi[run], dphi[run]
-            _outer(factors, out=psi[run])
-            for axis in range(lattice.n_axes):
-                _outer([dfactors[a] if a == axis else f
-                        for a, f in enumerate(factors)],
-                       out=grad[run, ..., axis])
-            # per run: a whole-array *= would write every page; x*1.0 is x
-            if self.amplitude != 1.0:
-                psi[run] *= self.amplitude
-                grad[run] *= self.amplitude
-        return psi, grad
+            factors.append((bump(w), bump_deriv(w) / radius[axis]))
+        return _Separable(lattice, *factors[0], space=factors[1:],
+                          amplitude=self.amplitude)
 
 
 def _outer(factors, out=None) -> np.ndarray:
@@ -182,16 +369,9 @@ class TimeBump(TestFunction):
             scale = scale / (self.radius * bump_line_integral())
         return scale * bump(z), scale * bump_deriv(z) / self.radius
 
-    def evaluate(self, lattice: Lattice, periodic_time: bool = True):
-        phi, dphi = self._profile(lattice.times(), lattice.extent_time,
-                                  periodic_time)
-        column = (-1,) + (1,) * lattice.k
-        psi = np.zeros(lattice.shape)
-        grad = np.zeros(lattice.shape + (lattice.n_axes,))
-        for run in _live_runs(phi, dphi):
-            psi[run] = phi[run].reshape(column)
-            grad[run, ..., 0] = dphi[run].reshape(column)
-        return psi, grad
+    def evaluate(self, lattice: Lattice, periodic_time: bool = True) -> Sample:
+        return _Separable(lattice, *self._profile(
+            lattice.times(), lattice.extent_time, periodic_time))
 
     @property
     def time_integral(self) -> float:
@@ -226,7 +406,7 @@ class ShockAlignedBump(TestFunction):
                         amplitude=self.amplitude,
                         unit_integral=self.unit_time_integral)
 
-    def evaluate(self, lattice: Lattice, periodic_time: bool = True):
+    def evaluate(self, lattice: Lattice, periodic_time: bool = True) -> Sample:
         try:    # the co-moving path needs a lattice snapped for the speed
             snapped, p, q = _snap(lattice, self.speed)
         except ParameterError:      # no finite snapped extent_time
@@ -234,7 +414,7 @@ class ShockAlignedBump(TestFunction):
         return self._evaluate(lattice, periodic_time,
                               (p, q) if snapped == lattice else None)
 
-    def _evaluate(self, lattice, periodic_time, shift):
+    def _evaluate(self, lattice, periodic_time, shift) -> Sample:
         if lattice.k != 1:
             raise UnsupportedGeometryError(
                 "shock-aligned test functions require k = 1")
@@ -247,36 +427,8 @@ class ShockAlignedBump(TestFunction):
                 f"outer radius {self.outer_radius:g} exceeds half the period {L:g}")
         phi, dphi = self._time_part()._profile(
             lattice.times(), lattice.extent_time, periodic_time)
-        psi = np.zeros(lattice.shape)
-        grad = np.zeros(lattice.shape + (2,))
-        live = _live_rows(phi, dphi)
-        rows = self._lattice_rows(lattice, live) if shift is None \
-            else self._class_rows(lattice, *shift, live)
-        for t, (chi, dchi) in rows:
-            np.multiply(phi[t], chi, out=psi[t])
-            g_t, g_x = grad[t, :, 0], grad[t, :, 1]
-            np.multiply(phi[t], dchi, out=g_x)
-            np.add(dphi[t] * chi, g_x * (-self.speed), out=g_t)
-        return psi, grad
-
-    def _class_rows(self, lattice, p, q, live):
-        # snapped lattice: the plateau once per class of the fine grid eta
-        # = q*i - p*t, each live row its window (fields._row_classes)
-        n = lattice.n_space
-        eta = q * np.arange(n)
-        for r, ts, ss in _row_classes(lattice, p, q):
-            on = live[ts]
-            if on.any():
-                chi, dchi = (np.concatenate([a, a]) for a in self._plateau(
-                    (eta + r) * (lattice.h_space / q), lattice.extent_space))
-                for t, s in zip(ts[on].tolist(), ss[on].tolist()):
-                    yield t, (chi[s:s + n], dchi[s:s + n])
-
-    def _lattice_rows(self, lattice, live):
-        # any lattice: the plateau at x - speed*t, one live row at a time
-        t, x, L = lattice.times(), lattice.space_nodes(), lattice.extent_space
-        for row in np.flatnonzero(live).tolist():
-            yield row, self._plateau(x - self.speed * t[row], L)
+        return _Comoving(lattice, phi, dphi, partial(self._plateau, L=L),
+                         self.speed, shift)
 
     def _plateau(self, z: np.ndarray, L: float) -> tuple:
         """chi and chi' at the co-moving coordinate z = x - speed*t."""

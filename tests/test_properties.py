@@ -18,7 +18,7 @@ from conslab import (ConslabError, DiscreteField, Lattice, TravelingField,
                      estimate_besov, good_set_measure, kernel_table,
                      lacunary_profile, load_field, make_builtin, make_kernel,
                      make_lacunary_field, make_shock_field, mollify,
-                     rankine_hugoniot_speed, save_field,
+                     rankine_hugoniot_speed, residual_R, save_field,
                      shift_difference_norm, shock_dissipation_rate,
                      uniform_box_sampler)
 from conslab import test_function_from_config as build_test_function
@@ -127,6 +127,21 @@ def _wave():
         k=1, n_time=16, n_space=64, extent_time=1.0, extent_space=1.0))
 
 
+class _OffLattice:
+    """A user test function whose psi is not over the lattice it is given."""
+
+    def evaluate(self, lattice, periodic_time=True):
+        return np.zeros((32, 64)), np.zeros((32, 64, 2))
+
+
+def _residual_off_lattice():
+    lattice = Lattice(k=1, n_time=64, n_space=64, extent_time=1.0,
+                      extent_space=1.0)
+    field = DiscreteField(lattice=lattice, values=np.zeros((64, 64, 1)))
+    return residual_R(make_builtin("burgers"), field,
+                      [make_kernel(0.125, lattice)], _OffLattice())
+
+
 # one row per exported function and bad argument; later exports join here
 BAD_CALLS = {
     "shift-fractional-nodes": lambda: shift_difference_norm(
@@ -166,6 +181,7 @@ BAD_CALLS = {
     "aitken-text-values": lambda: aitken_limit(["a", "b", "c"]),
     "mollify-text-kernel": lambda: mollify(_wave(), "a"),
     "kernel-table-text-kernel": lambda: kernel_table("a"),
+    "residual-psi-off-lattice": _residual_off_lattice,
 }
 
 

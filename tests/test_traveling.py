@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from conslab import (DiscreteField, DomainViolationError, Lattice,
-                     ParameterError, ShockAlignedBump, TensorBump,
-                     TravelingField, commutator_field, good_set_measure,
+                     ParameterError, ShockAlignedBump, TensorBump, TimeBump,
+                     TravelingField, build_dissipation_report,
+                     commutator_field, good_set_measure,
                      lacunary_profile, lemma_bound_audit, make_builtin,
                      make_kernel, make_lacunary_field, make_shock_field,
                      mollify, residual_R, shift_difference_norm,
@@ -331,6 +332,77 @@ def test_weak_residuals(case, weak_residual):
     testfns = [testfn, TensorBump(center=(0.3, 0.6), radius=(0.2, 0.3))]
     assert_close(weak_residual(system, field, testfns),
                  weak_residual(system, materialized(field), testfns))
+
+
+class PlainPair:
+    """A user test function: evaluate returns a plain (psi, grad) pair."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def evaluate(self, lattice, periodic_time=True):
+        psi, grad = self.inner.evaluate(lattice, periodic_time)
+        return psi, grad
+
+
+SHOCK_STATES = {"burgers": ([1.0], [0.0]),
+                "elastodynamics-1d": ([1.0, 0.5], [1.5, -0.5])}
+
+
+def test_plain_pair_takes_the_dense_path(case):
+    # a plain pair reaches the nodes through node_mean, once per array and
+    # call; a catalogue sample through its factors, never; the two agree
+    system, field, testfn = case
+    states = SHOCK_STATES[system.name]
+    results = []
+    for fn, calls in ((PlainPair(testfn), 2 + 2 * 2), (testfn, 0)):
+        with mock.patch.object(TravelingField, "node_mean", autospec=True,
+                               side_effect=TravelingField.node_mean) as spy:
+            results.append((
+                residual_R(system, field, kernels(field), fn),
+                build_dissipation_report(system, field, *states, [fn])))
+        assert spy.call_count == calls
+    (got, got_report), (want, want_report) = results
+    for name in ("I1", "I2", "total"):
+        assert_close(getattr(got, name), getattr(want, name))
+    for name in ("system_weak_residuals", "companion_weak_residuals"):
+        assert_close(getattr(got_report, name), getattr(want_report, name))
+
+
+@pytest.mark.parametrize("form", ["shock", "lacunary"])
+def test_compact_runs_hold_no_lattice_array(form):
+    # test functions reach a compact field through their factors, so the
+    # dissipation report and a residual sweep each peak below one
+    # n_time x n_space array (at three, psi and grad psi, when the test
+    # function was evaluated on the lattice)
+    burgers = make_builtin("burgers")
+    lattice = Lattice(k=1, n_time=1024, n_space=512, extent_time=1.0,
+                      extent_space=1.0)
+    if form == "shock":
+        field = make_shock_field(burgers, [1.0], [0.0], 0.5, lattice)
+        testfns = [ShockAlignedBump(speed=0.5, xi_center=0.5,
+                                    inner_radius=0.15, outer_radius=0.35,
+                                    time_center=1.0, time_radius=0.8)]
+    else:
+        field = make_lacunary_field(0.6, 6, 3, 1.0, lattice)
+        testfns = [TensorBump(center=(0.5, 0.5), radius=(0.35, 0.35)),
+                   TimeBump(center=0.5, radius=0.3)]
+    assert isinstance(field, TravelingField) and field.rows == 2
+    lattice = field.lattice
+    ks = [make_kernel(2.0 ** -i, lattice) for i in range(4, 7)]
+    for kernel in ks:       # the kernel lines, cut before tracing starts
+        mollify(field, kernel)
+    array = 8 * lattice.n_time * lattice.n_space
+    for call in (lambda: build_dissipation_report(burgers, field, [1.0],
+                                                  [0.0], testfns),
+                 lambda: residual_R(burgers, field, ks, testfns[0])):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < array
 
 
 def test_axis_derivative(case):

@@ -1,7 +1,8 @@
 """Property tests of TravelingField for random coprime shifts p/q on small
 periodic lattices: each protocol method against a brute-force reference
-on the materialized lattice, and both generators against their
-floating-point definitions."""
+on the materialized lattice, both generators against their
+floating-point definitions, and test-function node means from factors
+against the node mean of the dense arrays."""
 
 import math
 from fractions import Fraction
@@ -11,9 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conslab import (Lattice, TravelingField, lacunary_profile,
-                     make_builtin, make_kernel, make_lacunary_field,
-                     make_shock_field, mollify)
+from conslab import (Lattice, ShockAlignedBump, TensorBump, TimeBump,
+                     TravelingField, lacunary_profile, make_builtin,
+                     make_kernel, make_lacunary_field, make_shock_field,
+                     mollify)
 from conslab.mollifier import _convolve_fft
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -155,3 +157,59 @@ def test_line_mollification_is_the_2d_transform(field, widen):
     assert isinstance(got, TravelingField)
     want = _convolve_fft(np.asarray(field.values), kernel)
     np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-12)
+
+
+@st.composite
+def sampled_waves(draw):
+    """A TravelingField moving p/q nodes per step (q in 1..3, p of either
+    sign) on a lattice with extents 1, and a catalogue test function: a
+    TensorBump, a TimeBump, or a ShockAlignedBump at the wave's speed
+    p*n_time/(q*n_space), for which the lattice is snapped, or at another
+    speed."""
+    field = draw(waves().filter(lambda f: f.rows <= 3))
+    lat = field.lattice
+    amplitude = draw(st.floats(0.1, 3.0)) * draw(st.sampled_from([1, -1]))
+    kind = draw(st.sampled_from(["tensor", "time", "aligned", "other"]))
+    if kind == "tensor":
+        testfn = TensorBump(center=(draw(st.floats(-1.0, 2.0)),
+                                    draw(st.floats(-1.0, 2.0))),
+                            radius=(draw(st.floats(0.05, 0.5)),
+                                    draw(st.floats(0.05, 0.5))),
+                            amplitude=amplitude)
+    elif kind == "time":
+        testfn = TimeBump(center=draw(st.floats(-1.0, 2.0)),
+                          radius=draw(st.floats(0.05, 0.5)),
+                          amplitude=amplitude,
+                          unit_integral=draw(st.booleans()))
+    else:
+        speed = field.shift * lat.n_time / (field.rows * lat.n_space)
+        if kind == "other":
+            speed += draw((st.sampled_from([-1.0, 0.5]) | st.floats(-3.0, 3.0))
+                          .filter(lambda d: speed + d != speed))
+        outer = draw(st.floats(0.05, 0.5))
+        testfn = ShockAlignedBump(
+            speed=speed, xi_center=draw(st.floats(-2.0, 2.0)),
+            inner_radius=outer * draw(st.floats(0.05, 0.8)),
+            outer_radius=outer, time_center=draw(st.floats(-1.0, 2.0)),
+            time_radius=draw(st.floats(0.05, 0.5)), amplitude=amplitude,
+            unit_time_integral=draw(st.booleans()))
+    return field, testfn, kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampled_waves())
+def test_sample_node_means_are_the_node_means_of_the_dense_arrays(case):
+    field, testfn, kind = case
+    lat = field.lattice
+    sample = testfn.evaluate(lat)
+    got = sample.node_means(field)
+    # the catalogue paths read the factors and build no lattice array; a
+    # shock bump at another speed averages its dense arrays
+    assert ("_arrays" in vars(sample)) == (kind == "other")
+    # a node mean is a mean of dense entries, so its rounding scales with
+    # their max (sums of phi' over a period cancel to rounding)
+    for g, dense in zip(got, testfn.evaluate(lat)):
+        want = field.node_mean(dense)
+        assert g.shape == want.shape
+        np.testing.assert_allclose(g, want, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(dense)))
