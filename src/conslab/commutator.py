@@ -38,9 +38,22 @@ through node_mean.  A level trimmed in time reads the rows of its window.
 
 A consumer holds one level at a time.  residual_R and lemma_bound_audit
 take a level's terms in a function that map hands the level to, so the
-level's [U]_eps, commutator entries, B, DB and derivatives are dropped
-before the next level is computed: a sweep peaks where its costliest
-single level does, however many kernels it has.
+level's [U]_eps, commutator entries and derivatives are dropped before
+the next level is computed: a sweep peaks where its costliest single
+level does, however many kernels it has.
+
+Within a level the nonlinear layer runs in row blocks of about
+fields._BLOCK_NODES nodes (fields._row_blocks): G(U) and G([U]_eps) keep
+only the entries the level asks for, and B, DB, the chain products and
+the I1/I2 sums are taken block by block.  What a level holds whole is
+[U]_eps, the needed G(U) entries and their mollification, the parts,
+one derivative of [U]_eps per axis read and the node means of psi and
+D_X psi; no flux or multiplier array of the whole level is built.  A
+compact field's nodes are one row, so it runs as a single block.  The
+sums reorder across blocks, so I1 and I2 on a 2-D field agree with a
+whole-level sum to rounding, not bit for bit; on a compact-range
+extension the interior test runs per block, which changes no value but
+the sign of a zero Jacobian entry.
 """
 
 from __future__ import annotations
@@ -53,8 +66,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, TestSupportError
-from .fields import (_BLOCK_NODES, Field, magnitude_lq_norm, power_sum,
-                     require_q, squared_magnitude, squares_lq_norm)
+from .fields import (_BLOCK_NODES, Field, _row_blocks, magnitude_lq_norm,
+                     power_sum, require_q, squared_magnitude,
+                     squares_lq_norm)
 from .mollifier import MollifierKernel, axis_derivative, mollify, sweep
 from .rates import RateFit, aitken_limit, fit_loglog
 from .systems import (FD_STEP, SystemSpec, fd_jacobian, require_delta,
@@ -63,20 +77,31 @@ from .testfunctions import TestFunction, node_means
 
 
 def _commutator(system: SystemSpec, field: Field,
-                kernel: MollifierKernel, mollified: Field,
-                entries) -> list:
-    """One node array per commutator entry in `entries`, with the fluxes of
-    `system`.  The flux temporaries die with this frame, so no sweep holds
-    them across eps."""
+                 kernel: MollifierKernel, mollified: Field,
+                 entries) -> np.ndarray:
+    """The commutator entries `entries` with the fluxes of `system`, one
+    array: parts[m] is entry entries[m] on the nodes of [U]_eps.
+
+    G(U) and G([U]_eps) run per row block (fields._row_blocks), and each
+    block keeps only the entries asked for, so the level holds the needed
+    entries of G(U), their mollification and the parts, never a whole
+    flux array."""
+    shape = mollified.nodes.shape[:-1]
     if not entries:
-        return []
+        return np.empty((0,) + shape)
     rows, cols = zip(*entries)
-    smoothed_G = mollify(
-        field.with_nodes(system.G(field.nodes)[..., rows, cols]),
-        kernel).nodes
-    G_of_mollified = system.G(mollified.nodes)
-    return [G_of_mollified[..., i, j] - smoothed_G[..., m]
-            for m, (i, j) in enumerate(entries)]
+    nodes = field.nodes
+    fluxes = np.empty(nodes.shape[:-1] + (len(entries),))
+    for blk in _row_blocks(nodes.shape[:-1]):
+        fluxes[blk] = system.G(nodes[blk])[..., rows, cols]
+    smoothed = mollify(field.with_nodes(fluxes), kernel).nodes
+    del fluxes
+    nodes = mollified.nodes
+    parts = np.empty((len(entries),) + shape)
+    for blk in _row_blocks(shape):
+        parts[:, blk] = np.moveaxis(
+            system.G(nodes[blk])[..., rows, cols] - smoothed[blk], -1, 0)
+    return parts
 
 
 def _entries(system: SystemSpec) -> list:
@@ -88,11 +113,12 @@ def _entries(system: SystemSpec) -> list:
 
 def _commutators(system: SystemSpec, field: Field,
                  kernels: Sequence[MollifierKernel]):
-    """Check the field's states, then return an iterator over the sweep
-    that yields (kernel, [U]_eps, rows, local, entries, parts) per kernel,
-    coarsest epsilon first: rows as in mollifier.sweep, local the system
-    whose evaluators the level reads, parts[m] the commutator entry
-    entries[m] (affine rows and columns left out).
+    """Check the field's states and the kernels, then return an iterator
+    over the sweep that yields (kernel, [U]_eps, rows, local, entries,
+    parts) per kernel, coarsest epsilon first: rows as in mollifier.sweep,
+    local the system whose evaluators the level reads, parts[m] the
+    commutator entry entries[m] (affine rows and columns left out), all
+    in one array (see _commutator).
 
     On a compact-range extension, a level where both U and [U]_eps pass the
     extension's interior test also leaves out the base system's affine
@@ -105,6 +131,7 @@ def _commutators(system: SystemSpec, field: Field,
     beyond [U]_eps while the next is mollified: a consumer that drops its
     level before asking for the next holds one level at a time."""
     require_states(system, field, f"field of {system.name!r}")
+    swept = sweep(field, kernels)
     entries = _entries(system)
     narrow = entries
     if system.extension_of is not None:
@@ -113,7 +140,7 @@ def _commutators(system: SystemSpec, field: Field,
             narrow = _entries(base)
 
     def levels():
-        for kernel, mollified, rows in sweep(field, kernels):
+        for kernel, mollified, rows in swept:
             require_in_domain(
                 system.domain, mollified.nodes,
                 f"mollified field of {system.name!r} at eps "
@@ -214,24 +241,36 @@ def _max_shift_norm(field: Field, kernel: MollifierKernel,
     one _roll_difference_norm per distinct node shift."""
     n_axes = field.lattice.n_axes
     nodes = np.ascontiguousarray(field.nodes)
-    seen = set()
     best = 0.0
-    for off, _w in kernel.offsets():
-        if all(o == 0 for o in off):
-            continue
-        # ||U - U(. - Y)|| equals ||U - U(. + Y)|| on the fully periodic
-        # fields lemma_bound_audit admits, so visit one of each opposite pair.
-        if off < tuple([0] * len(off)):
-            continue
-        # On a TravelingField many offsets move the profile alike.
-        shift = tuple(int(s) % n for s, n in
-                      zip(field.node_roll(off), nodes.shape))
-        if shift in seen:
-            continue
-        seen.add(shift)
-        best = max(best, _roll_difference_norm(nodes, shift, n_axes, q,
-                                               field.node_volume))
+    for shift in _distinct_shifts(field, kernel).tolist():
+        best = max(best, _roll_difference_norm(nodes, tuple(shift), n_axes,
+                                               q, field.node_volume))
     return best
+
+
+def _distinct_shifts(field: Field, kernel: MollifierKernel) -> np.ndarray:
+    """The node shifts of the kernel's nonzero offsets Y > 0 (in
+    lexicographic order), reduced mod the node shape: each distinct shift
+    once, one row per shift, in lexicographic order.
+
+    ||U - U(. - Y)|| equals ||U - U(. + Y)|| on the fully periodic fields
+    lemma_bound_audit admits, so one offset of each opposite pair is
+    enough; on a TravelingField many offsets move the profile alike.
+    node_roll is linear in the offset on both field forms, so the shifts
+    are the offsets times its values on the unit offsets."""
+    n_axes = field.lattice.n_axes
+    shape = field.nodes.shape[:n_axes]
+    offsets = (np.argwhere(kernel.profile_samples > 0.0)
+               - np.array(kernel.radius_nodes))
+    lead = offsets[np.arange(len(offsets)), np.argmax(offsets != 0, axis=1)]
+    basis = np.array([field.node_roll(unit)
+                      for unit in np.eye(n_axes, dtype=int)])
+    shifts = offsets[lead > 0] @ basis % np.array(shape)
+    # deduplicated by sorting flat indices: np.unique would load numpy.ma
+    # (1.1 MiB of modules) on its first call
+    keys = np.sort(np.ravel_multi_index(tuple(shifts.T), shape))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    return np.column_stack(np.unravel_index(keys, shape))
 
 
 def _roll_difference_norm(nodes: np.ndarray, shift: tuple, n_axes: int,
@@ -304,26 +343,29 @@ def _residual_terms(system: SystemSpec, field: Field, psi_all: np.ndarray,
     """(eps, I1, I2, I1 + I2) of one level of _commutators.  B and DB are
     the level's local system's; a finite-difference DB differences the
     system's own B, since a perturbed state may leave where the two
-    agree."""
+    agree.  B, DB, the chain products and the sums run per row block of
+    [U]_eps's nodes (fields._row_blocks)."""
     kernel, mollified, rows, local, entries, parts = level
     _require_window_support(field, kernel, rows, psi_all, dpsi_all)
     psi, dpsi = psi_all[rows], dpsi_all[rows]
     vol = mollified.node_volume
-    B = local.B(mollified.nodes)
-    if local.DB is not None:
-        DB = local.DB(mollified.nodes)
-    else:
-        DB = fd_jacobian(system.B, mollified.nodes, FD_STEP)
-    deriv_cache = {}
+    nodes = mollified.nodes
+    derivs = {j: axis_derivative(mollified, j)
+              for j in {j for _, j in entries}}
     I1 = 0.0
     I2 = 0.0
-    for (i, j), W_ij in zip(entries, parts):
-        if j not in deriv_cache:
-            deriv_cache[j] = axis_derivative(mollified, j)
-        DU_j = deriv_cache[j]
-        chain = np.einsum("...m,...m->...", DB[..., i, :], DU_j)
-        I1 -= np.sum(W_ij * chain * psi) * vol
-        I2 -= np.sum(W_ij * B[..., i] * dpsi[..., j]) * vol
+    for blk in _row_blocks(nodes.shape[:-1]):
+        U = nodes[blk]
+        B = local.B(U)
+        if local.DB is not None:
+            DB = local.DB(U)
+        else:
+            DB = fd_jacobian(system.B, U, FD_STEP)
+        for (i, j), W_ij in zip(entries, parts[:, blk]):
+            chain = np.einsum("...m,...m->...", DB[..., i, :],
+                              derivs[j][blk])
+            I1 -= np.sum(W_ij * chain * psi[blk]) * vol
+            I2 -= np.sum(W_ij * B[..., i] * dpsi[blk][..., j]) * vol
     return kernel.epsilon, float(I1), float(I2), float(I1 + I2)
 
 

@@ -41,7 +41,8 @@ from .rates import RateFit, fit_loglog
 from .systems import SystemSpec, jump_states
 
 # Nodes per block of the blockwise lattice loops (make_shock_field's
-# left/right test, the lemma's shift loop in commutator).  A 128 KiB
+# left/right test; in commutator, the lemma's shift loop and each eps
+# level's fluxes, multipliers and chain products).  A 128 KiB scalar
 # temporary stays in cache and under glibc's malloc trim threshold, so
 # freed temporaries are reused, not returned to the kernel and faulted in
 # again by the next block (1 MiB ones took about 50,000 minor faults per
@@ -289,6 +290,17 @@ def _row_classes(lattice: Lattice, shift: int, rows: int):
         yield r, j + rows * k, (s % n - shift % n * k) % n
 
 
+def _row_blocks(shape: tuple):
+    """Slices of the leading axis of an array over nodes of `shape`, in
+    order, each of max(1, _BLOCK_NODES // nodes_per_row) whole rows (the
+    last may be shorter).  A compact field's nodes are one row: one
+    block."""
+    rows, per_row = shape[0], math.prod(shape[1:])
+    step = max(1, _BLOCK_NODES // per_row)
+    for start in range(0, rows, step):
+        yield slice(start, start + step)
+
+
 def remainder(a: np.ndarray, period: float) -> np.ndarray:
     """a % period for a positive period, bit for bit, without the
     per-element fmod of np.remainder.
@@ -375,9 +387,7 @@ def make_shock_field(system: SystemSpec, U_left, U_right, speed: float,
     t = lattice.times()
     x = lattice.space_nodes()
     left = np.empty(lattice.shape, dtype=bool)
-    block = max(1, _BLOCK_NODES // lattice.n_space)
-    for start in range(0, lattice.n_time, block):
-        rows = slice(start, start + block)
+    for rows in _row_blocks(lattice.shape):
         left[rows] = remainder(x - speed * t[rows, None], L) < 0.5 * L
     if 2 * q <= lattice.n_time and np.array_equal(
             left[q:], np.roll(left[:-q], p, axis=1)):

@@ -49,7 +49,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._bumps import bump
-from .errors import ParameterError, ResolutionError, _real
+from .errors import ParameterError, ResolutionError, _integer, _real
 from .fields import (DiscreteField, Field, Lattice, TravelingField,
                      magnitude_lq_norm, require_q, shift_difference_norm,
                      squared_magnitude, squares_lq_norm)
@@ -282,15 +282,25 @@ def mollify(field: Field, kernel: MollifierKernel,
 
 
 def sweep(field: Field, kernels: Sequence[MollifierKernel]):
-    """Yield (kernel, [U]_eps, rows) per kernel, coarsest epsilon first;
-    rows slices the leading axis of U's nodes (or of any array on them) to
-    the lattice of [U]_eps: the time slab a trim keeps, all of it
-    otherwise.  [U]_eps has the form of U, so a TravelingField stays
-    compact through the sweep."""
+    """Return an iterator that yields (kernel, [U]_eps, rows) per kernel,
+    coarsest epsilon first; rows slices the leading axis of U's nodes (or
+    of any array on them) to the lattice of [U]_eps: the time slab a trim
+    keeps, all of it otherwise.  [U]_eps has the form of U, so a
+    TravelingField stays compact through the sweep.  kernels must be a
+    non-empty sequence of MollifierKernels, checked on the call:
+    ParameterError otherwise."""
+    if not isinstance(kernels, Sequence):
+        raise ParameterError(
+            f"expected a sequence of MollifierKernels, got {kernels!r}")
     if not kernels:
         raise ParameterError("empty kernel sweep")
+    kernels = sorted(map(_require_kernel, kernels), key=lambda k: -k.epsilon)
+    return _levels(field, kernels)
+
+
+def _levels(field: Field, kernels: list):
     count = len(field.nodes)
-    for kernel in sorted(kernels, key=lambda k: -k.epsilon):
+    for kernel in kernels:
         mollified = mollify(field, kernel)
         r_t = (field.lattice.n_time - mollified.lattice.n_time) // 2
         yield kernel, mollified, slice(r_t, count - r_t)
@@ -311,12 +321,16 @@ def axis_derivative(field: Field, axis: int) -> np.ndarray:
     differences at the two boundary slices.  On a TravelingField the time
     derivative is (profile[eta + p] - profile[eta - p]) / (2 h_t).
     """
+    n_axes = field.lattice.n_axes
+    axis = _integer(axis, "axis", 0)
+    if axis >= n_axes:
+        raise ParameterError(f"axis must be < {n_axes}, got {axis}")
     v = field.nodes
     h = field.lattice.axis_spacing(axis)
     if axis == 0 and not field.periodic_time:
         return np.gradient(v, h, axis=0)
-    step = np.eye(field.lattice.n_axes, dtype=int)[axis]
-    axes = tuple(range(field.lattice.n_axes))
+    step = np.eye(n_axes, dtype=int)[axis]
+    axes = tuple(range(n_axes))
     return (np.roll(v, field.node_roll(-step), axis=axes)
             - np.roll(v, field.node_roll(step), axis=axes)) / (2.0 * h)
 
@@ -361,9 +375,10 @@ def verify_estimates(field: Field, q: float,
                      alpha_ref: float) -> MollifierAudit:
     """Measure the three mollification estimates across an epsilon sweep."""
     require_q(q)
-    if len(epsilons) < 4:
-        raise ParameterError("need at least 4 epsilons for stable fits")
-    if not 0.0 < alpha_ref < 1.0:
+    if np.ndim(epsilons) != 1 or len(epsilons) < 4:
+        raise ParameterError(f"need a sequence of at least 4 epsilons for "
+                             f"stable fits, got {epsilons!r}")
+    if not 0.0 < _real(alpha_ref, "alpha_ref") < 1.0:
         raise ParameterError(f"alpha_ref must lie in (0, 1), got {alpha_ref}")
     kernels = [make_kernel(e, field.lattice) for e in epsilons]
     # map drops each level once its norms are taken, before it asks for

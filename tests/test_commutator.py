@@ -19,7 +19,10 @@ from conslab import (DiscreteField, DomainViolationError, Lattice,
                      lemma_bound_audit, lq_norm, make_builtin, make_kernel,
                      make_lacunary_field, make_shock_field, mollify,
                      residual_R)
+from conslab.fields import _row_blocks
 from conslab.mollifier import axis_derivative
+from conslab.systems import FD_STEP, fd_jacobian
+from conslab.testfunctions import node_means
 
 
 @pytest.fixture(scope="module")
@@ -555,6 +558,181 @@ def test_sweep_consumer_holds_one_level_at_a_time(elasto, c8_extension,
     run(kernels)
     finest = _traced_peak(lambda: run(kernels[-1:]))
     assert _traced_peak(lambda: run(kernels)) <= 1.1 * finest
+
+
+# ---------------------------------------------------------------------------
+# a level's fluxes and multipliers run in row blocks
+
+
+def _whole_level(system, field, level, psi_all, dpsi_all):
+    """(parts, I1, I2, I1 mass, I2 mass) of one level of _commutators, with
+    G(U), G([U]_eps), B, DB and every chain product built over the whole
+    level at once, as before the level ran in row blocks.  A mass is the
+    sum of the magnitudes of an integral's summands, which bounds what
+    reordering its sum can move it by."""
+    kernel, mollified, rows, local, entries, _ = level
+    nodes = mollified.nodes
+    r, c = zip(*entries)
+    smoothed = mollify(field.with_nodes(local.G(field.nodes)[..., r, c]),
+                       kernel).nodes
+    G = local.G(nodes)
+    parts = [G[..., i, j] - smoothed[..., m]
+             for m, (i, j) in enumerate(entries)]
+    B = local.B(nodes)
+    DB = local.DB(nodes) if local.DB is not None else \
+        fd_jacobian(system.B, nodes, FD_STEP)
+    psi, dpsi = psi_all[rows], dpsi_all[rows]
+    vol = mollified.node_volume
+    I1 = I2 = mass1 = mass2 = 0.0
+    for (i, j), W in zip(entries, parts):
+        chain = np.einsum("...m,...m->...", DB[..., i, :],
+                          axis_derivative(mollified, j))
+        t1, t2 = W * chain * psi, W * B[..., i] * dpsi[..., j]
+        I1 -= np.sum(t1) * vol
+        I2 -= np.sum(t2) * vol
+        mass1 += np.sum(np.abs(t1)) * vol
+        mass2 += np.sum(np.abs(t2)) * vol
+    return np.array(parts), I1, I2, mass1, mass2
+
+
+def _block_case(name, elasto, c8_extension, euler2d):
+    """(system, field, kernels, test function) per case.  Every lattice
+    gives several row blocks of fields._BLOCK_NODES and a partial last
+    one: 1000 nodes per row make blocks of 16 rows, over 40 rows (16, 16,
+    8) or, trimmed from 44, over 34 or 36; the k = 2 rows of 64 x 64
+    nodes make blocks of 4 rows over 10 (4, 4, 2)."""
+    rng = np.random.default_rng(11)
+    if name == "k2":
+        lat = Lattice(k=2, n_time=10, n_space=64, extent_time=1.0,
+                      extent_space=1.0)
+        field = DiscreteField(lattice=lat,
+                              values=rng.normal(size=lat.shape + (3,)))
+        return (euler2d, field, [make_kernel(0.4, lat)],
+                TensorBump(center=(0.5, 0.5, 0.5), radius=(0.45, 0.4, 0.4)))
+    trimmed = name == "trimmed"
+    lat = Lattice(k=1, n_time=44 if trimmed else 40, n_space=1000,
+                  extent_time=1.0, extent_space=1.0)
+    values = rng.uniform([1.1, -0.5], [1.9, 0.5], size=lat.shape + (2,))
+    if name == "shell":
+        values[:10, :, 0] = 0.3     # 0.7 below the box, delta = 0.25
+    field = DiscreteField(lattice=lat, values=values,
+                          periodic_time=not trimmed)
+    system = {"fd": dataclasses.replace(elasto, DB=None),
+              "narrowed": c8_extension, "shell": c8_extension}.get(
+                  name, elasto)
+    return (system, field,
+            [make_kernel(e, lat) for e in (0.125, 0.1)],
+            TensorBump(center=(0.5, 0.5), radius=(0.3, 0.4)))
+
+
+@pytest.mark.parametrize("name", ["periodic", "trimmed", "fd", "narrowed",
+                                  "shell", "k2"])
+def test_blocked_level_equals_the_whole_level(elasto, c8_extension, euler2d,
+                                              name):
+    # the commutator entries are the same node by node; I1 and I2 are the
+    # same sums taken block by block: within 1e-13 relative, with a floor
+    # of 1e-14 times the summands' total magnitude for an integral that
+    # nearly cancels
+    system, field, kernels, testfn = _block_case(name, elasto, c8_extension,
+                                                 euler2d)
+    psi_all, dpsi_all = node_means(testfn, field)
+    for level in commutator._commutators(system, field, kernels):
+        _, mollified, rows, local, entries, parts = level
+        shape = mollified.nodes.shape[:-1]
+        blocks = list(_row_blocks(shape))
+        assert len(blocks) >= 3 and blocks[-1].stop > shape[0]
+        if name == "narrowed":
+            assert local is elasto and entries == [(1, 1)]
+        elif name == "shell":
+            # not narrowed: the extension's interior test passes on some
+            # blocks and fails on others
+            assert local is system and len(entries) == 4
+            interior = system.extension_of[1]
+            inside = [interior(mollified.nodes[blk]) for blk in blocks]
+            assert any(inside) and not all(inside)
+        if field.periodic_time:
+            assert rows == slice(0, len(field.nodes))
+        else:
+            assert rows.start > 0
+        want, I1, I2, mass1, mass2 = _whole_level(system, field, level,
+                                                  psi_all, dpsi_all)
+        assert np.array_equal(parts, want)
+        _, got1, got2, _ = commutator._residual_terms(
+            system, field, psi_all, dpsi_all, level)
+        assert abs(got1 - I1) <= 1e-13 * abs(I1) + 1e-14 * mass1
+        assert abs(got2 - I2) <= 1e-13 * abs(I2) + 1e-14 * mass2
+        assert I1 != 0.0 and I2 != 0.0
+
+
+@pytest.mark.parametrize("consumer", ["residual", "lemma"])
+def test_level_peak_is_a_few_whole_lattice_arrays(elasto, c8_extension,
+                                                  consumer):
+    # Counted in whole-lattice scalar arrays A (8 bytes a node) on a
+    # 256 x 1024 C8 field with one state in the shell, so that every level
+    # evaluates all n(k+1) = 4 entries through the extension's cutoff.  A
+    # level holds [U]_eps (n = 2), the G(U) entries (4) until they are
+    # mollified, the mollified entries (4) until the parts (4) are formed,
+    # and one channel's transform (its half spectrum, complex, 1; the
+    # filter, 0.5; the inverse, 1): 2 + 4 + 4 + 2.5 = 12.5 A at the
+    # mollification.  residual_R adds the node means of psi and grad psi
+    # (3), so 15.5 A there, and later holds [U]_eps, the parts and one
+    # derivative per axis read (2 each), the second taken from two rolls
+    # and their difference (at most 6; numpy takes it in place of the
+    # first roll, 4): 3 + 2 + 4 + 2 + 6 = 17 A.  One more A covers the
+    # block temporaries, 16 of 16384 nodes.  With G, B and DB over the
+    # whole level, as before, the peaks were 25.1 A and 22.1 A.
+    lat = Lattice(k=1, n_time=256, n_space=1024, extent_time=1.0,
+                  extent_space=1.0)
+    shock = make_shock_field(elasto, *_C8_STATES, _C8_SPEED, lat)
+    values = np.array(shock.values)
+    values[3, 5, 0] = 0.65          # 0.35 below the box, delta = 0.25
+    field = DiscreteField(lattice=shock.lattice, values=values)
+    kernels = [make_kernel(e, field.lattice) for e in (1 / 32, 1 / 48)]
+    for kernel in kernels:
+        kernel.spectrum()
+    bump = _c8_bump(field)
+    if consumer == "residual":
+        def run():
+            residual_R(c8_extension, field, kernels, bump)
+        budget = 17.0
+    else:
+        def run():
+            lemma_bound_audit(c8_extension, field, kernels[-1:], 3.0)
+        budget = 12.5
+    run()
+    array = 8 * lat.n_time * lat.n_space
+    assert _traced_peak(run) <= (budget + 1.0) * array
+
+
+def _per_offset_shifts(field, kernel) -> set:
+    """The lemma's distinct node shifts, one offset at a time: every
+    nonzero offset after zero in lexicographic order, through node_roll,
+    reduced mod the node shape."""
+    shape = field.nodes.shape
+    zero = (0,) * field.lattice.n_axes
+    return {tuple(int(s) % n for s, n in zip(field.node_roll(off), shape))
+            for off, _ in kernel.offsets() if off > zero}
+
+
+@pytest.mark.parametrize("shift, rows, n_time", [
+    (None, None, 64), (None, None, 10), (0, 1, 64), (5, 1, 64), (1, 2, 64),
+    (-1, 2, 64), (2, 3, 48), (-2, 3, 48), (1, 3, 96)])
+def test_rolled_shifts_are_the_per_offset_set(rng, shift, rows, n_time):
+    # (None, None): a DiscreteField, k = 1 on 64 rows and k = 2 on 10
+    k = 2 if n_time == 10 else 1
+    lat = Lattice(k=k, n_time=n_time, n_space=32, extent_time=1.0,
+                  extent_space=1.0)
+    if shift is None:
+        field = DiscreteField(lattice=lat,
+                              values=rng.normal(size=lat.shape + (1,)))
+    else:
+        field = TravelingField(lattice=lat, shift=shift, rows=rows,
+                               profile=rng.normal(size=(rows * 32, 1)))
+    for epsilon in (0.45, 0.4) if k == 2 else (0.25, 0.15):
+        kernel = make_kernel(epsilon, lat)
+        got = commutator._distinct_shifts(field, kernel).tolist()
+        want = _per_offset_shifts(field, kernel)
+        assert len(got) == len(want) and set(map(tuple, got)) == want
 
 
 def test_c8_gap_is_exactly_zero(elasto, c8_extension):

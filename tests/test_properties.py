@@ -13,15 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import STATE_BOXES
-from conslab import (ConslabError, DiscreteField, Lattice, TravelingField,
-                     aitken_limit, check_compatibility, commutator_field,
-                     estimate_besov, good_set_measure, kernel_table,
-                     lacunary_profile, load_field, make_builtin, make_kernel,
+from conslab import (ConslabError, DiscreteField, Lattice, TensorBump,
+                     TravelingField, aitken_limit, check_compatibility,
+                     commutator_field, estimate_besov, good_set_measure,
+                     kernel_table, lacunary_profile, lemma_bound_audit,
+                     load_field, make_builtin, make_kernel,
                      make_lacunary_field, make_shock_field, mollify,
                      rankine_hugoniot_speed, residual_R, save_field,
                      shift_difference_norm, shock_dissipation_rate,
-                     uniform_box_sampler)
+                     uniform_box_sampler, verify_estimates)
 from conslab import test_function_from_config as build_test_function
+from conslab.mollifier import axis_derivative
 from conslab.rates import fit_loglog
 
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -142,6 +144,11 @@ def _residual_off_lattice():
                       [make_kernel(0.125, lattice)], _OffLattice())
 
 
+def _residual_with_kernels(kernels):
+    return residual_R(make_builtin("burgers"), _wave(), kernels,
+                      TensorBump(center=(0.5, 0.5), radius=(0.35, 0.35)))
+
+
 # one row per exported function and bad argument; later exports join here
 BAD_CALLS = {
     "shift-fractional-nodes": lambda: shift_difference_norm(
@@ -182,6 +189,19 @@ BAD_CALLS = {
     "mollify-text-kernel": lambda: mollify(_wave(), "a"),
     "kernel-table-text-kernel": lambda: kernel_table("a"),
     "residual-psi-off-lattice": _residual_off_lattice,
+    "residual-kernel-not-a-list": lambda: _residual_with_kernels(
+        make_kernel(0.25, _wave().lattice)),
+    "residual-text-kernels": lambda: _residual_with_kernels(["a"]),
+    "lemma-text-kernels": lambda: lemma_bound_audit(
+        make_builtin("burgers"), _wave(), ["a"], 3.0),
+    "good-set-text-kernel": lambda: good_set_measure(_wave(), "a", 0.1),
+    "commutator-field-text-kernel": lambda: commutator_field(
+        make_builtin("burgers"), _wave(), "a"),
+    "estimates-text-alpha": lambda: verify_estimates(
+        _wave(), 3.0, [0.25, 0.3, 0.35, 0.4], "a"),
+    "estimates-scalar-epsilons": lambda: verify_estimates(
+        _wave(), 3.0, 0.25, 0.5),
+    "derivative-axis-out-of-range": lambda: axis_derivative(_wave(), 5),
 }
 
 
