@@ -29,27 +29,32 @@ TravelingField moving p/q nodes per step the commutator, the multiplier
 and every norm live on the q*n_space profile nodes of the co-moving grid
 eta = q*i - p*t, and the integrals pair them with the shear averages of
 psi and D_X psi onto that grid.  residual_R takes those averages from
-testfunctions.node_means: one evaluate call, on the field's own lattice
-and clock.  A catalogue test function's Sample gives them on a
-TravelingField from its factors, in O(n_time + q*n_space), and never
-builds psi on the lattice; on a DiscreteField, or from the plain
-(psi, grad) pair a user test function may return, the lattice arrays go
-through node_mean.  A level trimmed in time reads the rows of its window.
+the row window of testfunctions.node_means: one evaluate call, on the
+field's own lattice and clock.  A catalogue test function's Sample gives
+them on a TravelingField from its factors, in O(n_time + q*n_space), and
+never builds psi on the lattice; on a DiscreteField it writes the rows
+of each row block as the block asks for them, and a plain (psi, grad)
+pair a user test function may return is sliced.  A level trimmed in time
+reads the rows of its window, and checks only the rows it trims.
 
 A consumer holds one level at a time.  residual_R and lemma_bound_audit
 take a level's terms in a function that map hands the level to, so the
 level's [U]_eps, commutator entries and derivatives are dropped before
-the next level is computed: a sweep peaks where its costliest single
-level does, however many kernels it has.
+the next level is computed, and the sweep drops its own reference to
+[U]_eps before it mollifies the next: a sweep peaks where its costliest
+single level does, however many kernels it has.
 
 Within a level the nonlinear layer runs in row blocks of about
 fields._BLOCK_NODES nodes (fields._row_blocks): G(U) and G([U]_eps) keep
-only the entries the level asks for, and B, DB, the chain products and
-the I1/I2 sums are taken block by block.  What a level holds whole is
-[U]_eps, the needed G(U) entries and their mollification, the parts,
-one derivative of [U]_eps per axis read and the node means of psi and
-D_X psi; no flux or multiplier array of the whole level is built.  A
-compact field's nodes are one row, so it runs as a single block.  The
+only the entries the level asks for, and psi, D_X psi, B, DB, the chain
+products and the I1/I2 sums are taken block by block.  What a level
+holds whole is [U]_eps, the needed G(U) entries and their mollification,
+the parts and one derivative of [U]_eps per axis read (one roll, the
+other neighbour subtracted in place); no flux, multiplier or test
+function array of the whole level is built.  The lemma's and the good
+set's [U]_eps - U is squared in its own memory
+(fields.squared_magnitude_in_place).  A compact field's nodes are one
+row, so it runs as a single block.  The
 sums reorder across blocks, so I1 and I2 on a 2-D field agree with a
 whole-level sum to rounding, not bit for bit; on a compact-range
 extension the interior test runs per block, which changes no value but
@@ -66,8 +71,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, TestSupportError
-from .fields import (_BLOCK_NODES, Field, _row_blocks, magnitude_lq_norm,
-                     power_sum, require_q, squared_magnitude,
+from .fields import (_BLOCK_NODES, Field, _row_blocks, power_sum, require_q,
+                     squared_magnitude, squared_magnitude_in_place,
                      squares_lq_norm)
 from .mollifier import MollifierKernel, axis_derivative, mollify, sweep
 from .rates import RateFit, aitken_limit, fit_loglog
@@ -127,9 +132,9 @@ def _commutators(system: SystemSpec, field: Field,
     extension's evaluators would repeat per call.  Elsewhere local is the
     system itself.
 
-    The iterator keeps no level it has yielded once it computes the next,
-    beyond [U]_eps while the next is mollified: a consumer that drops its
-    level before asking for the next holds one level at a time."""
+    The iterator keeps no level it has yielded once it computes the next:
+    a consumer that drops its level before asking for the next holds one
+    level at a time."""
     require_states(system, field, f"field of {system.name!r}")
     swept = sweep(field, kernels)
     entries = _entries(system)
@@ -151,6 +156,7 @@ def _commutators(system: SystemSpec, field: Field,
                 local, level = base, narrow
             yield (kernel, mollified, rows, local, level,
                    _commutator(local, field, kernel, mollified, level))
+            del mollified   # before the next level is mollified
     return levels()
 
 
@@ -227,10 +233,10 @@ def _lemma_terms(field: Field, q: float, level) -> tuple:
     kernel, mollified, rows, _, _, parts = level
     vol = mollified.node_volume
     # squares summed in entry order, as squared_magnitude would add them
-    mag2 = sum(map(np.square, parts), np.zeros(()))
-    lhs = squares_lq_norm(mag2, q, vol)
-    approx = magnitude_lq_norm(mollified.nodes - field.nodes[rows],
-                               field.lattice.n_axes, 2.0 * q, vol)
+    lhs = squares_lq_norm(sum(map(np.square, parts), np.zeros(())), q, vol)
+    approx = squares_lq_norm(squared_magnitude_in_place(
+        mollified.nodes - field.nodes[rows], field.lattice.n_axes), 2.0 * q,
+        vol)
     shift_sup = _max_shift_norm(field, kernel, 2.0 * q)
     return kernel.epsilon, lhs, approx ** 2 + shift_sup ** 2
 
@@ -320,34 +326,35 @@ def residual_R(system: SystemSpec, field: Field,
     D_X psi.  The multiplier Jacobian D_U B uses the system's analytic DB
     when present, else central differences with step systems.FD_STEP.
 
-    psi and D_X psi are averaged onto the field's nodes once, from one
-    evaluate call on its own lattice and clock (testfunctions.node_means);
-    each level reads the rows of its window.  On a field that is not
+    psi and D_X psi come from one evaluate call on the field's own
+    lattice and clock, averaged onto its nodes as a row window
+    (testfunctions.node_means); each level reads the rows of its window,
+    one row block at a time.  On a field that is not
     periodic in time a level keeps the time window its kernel's radius
     leaves at both ends, and psi and D_X psi must vanish outside it:
     TestSupportError otherwise.
     """
     levels = _commutators(system, field, kernels)
-    psi_all, dpsi_all = node_means(testfn, field)
+    means = node_means(testfn, field)
     # map drops each level once its terms are summed, before it asks for
     # the next: one [U]_eps, its entries, B and DB alive at a time
     eps, I1s, I2s, totals = map(np.array, zip(*map(
-        partial(_residual_terms, system, field, psi_all, dpsi_all), levels)))
+        partial(_residual_terms, system, field, means), levels)))
     return ResidualReport(epsilons=eps, I1=I1s, I2=I2s, total=totals,
                           rate_fit=fit_loglog(eps, np.abs(totals)),
                           limit_estimate=aitken_limit(totals))
 
 
-def _residual_terms(system: SystemSpec, field: Field, psi_all: np.ndarray,
-                    dpsi_all: np.ndarray, level) -> tuple:
-    """(eps, I1, I2, I1 + I2) of one level of _commutators.  B and DB are
-    the level's local system's; a finite-difference DB differences the
-    system's own B, since a perturbed state may leave where the two
-    agree.  B, DB, the chain products and the sums run per row block of
-    [U]_eps's nodes (fields._row_blocks)."""
+def _residual_terms(system: SystemSpec, field: Field, means,
+                    level) -> tuple:
+    """(eps, I1, I2, I1 + I2) of one level of _commutators, with psi and
+    D_X psi from the row window means of testfunctions.node_means.  B and
+    DB are the level's local system's; a finite-difference DB differences
+    the system's own B, since a perturbed state may leave where the two
+    agree.  psi, D_X psi, B, DB, the chain products and the sums run per
+    row block of [U]_eps's nodes (fields._row_blocks)."""
     kernel, mollified, rows, local, entries, parts = level
-    _require_window_support(field, kernel, rows, psi_all, dpsi_all)
-    psi, dpsi = psi_all[rows], dpsi_all[rows]
+    _require_window_support(field, kernel, rows, means)
     vol = mollified.node_volume
     nodes = mollified.nodes
     derivs = {j: axis_derivative(mollified, j)
@@ -355,6 +362,8 @@ def _residual_terms(system: SystemSpec, field: Field, psi_all: np.ndarray,
     I1 = 0.0
     I2 = 0.0
     for blk in _row_blocks(nodes.shape[:-1]):
+        psi, dpsi = means(slice(rows.start + blk.start,
+                                rows.start + min(blk.stop, len(nodes))))
         U = nodes[blk]
         B = local.B(U)
         if local.DB is not None:
@@ -364,16 +373,18 @@ def _residual_terms(system: SystemSpec, field: Field, psi_all: np.ndarray,
         for (i, j), W_ij in zip(entries, parts[:, blk]):
             chain = np.einsum("...m,...m->...", DB[..., i, :],
                               derivs[j][blk])
-            I1 -= np.sum(W_ij * chain * psi[blk]) * vol
-            I2 -= np.sum(W_ij * B[..., i] * dpsi[blk][..., j]) * vol
+            I1 -= np.sum(W_ij * chain * psi) * vol
+            I2 -= np.sum(W_ij * B[..., i] * dpsi[..., j]) * vol
     return kernel.epsilon, float(I1), float(I2), float(I1 + I2)
 
 
 def _require_window_support(field: Field, kernel: MollifierKernel,
-                            rows: slice, *parts: np.ndarray) -> None:
-    """Raise TestSupportError where a part is nonzero on a row the level
-    at kernel trims."""
-    if any(np.any(p[:rows.start]) or np.any(p[rows.stop:]) for p in parts):
+                            rows: slice, means) -> None:
+    """Raise TestSupportError where psi or D_X psi (the row window means)
+    is nonzero on a row the level at kernel trims."""
+    trimmed = means(slice(0, rows.start)) + \
+        means(slice(rows.stop, len(field.nodes)))
+    if any(map(np.any, trimmed)):
         h = field.lattice.h_time
         raise TestSupportError(
             f"test function is nonzero outside the time window "
@@ -387,6 +398,6 @@ def good_set_measure(field: Field, kernel: MollifierKernel,
     """Fraction of lattice nodes where |U - [U]_eps| < delta."""
     require_delta(delta)
     _, mollified, rows = next(sweep(field, [kernel]))
-    mag = np.sqrt(squared_magnitude(mollified.nodes - field.nodes[rows],
-                                    field.lattice.n_axes))
-    return float(np.mean(mag < delta))
+    mag2 = squared_magnitude_in_place(mollified.nodes - field.nodes[rows],
+                                      field.lattice.n_axes)
+    return float(np.mean(np.sqrt(mag2, out=mag2) < delta))

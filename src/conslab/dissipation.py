@@ -12,12 +12,12 @@ same way generally disagrees, and that mismatch is the per-shock measure
 of companion-law failure.
 
 Both weak residuals sum their flux over the field's nodes against the
-node average of D_X psi, which testfunctions.node_means takes from one
-evaluate call per test function and residual: on a TravelingField a
-catalogue test function gives it from its factors, in
-O(n_time + q*n_space), without a lattice array; on a DiscreteField, or
-from a user test function's plain (psi, grad) pair, the lattice array
-goes through node_mean.  build_dissipation_report so evaluates each test
+node average of D_X psi, which the row window of testfunctions.node_means
+gives over every row from one evaluate call per test function and
+residual: on a TravelingField a catalogue test function gives it from
+its factors, in O(n_time + q*n_space), without a lattice array; on a
+DiscreteField, or from a user test function's plain (psi, grad) pair,
+it is the lattice array.  build_dissipation_report so evaluates each test
 function twice, once per weak residual.
 """
 
@@ -44,7 +44,7 @@ def _flux_quadrature(field: Field, flux: np.ndarray,
     vol = field.node_volume
     out = []
     for tf in testfns:
-        _psi, dpsi = node_means(tf, field)
+        _psi, dpsi = node_means(tf, field)(slice(None))
         out.append(float(np.sum(flux * dpsi) * vol))
     return out
 

@@ -36,7 +36,7 @@ from typing import Union
 import numpy as np
 
 from .errors import (ParameterError, ResolutionError,
-                     UnsupportedGeometryError, _integer, _real)
+                     UnsupportedGeometryError, _integer, _real, _reals)
 from .rates import RateFit, fit_loglog
 from .systems import SystemSpec, jump_states
 
@@ -118,7 +118,7 @@ class DiscreteField:
     periodic_time: bool = True
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = _reals(self.values, "field values")
         lshape = self.lattice.shape
         if values.shape[:len(lshape)] != lshape or values.ndim <= len(lshape):
             raise ParameterError(
@@ -185,7 +185,7 @@ class TravelingField:
     periodic_time = True
 
     def __post_init__(self):
-        profile = np.asarray(self.profile, dtype=float)
+        profile = _reals(self.profile, "a traveling wave's profile")
         lat = self.lattice
         for name in ("shift", "rows"):
             object.__setattr__(self, name, _integer(
@@ -476,9 +476,10 @@ def shift_difference_norm(field: Field, axis: int, nodes: int,
         diff = v[nodes:] - v[:-nodes]
     else:
         offset = -nodes * np.eye(n_axes, dtype=int)[axis]
-        diff = np.roll(v, field.node_roll(offset),
-                       axis=tuple(range(n_axes))) - v
-    return magnitude_lq_norm(diff, n_axes, q, field.node_volume)
+        diff = np.roll(v, field.node_roll(offset), axis=tuple(range(n_axes)))
+        diff -= v
+    return squares_lq_norm(squared_magnitude_in_place(diff, n_axes), q,
+                           field.node_volume)
 
 
 def require_q(q: float) -> None:
@@ -497,6 +498,20 @@ def squared_magnitude(values: np.ndarray, n_axes: int) -> np.ndarray:
     square = np.empty_like(mag2)
     for i in range(1, flat.shape[-1]):
         mag2 += np.square(flat[..., i], out=square)
+    return mag2
+
+
+def squared_magnitude_in_place(values: np.ndarray,
+                               n_axes: int) -> np.ndarray:
+    """squared_magnitude of values written over values' own memory, the
+    components added in the same order, so the bits match: the result is
+    a view of the first component, and values is spent.  For a caller's
+    temporary, such as a difference array, this holds no second
+    lattice-sized array."""
+    flat = values.reshape(values.shape[:n_axes] + (-1,))
+    mag2 = np.square(flat[..., 0], out=flat[..., 0])
+    for i in range(1, flat.shape[-1]):
+        mag2 += np.square(flat[..., i], out=flat[..., i])
     return mag2
 
 

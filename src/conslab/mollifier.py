@@ -28,11 +28,17 @@ The line path caches only the line it reads, q*n_space/2 + 1 entries per
 a compact sweep keeps no lattice-sized array per kernel.  A kernel that
 later meets a 2-D field sums its stencil again, with the same result.
 
-What a sweep retains: `sweep` keeps [U]_eps only until the next
-mollification returns, and each consumer (verify_estimates here, and
+What a sweep retains: `sweep` drops its reference to [U]_eps before it
+mollifies the next level, and each consumer (verify_estimates here, and
 residual_R and lemma_bound_audit in commutator) takes a level's terms in a
 function and drops the level before asking for the next, so a sweep over
-a 2-D field holds one level's arrays, not one set per kernel.
+a 2-D field holds one level's arrays, not one set per kernel.  Within a
+level the 2-D path transforms one channel at a time into one complex
+buffer and back into its own slab of a channel-major result, whose
+channel-last view it returns; a central derivative is one roll with the
+other neighbour subtracted in place, and the gradient, approximation and
+translation norms square their difference arrays in place
+(fields.squared_magnitude_in_place).
 
 verify_estimates audits the three smoothing estimates that drive the
 commutator analysis: the gradient bound (slope alpha - 1), the
@@ -52,7 +58,7 @@ from ._bumps import bump
 from .errors import ParameterError, ResolutionError, _integer, _real
 from .fields import (DiscreteField, Field, Lattice, TravelingField,
                      magnitude_lq_norm, require_q, shift_difference_norm,
-                     squared_magnitude, squares_lq_norm)
+                     squared_magnitude_in_place, squares_lq_norm)
 from .rates import RateFit, fit_loglog
 
 
@@ -215,17 +221,20 @@ def _convolve_fft(values: np.ndarray, kernel: MollifierKernel) -> np.ndarray:
     spec = kernel.spectrum()[np.ix_(*[_fold(np.arange(n), n)
                                       for n in shape[:-1]])]
     spec *= kernel.cell_volume
-    out = np.empty_like(flat)
-    for c in range(flat.shape[-1]):
-        # one pass per axis, in place: rfftn and irfftn allocate per pass
-        fhat = np.fft.rfft(flat[..., c])
+    # channel-major: each channel is transformed into one complex buffer
+    # and back into its own contiguous slab, in place per pass (rfftn and
+    # irfftn allocate per pass); the result is the channel-last view
+    out = np.empty((flat.shape[-1],) + shape)
+    fhat = np.empty(spec.shape, dtype=complex)
+    for c, channel in enumerate(np.moveaxis(flat, -1, 0)):
+        np.fft.rfft(channel, out=fhat)
         for axis in range(len(shape) - 1):
             np.fft.fft(fhat, axis=axis, out=fhat)
         fhat *= spec
         for axis in range(len(shape) - 1):
             np.fft.ifft(fhat, axis=axis, out=fhat)
-        out[..., c] = np.fft.irfft(fhat, n=shape[-1])
-    return out.reshape(values.shape)
+        np.fft.irfft(fhat, n=shape[-1], out=out[c])
+    return np.moveaxis(out, 0, -1).reshape(values.shape)
 
 
 def _convolve_direct(values: np.ndarray, kernel: MollifierKernel) -> np.ndarray:
@@ -304,6 +313,7 @@ def _levels(field: Field, kernels: list):
         mollified = mollify(field, kernel)
         r_t = (field.lattice.n_time - mollified.lattice.n_time) // 2
         yield kernel, mollified, slice(r_t, count - r_t)
+        del mollified       # before the next level is mollified
 
 
 def lq_norm(field: Field, q: float) -> float:
@@ -329,10 +339,18 @@ def axis_derivative(field: Field, axis: int) -> np.ndarray:
     h = field.lattice.axis_spacing(axis)
     if axis == 0 and not field.periodic_time:
         return np.gradient(v, h, axis=0)
-    step = np.eye(n_axes, dtype=int)[axis]
-    axes = tuple(range(n_axes))
-    return (np.roll(v, field.node_roll(-step), axis=axes)
-            - np.roll(v, field.node_roll(step), axis=axes)) / (2.0 * h)
+    # a unit step moves one node axis, by d nodes: out[i] = v[i + d] from
+    # one roll, minus v[i - d] taken in place from two slices of v
+    shift = field.node_roll(np.eye(n_axes, dtype=int)[axis])
+    node_axis = int(np.argmax(np.abs(shift)))
+    n = v.shape[node_axis]
+    d = shift[node_axis] % n
+    out = np.roll(v, -d, axis=node_axis)
+    ahead, behind = (np.moveaxis(a, node_axis, 0) for a in (out, v))
+    np.subtract(ahead[d:], behind[:n - d], out=ahead[d:])
+    np.subtract(ahead[:d], behind[n - d:], out=ahead[:d])
+    out /= 2.0 * h
+    return out
 
 
 def gradient_magnitude(field: Field) -> np.ndarray:
@@ -345,7 +363,8 @@ def _squared_gradient(field: Field) -> np.ndarray:
     n_axes = field.lattice.n_axes
     acc = np.zeros(field.nodes.shape[:n_axes])
     for axis in range(n_axes):
-        acc += squared_magnitude(axis_derivative(field, axis), n_axes)
+        acc += squared_magnitude_in_place(axis_derivative(field, axis),
+                                          n_axes)
     return acc
 
 
@@ -403,8 +422,8 @@ def _estimate_norms(field: Field, q: float, level) -> tuple:
     e = kernel.epsilon
     vol = smoothed.node_volume
     grad = squares_lq_norm(_squared_gradient(smoothed), q, vol)
-    diff = magnitude_lq_norm(smoothed.nodes - field.nodes[rows], lat.n_axes,
-                             q, vol)
+    diff = squares_lq_norm(squared_magnitude_in_place(
+        smoothed.nodes - field.nodes[rows], lat.n_axes), q, vol)
     best = 0.0
     for axis in range(lat.n_axes):
         nodes = round(e / lat.axis_spacing(axis))

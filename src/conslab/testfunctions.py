@@ -16,20 +16,24 @@ catalogue sample is amplitude*phi(t)*chi(x - v*t), with v = 0 for
 TensorBump and TimeBump (chi = 1) and v = speed for ShockAlignedBump;
 its factors are O(n_time + q*n_space) numbers.  A sample has two views.
 
-Dense: unpacking or indexing it (psi, grad = sample) builds psi and
-grad psi over the lattice on first use.  Only the live rows are written,
-the time rows where phi or its derivative is nonzero (`_live_rows`); the
-outputs come from np.zeros, so the other rows stay +0.0 and their pages
-are never written.  TensorBump and TimeBump write each contiguous run of
-live rows (two when a periodic support wraps across t = 0) with
-whole-run products.  ShockAlignedBump writes one live row at a time.  On
-a lattice snapped for its speed (fields._snap: p/q nodes per step) its
-plateau is evaluated once per node of the fine co-moving grid
-eta = q*i - p*t, one residue class of n_space nodes at a time, and each
-live row is written from its window of its class (fields._row_classes);
-on any other lattice, at x - speed*t, row by row.  Temporaries are
-row-sized.  The two agree within rounding, bit for bit on the shipped
-configs (binary-fraction spacings, speeds and centres).
+Rows: sample.window(rows) builds psi and grad psi on a slice of lattice
+rows, and unpacking or indexing it (psi, grad = sample) gives the window
+over every row, built on first use and kept.  Only the live rows are
+written, the time rows where phi or its derivative is nonzero
+(`_live_rows`); the outputs come from np.zeros, so the other rows stay
++0.0 and their pages are never written.  An entry's bits do not depend
+on the window it is written in.  TensorBump and TimeBump write each
+contiguous run of live rows in the window (two when a periodic support
+wraps across t = 0) with whole-run products.  ShockAlignedBump writes
+one live row at a time.  On a lattice snapped for its speed
+(fields._snap: p/q nodes per step) its plateau is evaluated on the
+fine co-moving grid eta = q*i - p*t, one residue class of n_space
+nodes at a time, once per window for each class with a live row in it,
+and each live row is written from its window of its class
+(fields._row_classes); on any other lattice, at x - speed*t, row by
+row.  Temporaries are row-sized.  The two agree within rounding, bit
+for bit on the shipped configs (binary-fraction spacings, speeds and
+centres).
 
 Node means: sample.node_means(field) is psi and grad psi averaged onto
 the field's nodes.  On a TravelingField over the sample's lattice it
@@ -44,9 +48,13 @@ speed) averages the dense view through field.node_mean.  The two views
 agree within rounding.
 
 `node_means(testfn, field)` is how the package reaches a test function:
-one evaluate call, on the field's own lattice and clock, and the node
-means of what it returns, a Sample or the plain (psi, grad) pair a user
-test function may give.
+one evaluate call, on the field's own lattice and clock, and a row
+window over the node means of what it returns, a Sample or the plain
+(psi, grad) pair a user test function may give: means(rows) is psi and
+grad psi on those node rows.  On a DiscreteField, whose node rows are
+its lattice rows, a Sample's window writes just the rows asked for, so a
+consumer that reads them per row block builds no lattice array of psi;
+every other window slices arrays made once.
 """
 
 from __future__ import annotations
@@ -59,7 +67,8 @@ import numpy as np
 
 from ._bumps import bump, bump_deriv, bump_line_integral, smoothstep_pair
 from .errors import ParameterError, TestSupportError, UnsupportedGeometryError
-from .fields import Field, Lattice, TravelingField, _row_classes, _snap
+from .fields import (DiscreteField, Field, Lattice, TravelingField,
+                     _row_classes, _snap)
 
 
 def _wrap(z: np.ndarray, period: float) -> np.ndarray:
@@ -117,23 +126,32 @@ class TestFunction:
 class Sample:
     """A test function evaluated on one lattice, in two views.
 
-    Unpacking or indexing gives the dense arrays (psi, grad): psi over the
-    lattice and grad with one trailing axis of length k + 1 (time
-    derivative first), built on first use and kept.  node_means(field)
-    gives their averages onto the field's nodes: a catalogue sample takes
-    them from its factors on a TravelingField over its lattice where it
-    can (`_wave_means`), and otherwise from the dense arrays through
-    field.node_mean."""
+    window(rows) gives (psi, grad) on the lattice rows `rows`: psi over
+    those rows and grad with one trailing axis of length k + 1 (time
+    derivative first), written from the factors.  Unpacking or indexing
+    gives the dense arrays, the window over every row, built on first use
+    and kept.  node_means(field) gives their averages onto the nodes of a
+    field over this lattice: a catalogue sample takes them from its
+    factors on a TravelingField where it can (`_wave_means`), and
+    otherwise from the dense arrays through field.node_mean."""
 
     def __init__(self, lattice: Lattice, phi: np.ndarray, dphi: np.ndarray):
         self.lattice, self.phi, self.dphi = lattice, phi, dphi
 
+    def window(self, rows: slice) -> tuple:
+        """(psi, grad) on the lattice rows of `rows`, a slice of unit step
+        (rows past the last are left out, as in slicing): zeros, with the
+        live rows among them written."""
+        start, stop, _ = rows.indices(self.lattice.n_time)
+        shape = (max(stop - start, 0),) + self.lattice.shape[1:]
+        psi = np.zeros(shape)
+        grad = np.zeros(shape + (self.lattice.n_axes,))
+        self._write(psi, grad, start)
+        return psi, grad
+
     @cached_property
     def _arrays(self) -> tuple:
-        psi = np.zeros(self.lattice.shape)
-        grad = np.zeros(self.lattice.shape + (self.lattice.n_axes,))
-        self._write(psi, grad)
-        return psi, grad
+        return self.window(slice(None))
 
     def __iter__(self):
         return iter(self._arrays)
@@ -149,8 +167,9 @@ class Sample:
                 return means
         return tuple(map(field.node_mean, self))
 
-    def _write(self, psi: np.ndarray, grad: np.ndarray) -> None:
-        """Write the live rows of the dense arrays (zeros on entry)."""
+    def _write(self, psi: np.ndarray, grad: np.ndarray, start: int) -> None:
+        """Write the live rows of a window of the dense arrays from lattice
+        row start on (zeros on entry)."""
         raise NotImplementedError
 
     def _wave_means(self, field: TravelingField):
@@ -176,16 +195,17 @@ class _Separable(Sample):
         super().__init__(lattice, phi, dphi)
         self.space, self.amplitude = space, amplitude
 
-    def _write(self, psi, grad):
+    def _write(self, psi, grad, start):
+        phi, dphi = (a[start:start + len(psi)] for a in (self.phi, self.dphi))
         factors = [None] + [f for f, _ in self.space]
         dfactors = [None] + [df for _, df in self.space]
         column = (-1,) + (1,) * self.lattice.k
-        for run in _live_runs(self.phi, self.dphi):
+        for run in _live_runs(phi, dphi):
             if not self.space:      # the time profile down every row
-                psi[run] = self.phi[run].reshape(column)
-                grad[run, ..., 0] = self.dphi[run].reshape(column)
+                psi[run] = phi[run].reshape(column)
+                grad[run, ..., 0] = dphi[run].reshape(column)
             else:
-                factors[0], dfactors[0] = self.phi[run], self.dphi[run]
+                factors[0], dfactors[0] = phi[run], dphi[run]
                 _outer(factors, out=psi[run])
                 for axis in range(self.lattice.n_axes):
                     _outer([dfactors[a] if a == axis else f
@@ -228,13 +248,14 @@ class _Comoving(Sample):
         super().__init__(lattice, phi, dphi)
         self.plateau, self.speed, self.shift = plateau, speed, shift
 
-    def _write(self, psi, grad):
+    def _write(self, psi, grad, start):
         live = _live_rows(self.phi, self.dphi)
+        live[:start] = live[start + len(psi):] = False
         rows = self._lattice_rows(live) if self.shift is None \
             else self._class_rows(live)
         for t, (chi, dchi) in rows:
-            np.multiply(self.phi[t], chi, out=psi[t])
-            g_t, g_x = grad[t, :, 0], grad[t, :, 1]
+            np.multiply(self.phi[t], chi, out=psi[t - start])
+            g_t, g_x = grad[t - start, :, 0], grad[t - start, :, 1]
             np.multiply(self.phi[t], dchi, out=g_x)
             np.add(self.dphi[t] * chi, g_x * (-self.speed), out=g_t)
 
@@ -279,14 +300,27 @@ class _Comoving(Sample):
         return _wave_nodes(field, sums)
 
 
-def node_means(testfn: TestFunction, field: Field) -> tuple:
-    """(psi, grad psi) of a test function averaged onto the field's nodes,
-    from one evaluate call on the field's own lattice and clock: a
-    Sample's node_means, or field.node_mean of a plain pair."""
+def node_means(testfn: TestFunction, field: Field):
+    """psi and grad psi of a test function averaged onto the field's
+    nodes, from one evaluate call on the field's own lattice and clock, as
+    a row window: means(rows) is the pair on the node rows of `rows`, a
+    slice of unit step.  On a DiscreteField, whose node rows are its
+    lattice rows, a Sample writes just those rows (Sample.window); on a
+    TravelingField the window slices its node_means, and a plain (psi,
+    grad) pair is sliced after field.node_mean.  An object without an
+    evaluate method raises ParameterError."""
+    if not callable(getattr(testfn, "evaluate", None)):
+        raise ParameterError(
+            f"expected a test function (an object with an evaluate "
+            f"method), got {testfn!r}")
     evaluated = testfn.evaluate(field.lattice, field.periodic_time)
     if isinstance(evaluated, Sample):
-        return evaluated.node_means(field)
-    return tuple(map(field.node_mean, evaluated))
+        if isinstance(field, DiscreteField):
+            return evaluated.window
+        psi, grad = evaluated.node_means(field)
+    else:
+        psi, grad = map(field.node_mean, evaluated)
+    return lambda rows: (psi[rows], grad[rows])
 
 
 def _require_numeric(testfn) -> None:

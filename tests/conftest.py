@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,3 +41,13 @@ STATE_BOXES = {
 def random_states(name, rng, count):
     lower, upper = STATE_BOXES[name]
     return rng.uniform(lower, upper, size=(count, len(lower)))
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees allocated while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import traced_peak
 from conslab import TestSupportError as SupportError
 from conslab import commutator
 from conslab import (DiscreteField, DomainViolationError, Lattice,
@@ -18,7 +19,7 @@ from conslab import (DiscreteField, DomainViolationError, Lattice,
                      good_set_measure,
                      lemma_bound_audit, lq_norm, make_builtin, make_kernel,
                      make_lacunary_field, make_shock_field, mollify,
-                     residual_R)
+                     residual_R, verify_estimates)
 from conslab.fields import _row_blocks
 from conslab.mollifier import axis_derivative
 from conslab.systems import FD_STEP, fd_jacobian
@@ -269,12 +270,8 @@ def test_shift_loop_holds_one_rolled_array_and_block_temporaries(rng):
     kernel = make_kernel(2.0 ** -7, lattice, space_only=True)
     list(kernel.offsets())          # the stencil is built before tracing
     for q in (3.0, 5.0):
-        tracemalloc.start()
-        try:
-            commutator._max_shift_norm(field, kernel, q)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: commutator._max_shift_norm(field, kernel,
+                                                               q))
         assert peak <= field.nodes.nbytes + 4 * 8 * commutator._BLOCK_NODES
 
 
@@ -524,15 +521,6 @@ def test_extension_narrows_only_levels_inside_the_interior(
                for (local, _), w in zip(levels, want))
 
 
-def _traced_peak(call) -> int:
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("consumer", ["residual", "lemma"])
 def test_sweep_consumer_holds_one_level_at_a_time(elasto, c8_extension,
                                                   consumer):
@@ -556,8 +544,8 @@ def test_sweep_consumer_holds_one_level_at_a_time(elasto, c8_extension,
         def run(sweep):
             lemma_bound_audit(c8_extension, field, sweep, 3.0)
     run(kernels)
-    finest = _traced_peak(lambda: run(kernels[-1:]))
-    assert _traced_peak(lambda: run(kernels)) <= 1.1 * finest
+    finest = traced_peak(lambda: run(kernels[-1:]))
+    assert traced_peak(lambda: run(kernels)) <= 1.1 * finest
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +623,8 @@ def test_blocked_level_equals_the_whole_level(elasto, c8_extension, euler2d,
     # nearly cancels
     system, field, kernels, testfn = _block_case(name, elasto, c8_extension,
                                                  euler2d)
-    psi_all, dpsi_all = node_means(testfn, field)
+    means = node_means(testfn, field)
+    psi_all, dpsi_all = means(slice(None))
     for level in commutator._commutators(system, field, kernels):
         _, mollified, rows, local, entries, parts = level
         shape = mollified.nodes.shape[:-1]
@@ -657,8 +646,8 @@ def test_blocked_level_equals_the_whole_level(elasto, c8_extension, euler2d,
         want, I1, I2, mass1, mass2 = _whole_level(system, field, level,
                                                   psi_all, dpsi_all)
         assert np.array_equal(parts, want)
-        _, got1, got2, _ = commutator._residual_terms(
-            system, field, psi_all, dpsi_all, level)
+        _, got1, got2, _ = commutator._residual_terms(system, field, means,
+                                                      level)
         assert abs(got1 - I1) <= 1e-13 * abs(I1) + 1e-14 * mass1
         assert abs(got2 - I2) <= 1e-13 * abs(I2) + 1e-14 * mass2
         assert I1 != 0.0 and I2 != 0.0
@@ -701,7 +690,56 @@ def test_level_peak_is_a_few_whole_lattice_arrays(elasto, c8_extension,
         budget = 12.5
     run()
     array = 8 * lat.n_time * lat.n_space
-    assert _traced_peak(run) <= (budget + 1.0) * array
+    assert traced_peak(run) <= (budget + 1.0) * array
+
+
+@pytest.mark.parametrize("consumer", ["residual", "lemma", "good-set",
+                                      "estimates"])
+def test_two_d_consumer_holds_its_level_and_row_temporaries(
+        elasto, c8_extension, consumer):
+    # Counted in whole-lattice scalar arrays A (8 bytes a node) on the
+    # bounded-audit C8 shock at 256 x 1024 (16 row blocks), its states
+    # inside the box, so every level evaluates the one entry (1, 1) of
+    # the base system.  Mollifying one channel in place costs its output
+    # (1), the complex half spectrum (1), the filter (0.5) and the
+    # finiteness mask (0.125 per channel); psi and grad psi are written
+    # per row block, and every other temporary is row-sized: 16 arrays of
+    # _BLOCK_NODES nodes cover them.
+    # - residual: [U]_eps (2) and the G(U) entry (1) while it is mollified
+    #   (2.625): 5.625; later [U]_eps, the parts (1) and one derivative
+    #   taken from one roll (2): 5.  With psi and grad psi held whole (3)
+    #   and the last level alive while the next was mollified, 10 A.
+    # - lemma: [U]_eps, the parts, [U]_eps - U squared in its own memory
+    #   (2) and the cube of those squares (1): 6.  Before, 8 A.
+    # - good set: U's two channels mollified (2 + 1 + 0.5 + 0.25), then
+    #   [U]_eps, the difference squared in place (2) and the mask (0.125):
+    #   4.125.  Before, 6 A.
+    # - estimates: its four kernels' spectra, built by the call (4 x 0.5),
+    #   [U]_eps, the squared gradient (1) and one derivative (2): 7.
+    #   Before, 9.1 A.
+    lat = Lattice(k=1, n_time=256, n_space=1024, extent_time=1.0,
+                  extent_space=1.0)
+    shock = make_shock_field(elasto, *_C8_STATES, _C8_SPEED, lat)
+    field = DiscreteField(lattice=shock.lattice, values=shock.values)
+    epsilons = [1 / 8, 3 / 32, 1 / 16, 1 / 24]
+    # the lemma's kernel is space-only, which keeps its shift loop short
+    kernels = [make_kernel(e, field.lattice) for e in epsilons] + \
+        [make_kernel(1 / 24, field.lattice, space_only=True)]
+    for kernel in kernels:
+        kernel.spectrum()
+    run, budget = {
+        "residual": (lambda: residual_R(c8_extension, field, kernels[2:4],
+                                        _c8_bump(field)), 5.625),
+        "lemma": (lambda: lemma_bound_audit(c8_extension, field,
+                                            kernels[-1:], 3.0), 6.0),
+        "good-set": (lambda: good_set_measure(field, kernels[3], 0.1),
+                     4.125),
+        "estimates": (lambda: verify_estimates(field, 3.0, epsilons,
+                                               1.0 / 3.0), 7.0)}[consumer]
+    run()
+    array = 8 * lat.n_time * lat.n_space
+    rows = 16 * 8 * commutator._BLOCK_NODES
+    assert traced_peak(run) <= budget * array + rows
 
 
 def _per_offset_shifts(field, kernel) -> set:
@@ -906,14 +944,17 @@ def test_compact_sweep_retains_no_lattice_array(burgers):
     assert isinstance(field, TravelingField)
     testfn = TensorBump(center=(0.5, 0.5), radius=(0.35, 0.35))
     lattice = field.lattice
-    tracemalloc.start()
-    try:
+    kept = {}
+
+    def run():
         kernels = [make_kernel(2.0 ** -i, lattice) for i in range(3, 7)]
-        report = residual_R(burgers, field, kernels, testfn)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(report.total) == 4
+        kept["report"] = residual_R(burgers, field, kernels, testfn)
+        # what the kernels and the report hold once the sweep is done
+        kept["held"] = tracemalloc.get_traced_memory()[0]
+
+    peak = traced_peak(run)
+    held = kept["held"]
+    assert len(kept["report"].total) == 4
     array = 8 * lattice.n_time * lattice.n_space
     outputs = (1 + lattice.n_axes) * array
     # the complex transform at nonnegative frequencies that a kernel's

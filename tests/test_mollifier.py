@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import fft as sfft
 
 import oracles
+from conftest import traced_peak
 from conslab import (DiscreteField, Lattice, ParameterError, ResolutionError,
                      TravelingField, estimate_besov, kernel_table,
                      lemma_bound_audit, lq_norm, make_builtin, make_kernel,
@@ -376,12 +376,8 @@ def test_spectrum_allocates_its_buffer_tables_and_stencil_only(
                   extent_time=1.0, extent_space=1.0)
     for e in epsilons:
         kernel = make_kernel(e, lat, space_only=space_only)
-        tracemalloc.start()
-        try:
-            spec = kernel.spectrum()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(kernel.spectrum)
+        spec = kernel.spectrum()        # cached: the buffer just traced
         half = [n // 2 + 1 for n in shape]
         radii = kernel.radius_nodes
         buffer = spec if spec.base is None else spec.base

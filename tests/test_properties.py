@@ -14,14 +14,16 @@ from hypothesis import strategies as st
 
 from conftest import STATE_BOXES
 from conslab import (ConslabError, DiscreteField, Lattice, TensorBump,
-                     TravelingField, aitken_limit, check_compatibility,
-                     commutator_field, estimate_besov, good_set_measure,
+                     TravelingField, aitken_limit, build_dissipation_report,
+                     check_compatibility, commutator_field, estimate_besov,
+                     good_set_measure,
                      kernel_table, lacunary_profile, lemma_bound_audit,
                      load_field, make_builtin, make_kernel,
                      make_lacunary_field, make_shock_field, mollify,
                      rankine_hugoniot_speed, residual_R, save_field,
                      shift_difference_norm, shock_dissipation_rate,
-                     uniform_box_sampler, verify_estimates)
+                     uniform_box_sampler, verify_estimates,
+                     weak_residual_system)
 from conslab import test_function_from_config as build_test_function
 from conslab.mollifier import axis_derivative
 from conslab.rates import fit_loglog
@@ -202,6 +204,17 @@ BAD_CALLS = {
     "estimates-scalar-epsilons": lambda: verify_estimates(
         _wave(), 3.0, 0.25, 0.5),
     "derivative-axis-out-of-range": lambda: axis_derivative(_wave(), 5),
+    "residual-text-test-function": lambda: residual_R(
+        make_builtin("burgers"), _wave(), [make_kernel(0.25, _wave().lattice)],
+        "tf"),
+    "weak-residual-text-test-functions": lambda: weak_residual_system(
+        make_builtin("burgers"), _wave(), "ab"),
+    "dissipation-report-text-test-functions": lambda: build_dissipation_report(
+        make_builtin("burgers"), _wave(), [1.0], [0.0], "ab"),
+    "field-text-values": lambda: DiscreteField(
+        lattice=_wave().lattice, values="abc"),
+    "wave-text-profile": lambda: TravelingField(
+        lattice=_wave().lattice, profile="abc", shift=1),
 }
 
 

@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -15,13 +14,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from conslab import (Lattice, ParameterError, ShockAlignedBump, TensorBump,
-                     TimeBump, UnsupportedGeometryError, fields)
+from conftest import traced_peak
+from conslab import (DiscreteField, Lattice, ParameterError,
+                     ShockAlignedBump, TensorBump, TimeBump,
+                     UnsupportedGeometryError, fields)
 from conslab import TestSupportError as SupportError
 from conslab._bumps import (bump, bump_deriv, bump_line_integral,
                             smoothstep_pair)
 from conslab.fields import remainder
-from conslab.testfunctions import _wrap
+from conslab.testfunctions import _wrap, node_means
 from conslab.testfunctions import from_config as build_testfn
 
 
@@ -483,14 +484,11 @@ def test_shock_aligned_evaluate_allocates_little_beyond_its_outputs():
                           extent_space=1.0)
         snapped, p, q_snap = fields._snap(lattice, fn.speed)
         assert snapped == lattice and q_snap == q
+        outputs = 8 * (1 + lattice.n_axes) * n_time * lattice.n_space
         for shift in ((p, q), None):
-            tracemalloc.start()
-            try:
-                psi, grad = fn._evaluate(lattice, True, shift)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak <= 1.25 * (psi.nbytes + grad.nbytes)
+            peak = traced_peak(
+                lambda: tuple(fn._evaluate(lattice, True, shift)))
+            assert peak <= 1.25 * outputs
 
 
 @pytest.mark.parametrize("speed", [1e-310, -1e-320])
@@ -739,17 +737,58 @@ def test_time_bump_live_rows_are_the_old_evaluation(case):
     _assert_live_rows_are(fn.evaluate(lattice, periodic_time), want, live)
 
 
+@st.composite
+def window_cases(draw):
+    """A catalogue test function on a DiscreteField over its lattice, with
+    a block size and one more window of rows: TensorBump (k = 1, 2),
+    TimeBump, and ShockAlignedBump on unsnapped and snapped lattices."""
+    cases = tensor_bump_cases() | time_bump_cases() | \
+        shock_aligned_cases() | snapped_cases().map(
+            lambda case: (case[0], case[1], case[3]))
+    fn, lattice, periodic_time = draw(cases)
+    n = lattice.n_time
+    block = draw(st.integers(1, n + 1))
+    start = draw(st.integers(0, n))
+    stop = draw(st.integers(start, n + 4))
+    return fn, lattice, periodic_time, block, slice(start, stop)
+
+
+_WRAPPED = TimeBump(center=0.05, radius=0.3, amplitude=-1.5)
+_LAT2 = Lattice(k=2, n_time=9, n_space=8, extent_time=1.0, extent_space=1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(window_cases())
+# supports wrapped across t = 0, cut by every block and window; a partial
+# last block
+@example((_WRAPPED, _LAT2, True, 2, slice(1, 8)))
+@example((TensorBump(center=(0.95, 0.5), radius=(0.3, 0.35), amplitude=-2.0),
+          _LAT, True, 5, slice(3, 40)))
+@example((_aligned(0.7, 0.05), _SNAPPED, True, 4, slice(30, 37)))
+@example((_aligned(-0.7, 0.05), _LAT, True, 4, slice(0, 6)))
+def test_row_window_is_the_rows_of_the_dense_arrays(case):
+    # the window node_means hands residual_R on a DiscreteField writes its
+    # rows from the factors: bit for bit the rows of the dense arrays,
+    # block by block and on any window, zeros with their signs
+    fn, lattice, periodic_time, block, window = case
+    field = DiscreteField(lattice=lattice,
+                          values=np.zeros(lattice.shape + (1,)),
+                          periodic_time=periodic_time)
+    means = node_means(fn, field)
+    dense = tuple(fn.evaluate(lattice, periodic_time))
+    n = lattice.n_time
+    windows = [slice(a, a + block) for a in range(0, n, block)]
+    for rows in windows + [window, slice(0, 0), slice(None)]:
+        assert _is_bitwise(means(rows), [a[rows] for a in dense])
+
+
 def test_tensor_bump_evaluate_allocates_little_beyond_its_outputs():
     lattice = Lattice(k=1, n_time=1024, n_space=512, extent_time=1.0,
                       extent_space=1.0)
     fn = TensorBump(center=(0.5, 0.5), radius=(0.35, 0.35), amplitude=-2.0)
-    tracemalloc.start()
-    try:
-        psi, grad = fn.evaluate(lattice)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * (psi.nbytes + grad.nbytes)
+    peak = traced_peak(lambda: tuple(fn.evaluate(lattice)))
+    outputs = 8 * (1 + lattice.n_axes) * lattice.n_time * lattice.n_space
+    assert peak <= 1.25 * outputs
 
 
 # an exec'd process reports at least its parent's peak as ru_maxrss (this

@@ -3,12 +3,12 @@ emit it, and every consumer against the same call on the materialized
 2-D field."""
 
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from conslab import (DiscreteField, DomainViolationError, Lattice,
                      ParameterError, ShockAlignedBump, TensorBump, TimeBump,
                      TravelingField, build_dissipation_report,
@@ -99,12 +99,8 @@ def test_values_allocate_little_beyond_the_output(n_time, shift, rows):
     field = TravelingField(lattice=lat, profile=profile, shift=shift,
                            rows=rows)
     row_bytes = profile.nbytes // rows
-    tracemalloc.start()
-    try:
-        values = field.values
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: field.values)
+    values = field.values           # cached: the array just traced
     assert peak <= values.nbytes + 4 * row_bytes + 128 * n_time
 
 
@@ -396,13 +392,7 @@ def test_compact_runs_hold_no_lattice_array(form):
     for call in (lambda: build_dissipation_report(burgers, field, [1.0],
                                                   [0.0], testfns),
                  lambda: residual_R(burgers, field, ks, testfns[0])):
-        tracemalloc.start()
-        try:
-            call()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < array
+        assert traced_peak(call) < array
 
 
 def test_axis_derivative(case):
