@@ -21,18 +21,18 @@ takes the 2-D path.
 
 What a kernel retains: the 2-D path caches the real, even spectrum at its
 nonnegative frequencies ((n_time/2 + 1) x (n_space/2 + 1) entries, a
-cosine sum over the stencil's nonnegative quadrant, in the left half of a
-buffer twice as wide), since every 2-D mollification reads all of it.
+cosine sum over the stencil's nonnegative quadrant, in one plain array),
+since every 2-D mollification reads all of it.
 The line path caches only the line it reads, q*n_space/2 + 1 entries per
 (P, q*n_space), and drops the 2-D spectrum once the line is cut out; so
 a compact sweep keeps no lattice-sized array per kernel.  A kernel that
 later meets a 2-D field sums its stencil again, with the same result.
 
-What a sweep retains: `sweep` drops its reference to [U]_eps before it
+What a sweep retains: `sweep` drops [U]_eps and its kernel before it
 mollifies the next level, and each consumer (verify_estimates here, and
-residual_R and lemma_bound_audit in commutator) takes a level's terms in a
-function and drops the level before asking for the next, so a sweep over
-a 2-D field holds one level's arrays, not one set per kernel.  Within a
+residual_R and lemma_bound_audit in commutator) takes a level's terms in
+a function and drops the level before asking for the next, so a sweep
+over a 2-D field holds one level's arrays, not one set per kernel.  Within a
 level the 2-D path transforms one channel at a time into one complex
 buffer and back into its own slab of a channel-major result, whose
 channel-last view it returns; a central derivative is one roll with the
@@ -123,10 +123,6 @@ class MollifierKernel:
         cosine sum C_t W C_x^T over the stencil's nonnegative quadrant W
         (`_cosine_table`): each space axis contracted in turn, then time
         in one BLAS product, whose last bits follow the BLAS thread count.
-        It fills the left half of a buffer twice as wide: a plain result
-        (8 to 32 MiB, freed per kernel) raises glibc's dynamic mmap
-        threshold; above 16 MiB of spectrum the wide one passes the 32 MiB
-        ceiling, so it is mapped and its pad never touched.
         Cached until `line` cuts a line out of it; the next call sums the
         stencil again."""
         if self._spectrum is None:
@@ -137,11 +133,8 @@ class MollifierKernel:
             for r, n in zip(r_space, lat.shape[1:]):  # frequencies go last
                 w = np.tensordot(w, _cosine_table(n, r), axes=(1, 1))
             half = [n // 2 + 1 for n in lat.shape]
-            cols = int(np.prod(half[1:]))
-            out = np.empty((half[0], 2 * cols))[:, :cols]
-            np.matmul(_cosine_table(lat.n_time, r_t), w.reshape(r_t + 1, -1),
-                      out=out)
-            self._spectrum = out.reshape(half)
+            self._spectrum = np.matmul(_cosine_table(lat.n_time, r_t),
+                                       w.reshape(r_t + 1, -1)).reshape(half)
         return self._spectrum
 
     def line(self, P: int, size: int) -> np.ndarray:
@@ -309,7 +302,8 @@ def sweep(field: Field, kernels: Sequence[MollifierKernel]):
 
 def _levels(field: Field, kernels: list):
     count = len(field.nodes)
-    for kernel in kernels:
+    while kernels:     # popped: no reference kept to a finished kernel
+        kernel = kernels.pop(0)
         mollified = mollify(field, kernel)
         r_t = (field.lattice.n_time - mollified.lattice.n_time) // 2
         yield kernel, mollified, slice(r_t, count - r_t)
@@ -399,11 +393,11 @@ def verify_estimates(field: Field, q: float,
                              f"stable fits, got {epsilons!r}")
     if not 0.0 < _real(alpha_ref, "alpha_ref") < 1.0:
         raise ParameterError(f"alpha_ref must lie in (0, 1), got {alpha_ref}")
-    kernels = [make_kernel(e, field.lattice) for e in epsilons]
     # map drops each level once its norms are taken, before it asks for
-    # the next: one [U]_eps alive at a time
+    # the next: one [U]_eps and one kernel's spectrum alive at a time
     eps, grad_norms, diff_norms, trans_norms = map(np.array, zip(*map(
-        partial(_estimate_norms, field, q), sweep(field, kernels))))
+        partial(_estimate_norms, field, q),
+        sweep(field, [make_kernel(e, field.lattice) for e in epsilons]))))
     return MollifierAudit(
         q=float(q), alpha_ref=float(alpha_ref), epsilons=eps,
         gradient_norms=grad_norms, approximation_norms=diff_norms,

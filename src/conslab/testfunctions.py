@@ -28,12 +28,13 @@ wraps across t = 0) with whole-run products.  ShockAlignedBump writes
 one live row at a time.  On a lattice snapped for its speed
 (fields._snap: p/q nodes per step) its plateau is evaluated on the
 fine co-moving grid eta = q*i - p*t, one residue class of n_space
-nodes at a time, once per window for each class with a live row in it,
-and each live row is written from its window of its class
-(fields._row_classes); on any other lattice, at x - speed*t, row by
-row.  Temporaries are row-sized.  The two agree within rounding, bit
+nodes at a time, and each live row is written from its window of its
+class (fields._row_classes); on any other lattice, at x - speed*t, row
+by row.  Temporaries are row-sized.  The two agree within rounding, bit
 for bit on the shipped configs (binary-fraction spacings, speeds and
-centres).
+centres).  While the fine grid (q*n_space nodes) fits one row block
+(fields._BLOCK_NODES), every block has rows of every class, so the
+sample keeps each class's plateau: once per sample, not per window.
 
 Node means: sample.node_means(field) is psi and grad psi averaged onto
 the field's nodes.  On a TravelingField over the sample's lattice it
@@ -67,8 +68,8 @@ import numpy as np
 
 from ._bumps import bump, bump_deriv, bump_line_integral, smoothstep_pair
 from .errors import ParameterError, TestSupportError, UnsupportedGeometryError
-from .fields import (DiscreteField, Field, Lattice, TravelingField,
-                     _row_classes, _snap)
+from .fields import (_BLOCK_NODES, DiscreteField, Field, Lattice,
+                     TravelingField, _row_classes, _snap)
 
 
 def _wrap(z: np.ndarray, period: float) -> np.ndarray:
@@ -247,6 +248,7 @@ class _Comoving(Sample):
     def __init__(self, lattice, phi, dphi, plateau, speed, shift):
         super().__init__(lattice, phi, dphi)
         self.plateau, self.speed, self.shift = plateau, speed, shift
+        self._plateaus = {}
 
     def _write(self, psi, grad, start):
         live = _live_rows(self.phi, self.dphi)
@@ -262,12 +264,16 @@ class _Comoving(Sample):
     def _class_plateau(self, r: int) -> tuple:
         """chi and chi' on class r of the fine grid, its nodes q*m + r."""
         q = self.shift[1]
+        if r in self._plateaus:
+            return self._plateaus[r]
         eta = q * np.arange(self.lattice.n_space)
-        return self.plateau((eta + r) * (self.lattice.h_space / q))
+        plateau = self.plateau((eta + r) * (self.lattice.h_space / q))
+        if q * self.lattice.n_space <= _BLOCK_NODES:    # kept: see "Rows"
+            self._plateaus[r] = plateau
+        return plateau
 
     def _class_rows(self, live):
-        # snapped lattice: the plateau once per class, each live row its
-        # window (fields._row_classes)
+        # snapped lattice: each live row a window of its class's plateau
         n = self.lattice.n_space
         for r, ts, ss in _row_classes(self.lattice, *self.shift):
             on = live[ts]

@@ -693,6 +693,29 @@ def test_level_peak_is_a_few_whole_lattice_arrays(elasto, c8_extension,
     assert traced_peak(run) <= (budget + 1.0) * array
 
 
+def test_estimates_hold_one_of_their_kernels_spectra_at_a_time(elasto):
+    # Counted in whole-lattice scalar arrays A as above, on the 256 x 1024
+    # C8 shock.  verify_estimates builds its own four kernels, so each
+    # spectrum ((n_time/2 + 1) x (n_space/2 + 1) entries, 0.25 A) is made
+    # by the call.  After a level's norms are taken the sweep keeps
+    # neither its [U]_eps nor its kernel: at the gradient it holds one
+    # spectrum (0.25), [U]_eps (2), the squared gradient (1) and one
+    # derivative (2), 5.25 A, and block temporaries within 0.5 A more.
+    # With every finished kernel's spectrum kept until the call returned,
+    # 3 x 0.25 A more; in buffers twice as wide, 7.2 A.
+    lat = Lattice(k=1, n_time=256, n_space=1024, extent_time=1.0,
+                  extent_space=1.0)
+    shock = make_shock_field(elasto, *_C8_STATES, _C8_SPEED, lat)
+    field = DiscreteField(lattice=shock.lattice, values=shock.values)
+
+    def run():
+        verify_estimates(field, 3.0, [1 / 8, 3 / 32, 1 / 16, 1 / 24],
+                         1.0 / 3.0)
+    run()
+    array = 8 * lat.n_time * lat.n_space
+    assert traced_peak(run) <= (5.25 + 0.5) * array
+
+
 @pytest.mark.parametrize("consumer", ["residual", "lemma", "good-set",
                                       "estimates"])
 def test_two_d_consumer_holds_its_level_and_row_temporaries(
@@ -714,9 +737,10 @@ def test_two_d_consumer_holds_its_level_and_row_temporaries(
     # - good set: U's two channels mollified (2 + 1 + 0.5 + 0.25), then
     #   [U]_eps, the difference squared in place (2) and the mask (0.125):
     #   4.125.  Before, 6 A.
-    # - estimates: its four kernels' spectra, built by the call (4 x 0.5),
-    #   [U]_eps, the squared gradient (1) and one derivative (2): 7.
-    #   Before, 9.1 A.
+    # - estimates: all four kernels' spectra, built by the call, in
+    #   buffers twice as wide (4 x 0.5), [U]_eps, the squared gradient (1)
+    #   and one derivative (2): 7.  Before, 9.1 A.  The test above bounds
+    #   it tighter, with one plain spectrum held at a time.
     lat = Lattice(k=1, n_time=256, n_space=1024, extent_time=1.0,
                   extent_space=1.0)
     shock = make_shock_field(elasto, *_C8_STATES, _C8_SPEED, lat)

@@ -782,6 +782,34 @@ def test_row_window_is_the_rows_of_the_dense_arrays(case):
         assert _is_bitwise(means(rows), [a[rows] for a in dense])
 
 
+@pytest.mark.parametrize("n_time, n_space, speed, q", [
+    (32, 64, 1.0, 1), (64, 32, 1.0, 2), (96, 32, -1.0, 3), (37, 12, 0.7, 37)])
+def test_snapped_windows_evaluate_each_class_plateau_once(n_time, n_space,
+                                                          speed, q):
+    # residual_R reads a DiscreteField's window block by block; each
+    # residue class of the fine grid evaluates its plateau once per
+    # sample, not once per block it has a live row in
+    lattice, p, got_q = fields._snap(
+        Lattice(k=1, n_time=n_time, n_space=n_space, extent_time=1.0,
+                extent_space=1.0), speed)
+    assert got_q == q
+    fn = _aligned(speed, 0.3 * lattice.extent_time)
+    field = DiscreteField(lattice=lattice,
+                          values=np.zeros(lattice.shape + (1,)))
+    with mock.patch.object(ShockAlignedBump, "_plateau", autospec=True,
+                           side_effect=ShockAlignedBump._plateau) as spy:
+        means = node_means(fn, field)
+        sample = means.__self__
+        live = (sample.phi != 0.0) | (sample.dphi != 0.0)
+        classes = sum(bool(live[ts].any())
+                      for _, ts, _ in fields._row_classes(lattice, p, q))
+        for rows in [slice(a, a + 5) for a in range(0, n_time, 5)] + \
+                [slice(None), slice(3, 20)]:
+            means(rows)
+        tuple(sample)       # the dense view reads the same plateaus
+    assert 0 < classes <= q and spy.call_count == classes
+
+
 def test_tensor_bump_evaluate_allocates_little_beyond_its_outputs():
     lattice = Lattice(k=1, n_time=1024, n_space=512, extent_time=1.0,
                       extent_space=1.0)
