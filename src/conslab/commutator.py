@@ -51,10 +51,10 @@ products and the I1/I2 sums are taken block by block.  What a level
 holds whole is [U]_eps, the needed G(U) entries and their mollification,
 the parts and one derivative of [U]_eps per axis read (one roll, the
 other neighbour subtracted in place); no flux, multiplier or test
-function array of the whole level is built.  The lemma's and the good
-set's [U]_eps - U is squared in its own memory
-(fields.squared_magnitude_in_place).  A compact field's nodes are one
-row, so it runs as a single block.  The
+function array of the whole level is built.  The lemma's norms and the
+good set's count square [U]_eps - U, the entries and U minus each rolled
+U block by block (fields.difference_squares), never the whole level.  A
+compact field's nodes are one row, so it runs as a single block.  The
 sums reorder across blocks, so I1 and I2 on a 2-D field agree with a
 whole-level sum to rounding, not bit for bit; on a compact-range
 extension the interior test runs per block, which changes no value but
@@ -71,9 +71,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, TestSupportError
-from .fields import (_BLOCK_NODES, Field, _row_blocks, power_sum, require_q,
-                     squared_magnitude, squared_magnitude_in_place,
-                     squares_lq_norm)
+from .fields import (_BLOCK_NODES, Field, _row_blocks, difference_lq_norm,
+                     difference_squares, require_q)
 from .mollifier import MollifierKernel, axis_derivative, mollify, sweep
 from .rates import RateFit, aitken_limit, fit_loglog
 from .systems import (FD_STEP, SystemSpec, fd_jacobian, require_delta,
@@ -231,12 +230,11 @@ def lemma_bound_audit(system: SystemSpec, field: Field,
 def _lemma_terms(field: Field, q: float, level) -> tuple:
     """(eps, ||W||_{L^q}, bound) of one level of _commutators."""
     kernel, mollified, rows, _, _, parts = level
+    n_axes = field.lattice.n_axes
     vol = mollified.node_volume
-    # squares summed in entry order, as squared_magnitude would add them
-    lhs = squares_lq_norm(sum(map(np.square, parts), np.zeros(())), q, vol)
-    approx = squares_lq_norm(squared_magnitude_in_place(
-        mollified.nodes - field.nodes[rows], field.lattice.n_axes), 2.0 * q,
-        vol)
+    lhs = difference_lq_norm(np.moveaxis(parts, 0, -1), None, n_axes, q, vol)
+    approx = difference_lq_norm(mollified.nodes, field.nodes[rows], n_axes,
+                                2.0 * q, vol)
     shift_sup = _max_shift_norm(field, kernel, 2.0 * q)
     return kernel.epsilon, lhs, approx ** 2 + shift_sup ** 2
 
@@ -244,13 +242,14 @@ def _lemma_terms(field: Field, q: float, level) -> tuple:
 def _max_shift_norm(field: Field, kernel: MollifierKernel,
                     q: float) -> float:
     """max over the kernel's nonzero offsets Y of ||U - U(. - Y)||_{L^q},
-    one _roll_difference_norm per distinct node shift."""
+    one np.roll per distinct node shift, freed once it is read."""
     n_axes = field.lattice.n_axes
     nodes = np.ascontiguousarray(field.nodes)
     best = 0.0
     for shift in _distinct_shifts(field, kernel).tolist():
-        best = max(best, _roll_difference_norm(nodes, tuple(shift), n_axes,
-                                               q, field.node_volume))
+        best = max(best, difference_lq_norm(
+            nodes, np.roll(nodes, tuple(shift), axis=tuple(range(n_axes))),
+            n_axes, q, field.node_volume))
     return best
 
 
@@ -277,26 +276,6 @@ def _distinct_shifts(field: Field, kernel: MollifierKernel) -> np.ndarray:
     keys = np.sort(np.ravel_multi_index(tuple(shifts.T), shape))
     keys = keys[np.diff(keys, prepend=-1) != 0]
     return np.column_stack(np.unravel_index(keys, shape))
-
-
-def _roll_difference_norm(nodes: np.ndarray, shift: tuple, n_axes: int,
-                          q: float, volume: float) -> float:
-    """L^q norm of |nodes - roll(nodes, shift)|.
-
-    One np.roll; the difference, its squared magnitude and the |v|^q sum
-    then run in blocks of _BLOCK_NODES nodes, in place in the rolled array,
-    which dies on return: a shift holds that array and a few cache-sized
-    temporaries."""
-    count = math.prod(nodes.shape[:n_axes])
-    flat = nodes.reshape(count, -1)
-    diff = np.roll(nodes, shift=shift,
-                   axis=tuple(range(n_axes))).reshape(count, -1)
-    total = 0.0
-    for start in range(0, count, _BLOCK_NODES):
-        block = diff[start:start + _BLOCK_NODES]
-        np.subtract(flat[start:start + _BLOCK_NODES], block, out=block)
-        total += power_sum(squared_magnitude(block, 1), q)
-    return float((total * volume) ** (1.0 / q))
 
 
 @dataclass(frozen=True)
@@ -398,6 +377,8 @@ def good_set_measure(field: Field, kernel: MollifierKernel,
     """Fraction of lattice nodes where |U - [U]_eps| < delta."""
     require_delta(delta)
     _, mollified, rows = next(sweep(field, [kernel]))
-    mag2 = squared_magnitude_in_place(mollified.nodes - field.nodes[rows],
-                                      field.lattice.n_axes)
-    return float(np.mean(np.sqrt(mag2, out=mag2) < delta))
+    n_axes = field.lattice.n_axes
+    good = sum(np.count_nonzero(np.sqrt(mag2, out=mag2) < delta) for mag2
+               in difference_squares(mollified.nodes, field.nodes[rows],
+                                     n_axes))
+    return good / math.prod(mollified.nodes.shape[:n_axes])

@@ -41,8 +41,9 @@ from .rates import RateFit, fit_loglog
 from .systems import SystemSpec, jump_states
 
 # Nodes per block of the blockwise lattice loops (make_shock_field's
-# left/right test; in commutator, the lemma's shift loop and each eps
-# level's fluxes, multipliers and chain products).  A 128 KiB scalar
+# left/right test; difference_squares, which every L^q norm of node values
+# runs through; in commutator, each eps level's fluxes, multipliers and
+# chain products).  A 128 KiB scalar
 # temporary stays in cache and under glibc's malloc trim threshold, so
 # freed temporaries are reused, not returned to the kernel and faulted in
 # again by the next block (1 MiB ones took about 50,000 minor faults per
@@ -462,8 +463,8 @@ def make_lacunary_field(alpha: float, n_octaves: int, seed: int,
 def shift_difference_norm(field: Field, axis: int, nodes: int,
                           q: float) -> float:
     """L^q norm of U(. + shift) - U(.) for a shift of `nodes` lattice nodes
-    along one axis.  Periodic axes wrap; a non-periodic time axis restricts
-    to the overlap window."""
+    along one axis.  Periodic axes wrap (one np.roll); a non-periodic time
+    axis restricts to the overlap window, read in place."""
     require_q(q)
     axis, nodes = _integer(axis, "axis", 0), _integer(nodes, "nodes", 1)
     n_axes = field.lattice.n_axes
@@ -473,13 +474,11 @@ def shift_difference_norm(field: Field, axis: int, nodes: int,
     if axis == 0 and not field.periodic_time:
         if nodes >= field.lattice.n_time:
             raise ResolutionError("shift exceeds the time extent")
-        diff = v[nodes:] - v[:-nodes]
-    else:
-        offset = -nodes * np.eye(n_axes, dtype=int)[axis]
-        diff = np.roll(v, field.node_roll(offset), axis=tuple(range(n_axes)))
-        diff -= v
-    return squares_lq_norm(squared_magnitude_in_place(diff, n_axes), q,
-                           field.node_volume)
+        return difference_lq_norm(v[nodes:], v[:-nodes], n_axes, q,
+                                  field.node_volume)
+    offset = -nodes * np.eye(n_axes, dtype=int)[axis]
+    rolled = np.roll(v, field.node_roll(offset), axis=tuple(range(n_axes)))
+    return difference_lq_norm(rolled, v, n_axes, q, field.node_volume)
 
 
 def require_q(q: float) -> None:
@@ -489,25 +488,12 @@ def require_q(q: float) -> None:
         raise ParameterError(f"q must be >= 1 and finite, got {q}")
 
 
-def squared_magnitude(values: np.ndarray, n_axes: int) -> np.ndarray:
-    """Pointwise squared Euclidean magnitude of values, whose first n_axes
-    axes are lattice axes and the rest value axes: a sum of per-component
-    squares, each a whole lattice-shaped array, in component order."""
-    flat = values.reshape(values.shape[:n_axes] + (-1,))
-    mag2 = np.square(flat[..., 0])
-    square = np.empty_like(mag2)
-    for i in range(1, flat.shape[-1]):
-        mag2 += np.square(flat[..., i], out=square)
-    return mag2
-
-
 def squared_magnitude_in_place(values: np.ndarray,
                                n_axes: int) -> np.ndarray:
-    """squared_magnitude of values written over values' own memory, the
-    components added in the same order, so the bits match: the result is
-    a view of the first component, and values is spent.  For a caller's
-    temporary, such as a difference array, this holds no second
-    lattice-sized array."""
+    """Pointwise squared Euclidean magnitude of values, whose first n_axes
+    axes are lattice axes and the rest value axes, written over values' own
+    memory: per-component squares added in component order.  The result
+    is a view of the first component, and values is spent."""
     flat = values.reshape(values.shape[:n_axes] + (-1,))
     mag2 = np.square(flat[..., 0], out=flat[..., 0])
     for i in range(1, flat.shape[-1]):
@@ -515,17 +501,49 @@ def squared_magnitude_in_place(values: np.ndarray,
     return mag2
 
 
+def difference_squares(a: np.ndarray, b, n_axes: int):
+    """Yield |a - b|^2 (|a|^2 when b is None) per block of _BLOCK_NODES
+    nodes, in node order, where a and b have their first n_axes axes over
+    the same nodes and the rest value axes.  Each component is subtracted
+    and squared in one of two block-sized arrays and added in component
+    order, as squared_magnitude_in_place adds them; the yielded block is
+    overwritten by the next, and a consumer may spend it.  Nothing
+    lattice-sized is made while the node axes of a and b merge into one
+    (contiguous arrays, leading-axis slices and moved-axis views)."""
+    count, width = math.prod(a.shape[:n_axes]), math.prod(a.shape[n_axes:])
+    a = a.reshape(count, width)
+    b = None if b is None else b.reshape(count, width)
+    mag2 = np.zeros(min(count, _BLOCK_NODES))     # zero when width is 0
+    part = np.empty_like(mag2)
+    for start in range(0, count, _BLOCK_NODES):
+        stop = min(start + _BLOCK_NODES, count)
+        out, tmp = mag2[:stop - start], part[:stop - start]
+        for i in range(width):
+            square = tmp if i else out
+            v = a[start:stop, i]
+            if b is not None:
+                v = np.subtract(v, b[start:stop, i], out=square)
+            np.square(v, out=square)
+            if i:
+                out += tmp
+        yield out
+
+
+def difference_lq_norm(a: np.ndarray, b, n_axes: int, q: float,
+                       volume: float) -> float:
+    """L^q norm of |a - b| (|a| when b is None) on nodes of `volume`, from
+    the power_sum of each block of difference_squares."""
+    total = 0.0
+    for mag2 in difference_squares(a, b, n_axes):
+        total += power_sum(mag2, q)
+    return float((total * volume) ** (1.0 / q))
+
+
 def magnitude_lq_norm(values: np.ndarray, n_axes: int, q: float,
                       cell_volume: float) -> float:
     """L^q norm of the pointwise Euclidean magnitude of values, whose first
     n_axes axes are lattice axes and the rest value axes."""
-    return squares_lq_norm(squared_magnitude(values, n_axes), q, cell_volume)
-
-
-def squares_lq_norm(mag2: np.ndarray, q: float, cell_volume: float) -> float:
-    """L^q norm of |v| = sqrt(mag2), given the squared magnitudes mag2
-    (left unchanged) on cells of cell_volume."""
-    return float((power_sum(mag2, q) * cell_volume) ** (1.0 / q))
+    return difference_lq_norm(values, None, n_axes, q, cell_volume)
 
 
 def power_sum(mag2: np.ndarray, q: float) -> float:

@@ -36,9 +36,11 @@ over a 2-D field holds one level's arrays, not one set per kernel.  Within a
 level the 2-D path transforms one channel at a time into one complex
 buffer and back into its own slab of a channel-major result, whose
 channel-last view it returns; a central derivative is one roll with the
-other neighbour subtracted in place, and the gradient, approximation and
-translation norms square their difference arrays in place
-(fields.squared_magnitude_in_place).
+other neighbour subtracted in place, the gradient norm squares each
+derivative in its own memory (fields.squared_magnitude_in_place), and
+the approximation and translation norms, like lq_norm, are one blockwise
+pass over their differences (fields.difference_lq_norm): a translation
+rolls U once, and no difference or square is lattice-sized.
 
 verify_estimates audits the three smoothing estimates that drive the
 commutator analysis: the gradient bound (slope alpha - 1), the
@@ -57,8 +59,9 @@ import numpy as np
 from ._bumps import bump
 from .errors import ParameterError, ResolutionError, _integer, _real
 from .fields import (DiscreteField, Field, Lattice, TravelingField,
-                     magnitude_lq_norm, require_q, shift_difference_norm,
-                     squared_magnitude_in_place, squares_lq_norm)
+                     difference_lq_norm, magnitude_lq_norm, power_sum,
+                     require_q, shift_difference_norm,
+                     squared_magnitude_in_place)
 from .rates import RateFit, fit_loglog
 
 
@@ -415,9 +418,9 @@ def _estimate_norms(field: Field, q: float, level) -> tuple:
     lat = field.lattice
     e = kernel.epsilon
     vol = smoothed.node_volume
-    grad = squares_lq_norm(_squared_gradient(smoothed), q, vol)
-    diff = squares_lq_norm(squared_magnitude_in_place(
-        smoothed.nodes - field.nodes[rows], lat.n_axes), q, vol)
+    grad = float((power_sum(_squared_gradient(smoothed), q) * vol) ** (1 / q))
+    diff = difference_lq_norm(smoothed.nodes, field.nodes[rows], lat.n_axes,
+                              q, vol)
     best = 0.0
     for axis in range(lat.n_axes):
         nodes = round(e / lat.axis_spacing(axis))

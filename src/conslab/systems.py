@@ -163,10 +163,6 @@ class SystemSpec:
             if not 0 <= i <= self.n - 1:
                 raise ParameterError(f"affine row index {i} out of range")
 
-    @property
-    def has_analytic_jacobians(self) -> bool:
-        return self.DG is not None and self.DQ is not None
-
 
 def require_states(system: SystemSpec, field, what: str) -> None:
     """Raise ParameterError unless a field lives on a lattice of system.k
@@ -267,12 +263,13 @@ def check_compatibility(system: SystemSpec, sampler, n_samples: int,
         raise ParameterError(f"fd_step must be positive, got {fd_step}")
     if method not in ("auto", "analytic", "finite-difference"):
         raise ParameterError(f"unknown method {method!r}")
-    if method == "analytic" and not system.has_analytic_jacobians:
+    analytic = system.DG is not None and system.DQ is not None
+    if method == "analytic" and not analytic:
         raise ParameterError(
             f"system {system.name!r} has no analytic Jacobians; "
             "use method='finite-difference'")
     if method == "auto":
-        method = "analytic" if system.has_analytic_jacobians else "finite-difference"
+        method = "analytic" if analytic else "finite-difference"
 
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)

@@ -2,7 +2,9 @@
 
 import dataclasses
 import itertools
+import json
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 import oracles
 from conftest import traced_peak
 from conslab import TestSupportError as SupportError
-from conslab import commutator
+from conslab import cli, commutator, fields, mollifier
 from conslab import (DiscreteField, DomainViolationError, Lattice,
                      ParameterError, ShockAlignedBump, StateDomain,
                      SystemSpec, TensorBump, TimeBump, TravelingField,
@@ -19,7 +21,7 @@ from conslab import (DiscreteField, DomainViolationError, Lattice,
                      good_set_measure,
                      lemma_bound_audit, lq_norm, make_builtin, make_kernel,
                      make_lacunary_field, make_shock_field, mollify,
-                     residual_R, verify_estimates)
+                     residual_R, shift_difference_norm, verify_estimates)
 from conslab.fields import _row_blocks
 from conslab.mollifier import axis_derivative
 from conslab.systems import FD_STEP, fd_jacobian
@@ -252,9 +254,9 @@ def test_lemma_bound_matches_brute_force_shift_sup(lemma_cases, form):
     before = np.array(field.nodes)
     for q, block in itertools.product(_LEMMA_QS,
                                       (commutator._BLOCK_NODES, small)):
-        with mock.patch.object(commutator, "_BLOCK_NODES", block):
-            sweep = lemma_bound_audit(system, field, kernels, q=q)
-        np.testing.assert_allclose(sweep.lemma_bound_values, brute[q],
+        with mock.patch.object(fields, "_BLOCK_NODES", block):
+            audit = lemma_bound_audit(system, field, kernels, q=q)
+        np.testing.assert_allclose(audit.lemma_bound_values, brute[q],
                                    rtol=1e-12, err_msg=f"q {q}, block {block}")
     assert np.array_equal(field.nodes, before)
 
@@ -273,6 +275,172 @@ def test_shift_loop_holds_one_rolled_array_and_block_temporaries(rng):
         peak = traced_peak(lambda: commutator._max_shift_norm(field, kernel,
                                                                q))
         assert peak <= field.nodes.nbytes + 4 * 8 * commutator._BLOCK_NODES
+
+
+def _rolled_block_loop(field, kernel, q) -> float:
+    """The lemma's shift sup as a loop of its own: per distinct shift one
+    np.roll, then per block of _BLOCK_NODES nodes the difference written
+    over the rolled block, its squares added in component order, and the
+    block's power sum added to the total."""
+    nodes = np.ascontiguousarray(field.nodes)
+    n_axes = field.lattice.n_axes
+    flat = nodes.reshape(-1, nodes.shape[-1])
+    size = fields._BLOCK_NODES
+    best = 0.0
+    for shift in commutator._distinct_shifts(field, kernel).tolist():
+        diff = np.roll(nodes, tuple(shift),
+                       axis=tuple(range(n_axes))).reshape(flat.shape)
+        total = 0.0
+        for start in range(0, len(flat), size):
+            block = diff[start:start + size]
+            np.subtract(flat[start:start + size], block, out=block)
+            mag2 = np.square(block[:, 0])
+            for i in range(1, block.shape[1]):
+                mag2 += np.square(block[:, i])
+            total += fields.power_sum(mag2, q)
+        best = max(best, float((total * field.node_volume) ** (1.0 / q)))
+    return best
+
+
+def _commutator_sweep_case():
+    """configs/commutator_sweep.json's system, field and kernels."""
+    config = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                         / "commutator_sweep.json").read_text())
+    system = make_builtin(config["system"]["name"])
+    field = cli._build_field(config["field"],
+                             cli._build_lattice(config["lattice"]), system)
+    return field, [make_kernel(e, field.lattice)
+                   for e in cli._sweep_epsilons(config["sweep"])]
+
+
+@pytest.mark.parametrize("case", ["bounded-audit", "commutator-sweep"])
+def test_shift_sup_is_bitwise_the_rolled_block_loop(elasto, case):
+    # bounded-audit's 512 x 1024 field and lemma kernel (190 shifts) at its
+    # lemma exponent 2q = 6; the shipped sweep's compact shock at every
+    # level, at 2q = 6 and an odd exponent
+    if case == "bounded-audit":
+        lat = Lattice(k=1, n_time=512, n_space=1024, extent_time=1.0,
+                      extent_space=1.0)
+        field = make_shock_field(elasto, *_C8_STATES, _C8_SPEED, lat)
+        kernels, qs = [make_kernel(2.0 ** -6, field.lattice)], (6.0,)
+        assert len(commutator._distinct_shifts(field, kernels[0])) == 190
+    else:
+        (field, kernels), qs = _commutator_sweep_case(), (6.0, 5.0)
+    for kernel, q in itertools.product(kernels, qs):
+        got = commutator._max_shift_norm(field, kernel, q)
+        assert got == _rolled_block_loop(field, kernel, q), (kernel.epsilon, q)
+
+
+def _whole_norm(diff, n_axes, q, volume) -> float:
+    """L^q norm of |diff| from whole-array sums."""
+    mag = np.sqrt(np.sum(np.square(diff.reshape(diff.shape[:n_axes] + (-1,))),
+                         axis=-1))
+    return float((np.sum(mag ** q) * volume) ** (1.0 / q))
+
+
+def _reduction_field(form, rng):
+    """Two random channels on 48 x 512 nodes (two blocks), periodic in
+    time or not, or a wave moving half a node per step on 1024 nodes."""
+    low, high = [1.1, -0.2], [1.5, 0.2]
+    if form == "traveling":
+        lat = Lattice(k=1, n_time=1024, n_space=512, extent_time=1.0,
+                      extent_space=1.0)
+        return TravelingField(lattice=lat, shift=1, rows=2,
+                              profile=rng.uniform(low, high, (1024, 2)))
+    lat = Lattice(k=1, n_time=48, n_space=512, extent_time=1.0,
+                  extent_space=1.0)
+    return DiscreteField(lattice=lat,
+                         values=rng.uniform(low, high, lat.shape + (2,)),
+                         periodic_time=form == "discrete")
+
+
+@pytest.mark.parametrize("block", [None, 1000])
+@pytest.mark.parametrize("form", ["discrete", "traveling", "aperiodic"])
+def test_reductions_match_whole_array_formulas(elasto, rng, form, block):
+    # every L^q norm and the good set's count on node values go through
+    # fields.difference_squares; its blocks (the module's, and a small
+    # size that splits every field here) agree with whole-array sums
+    field = _reduction_field(form, rng)
+    system = extend_to_compact_range(elasto, ([1.0, -0.3], [1.4, 0.3]), 0.2)
+    v, n_axes, vol = field.nodes, field.lattice.n_axes, field.node_volume
+    epsilons = [1 / 4, 3 / 16, 1 / 8, 3 / 32]
+    kernels = [make_kernel(e, field.lattice) for e in epsilons]
+
+    def close(got, want):
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    patch = mock.patch.object(fields, "_BLOCK_NODES",
+                              block or fields._BLOCK_NODES)
+    with patch:
+        close(lq_norm(field, 3.0), _whole_norm(v, n_axes, 3.0, vol))
+        for axis, nodes in ((0, 3), (1, 5)):
+            if axis == 0 and form == "aperiodic":
+                diff = v[nodes:] - v[:-nodes]
+            else:
+                offset = -nodes * np.eye(n_axes, dtype=int)[axis]
+                diff = np.roll(v, field.node_roll(offset),
+                               axis=tuple(range(n_axes))) - v
+            close(shift_difference_norm(field, axis, nodes, 2.5),
+                  _whole_norm(diff, n_axes, 2.5, vol))
+        audit = verify_estimates(field, 3.0, epsilons, 1.0 / 3.0)
+        levels = mollifier.sweep(field, kernels)
+        for (kernel, smoothed, rows), got in zip(levels,
+                                                 audit.approximation_norms):
+            diff = smoothed.nodes - v[rows]
+            close(got, _whole_norm(diff, n_axes, 3.0, smoothed.node_volume))
+            mag = np.linalg.norm(diff.reshape(diff.shape[:n_axes] + (-1,)),
+                                 axis=-1)
+            delta = float(np.median(mag))
+            close(good_set_measure(field, kernel, delta),
+                  float(np.mean(mag < delta)))
+        for level in commutator._commutators(system, field, kernels[3:]):
+            kernel, mollified, rows, _, _, parts = level
+            q, mvol = 1.5, mollified.node_volume
+            lhs = _whole_norm(np.moveaxis(parts, 0, -1), n_axes, q, mvol)
+            approx = _whole_norm(mollified.nodes - v[rows], n_axes, 2 * q,
+                                 mvol)
+            shift = max(_whole_norm(np.roll(v, tuple(s),
+                                            axis=tuple(range(n_axes))) - v,
+                                    n_axes, 2 * q, vol)
+                        for s in commutator._distinct_shifts(field, kernel))
+            close(commutator._max_shift_norm(field, kernel, 2 * q), shift)
+            _, got_lhs, bound = commutator._lemma_terms(field, q, level)
+            close(got_lhs, lhs)
+            close(bound, approx ** 2 + shift ** 2)
+
+
+def test_reductions_hold_their_inputs_and_block_temporaries(
+        elasto, c8_extension):
+    # on the C8 shock at 256 x 1024 (two channels): the norms and the good
+    # set's count hold a few _BLOCK_NODES-sized arrays beyond their inputs,
+    # and a roll of the nodes where they shift them periodically
+    lat = Lattice(k=1, n_time=256, n_space=1024, extent_time=1.0,
+                  extent_space=1.0)
+    shock = make_shock_field(elasto, *_C8_STATES, _C8_SPEED, lat)
+    field = DiscreteField(lattice=shock.lattice, values=shock.values)
+    aperiodic = DiscreteField(lattice=shock.lattice, values=shock.values,
+                              periodic_time=False)
+    kernel = make_kernel(1 / 24, field.lattice, space_only=True)
+    level = next(mollifier.sweep(field, [kernel]))
+    lemma_level = next(commutator._commutators(c8_extension, field,
+                                               [kernel]))
+    blocks = 4 * 8 * commutator._BLOCK_NODES
+    roll = field.nodes.nbytes
+    with mock.patch.object(commutator, "sweep", lambda f, k: iter([level])):
+        good_set = traced_peak(lambda: good_set_measure(field, kernel, 0.1))
+    peaks = {
+        "good_set_measure": (good_set, blocks),
+        "lq_norm": (traced_peak(lambda: lq_norm(field, 3.0)), blocks),
+        "shift_difference_norm": (traced_peak(
+            lambda: shift_difference_norm(field, 1, 5, 3.0)), roll + blocks),
+        "overlap window": (traced_peak(
+            lambda: shift_difference_norm(aperiodic, 0, 5, 3.0)), blocks),
+        "_lemma_terms": (traced_peak(
+            lambda: commutator._lemma_terms(field, 3.0, lemma_level)),
+            roll + blocks)}
+    over = {name: peak_budget for name, peak_budget in peaks.items()
+            if peak_budget[0] > peak_budget[1]}
+    assert not over
 
 
 def test_lemma_audit_validation(burgers, unit_shock, space_lattice, rng):
@@ -732,15 +900,21 @@ def test_two_d_consumer_holds_its_level_and_row_temporaries(
     #   (2.625): 5.625; later [U]_eps, the parts (1) and one derivative
     #   taken from one roll (2): 5.  With psi and grad psi held whole (3)
     #   and the last level alive while the next was mollified, 10 A.
-    # - lemma: [U]_eps, the parts, [U]_eps - U squared in its own memory
-    #   (2) and the cube of those squares (1): 6.  Before, 8 A.
-    # - good set: U's two channels mollified (2 + 1 + 0.5 + 0.25), then
-    #   [U]_eps, the difference squared in place (2) and the mask (0.125):
-    #   4.125.  Before, 6 A.
+    # - lemma: as in the residual, 5.625 while the G(U) entry is
+    #   mollified; its norms then hold [U]_eps, the parts and one rolled U
+    #   (2) and square their differences block by block: 5.  With
+    #   [U]_eps - U squared in its own memory (2) and the cube of those
+    #   squares (1), 6 A; before that, 8 A.
+    # - good set: U's two channels mollified (2 + 1 + 0.5 + 0.25): 3.75;
+    #   it then counts blocks of [U]_eps - U.  With the difference squared
+    #   in place (2) and the mask (0.125) beside [U]_eps, 4.125 A.
     # - estimates: all four kernels' spectra, built by the call, in
     #   buffers twice as wide (4 x 0.5), [U]_eps, the squared gradient (1)
     #   and one derivative (2): 7.  Before, 9.1 A.  The test above bounds
     #   it tighter, with one plain spectrum held at a time.
+    # The lemma and the good set peak inside a mollification, where no
+    # row temporary is alive, so their budgets are those peaks less the 16
+    # row arrays (1 A on this lattice) that the check adds.
     lat = Lattice(k=1, n_time=256, n_space=1024, extent_time=1.0,
                   extent_space=1.0)
     shock = make_shock_field(elasto, *_C8_STATES, _C8_SPEED, lat)
@@ -755,9 +929,9 @@ def test_two_d_consumer_holds_its_level_and_row_temporaries(
         "residual": (lambda: residual_R(c8_extension, field, kernels[2:4],
                                         _c8_bump(field)), 5.625),
         "lemma": (lambda: lemma_bound_audit(c8_extension, field,
-                                            kernels[-1:], 3.0), 6.0),
+                                            kernels[-1:], 3.0), 5.625 - 1),
         "good-set": (lambda: good_set_measure(field, kernels[3], 0.1),
-                     4.125),
+                     3.75 - 1),
         "estimates": (lambda: verify_estimates(field, 3.0, epsilons,
                                                1.0 / 3.0), 7.0)}[consumer]
     run()
