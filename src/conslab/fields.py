@@ -539,13 +539,6 @@ def difference_lq_norm(a: np.ndarray, b, n_axes: int, q: float,
     return float((total * volume) ** (1.0 / q))
 
 
-def magnitude_lq_norm(values: np.ndarray, n_axes: int, q: float,
-                      cell_volume: float) -> float:
-    """L^q norm of the pointwise Euclidean magnitude of values, whose first
-    n_axes axes are lattice axes and the rest value axes."""
-    return difference_lq_norm(values, None, n_axes, q, cell_volume)
-
-
 def power_sum(mag2: np.ndarray, q: float) -> float:
     """Sum of |v|^q over the squared magnitudes mag2 (left unchanged).
 

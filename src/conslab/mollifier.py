@@ -59,7 +59,7 @@ import numpy as np
 from ._bumps import bump
 from .errors import ParameterError, ResolutionError, _integer, _real
 from .fields import (DiscreteField, Field, Lattice, TravelingField,
-                     difference_lq_norm, magnitude_lq_norm, power_sum,
+                     difference_lq_norm, power_sum,
                      require_q, shift_difference_norm,
                      squared_magnitude_in_place)
 from .rates import RateFit, fit_loglog
@@ -316,8 +316,8 @@ def _levels(field: Field, kernels: list):
 def lq_norm(field: Field, q: float) -> float:
     """L^q norm of the pointwise Euclidean magnitude over the lattice."""
     require_q(q)
-    return magnitude_lq_norm(field.nodes, field.lattice.n_axes, q,
-                             field.node_volume)
+    return difference_lq_norm(field.nodes, None, field.lattice.n_axes, q,
+                              field.node_volume)
 
 
 def axis_derivative(field: Field, axis: int) -> np.ndarray:
@@ -350,13 +350,9 @@ def axis_derivative(field: Field, axis: int) -> np.ndarray:
     return out
 
 
-def gradient_magnitude(field: Field) -> np.ndarray:
-    """Pointwise Frobenius norm of the central-difference space-time
-    gradient, on the field's nodes."""
-    return np.sqrt(_squared_gradient(field))
-
-
 def _squared_gradient(field: Field) -> np.ndarray:
+    """Pointwise squared Frobenius norm of the central-difference
+    space-time gradient, on the field's nodes."""
     n_axes = field.lattice.n_axes
     acc = np.zeros(field.nodes.shape[:n_axes])
     for axis in range(n_axes):

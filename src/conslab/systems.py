@@ -256,7 +256,8 @@ def check_compatibility(system: SystemSpec, sampler, n_samples: int,
     strictly inside the system domain at distance > fd_step (finite
     differences step outside otherwise).  method is "auto" (analytic
     Jacobians when the system supplies them), "analytic", or
-    "finite-difference".
+    "finite-difference".  A residual that is not finite (an overflowing
+    fd_step, say) raises ParameterError.
     """
     n_samples = _integer(n_samples, "n_samples", 1)
     if fd_step <= 0:
@@ -289,6 +290,14 @@ def check_compatibility(system: SystemSpec, sampler, n_samples: int,
     B = system.B(U)
     # residual[s, j, m] = DQ[s, j, m] - sum_i B[s, i] DG[s, i, j, m]
     resid = DQ - np.einsum("si,sijm->sjm", B, DG)
+    bad = np.argwhere(~np.isfinite(resid))
+    if len(bad):    # a NaN compares false with every tolerance
+        s, j, _ = bad[0]
+        step = f" with fd_step {fd_step!r}" \
+            if method == "finite-difference" else ""
+        raise ParameterError(
+            f"compatibility residual of {system.name!r} is not finite at "
+            f"state {U[s].tolist()}, column {j}{step}")
     worst = np.unravel_index(int(np.argmax(np.abs(resid))), resid.shape)
     return CompatibilityReport(
         max_residual=float(np.max(np.abs(resid))),

@@ -11,30 +11,31 @@ traveling jump on the torus (a periodic shock field always carries two
 interfaces; the plateau isolates one).
 
 evaluate(lattice, periodic_time) checks the parameters against the
-lattice, computes the factors and returns a Sample.  On k = 1 every
-catalogue sample is amplitude*phi(t)*chi(x - v*t), with v = 0 for
-TensorBump and TimeBump (chi = 1) and v = speed for ShockAlignedBump;
-its factors are O(n_time + q*n_space) numbers.  A sample has two views.
+lattice and returns a Sample, one class for the whole catalogue: on k = 1
+every sample is amplitude*phi(t)*chi(x - v*t), with v = 0 for TensorBump
+and TimeBump (chi = 1) and v = speed for ShockAlignedBump, kept as
+factors of O(n_time + q*n_space) numbers.  A sample has two views.
 
 Rows: sample.window(rows) builds psi and grad psi on a slice of lattice
 rows, and unpacking or indexing it (psi, grad = sample) gives the window
 over every row, built on first use and kept.  Only the live rows are
 written, the time rows where phi or its derivative is nonzero
 (`_live_rows`); the outputs come from np.zeros, so the other rows stay
-+0.0 and their pages are never written.  An entry's bits do not depend
-on the window it is written in.  TensorBump and TimeBump write each
-contiguous run of live rows in the window (two when a periodic support
-wraps across t = 0) with whole-run products.  ShockAlignedBump writes
-one live row at a time.  On a lattice snapped for its speed
-(fields._snap: p/q nodes per step) its plateau is evaluated on the
-fine co-moving grid eta = q*i - p*t, one residue class of n_space
-nodes at a time, and each live row is written from its window of its
-class (fields._row_classes); on any other lattice, at x - speed*t, row
-by row.  Temporaries are row-sized.  The two agree within rounding, bit
-for bit on the shipped configs (binary-fraction spacings, speeds and
-centres).  While the fine grid (q*n_space nodes) fits one row block
-(fields._BLOCK_NODES), every block has rows of every class, so the
-sample keeps each class's plateau: once per sample, not per window.
++0.0 and their pages are never written.  One generator hands the writer
+the live rows in the window with their space factors: with static
+factors, each contiguous run (two when a periodic support wraps across
+t = 0), written with whole-run products; for a ShockAlignedBump, one row
+at a time.  On a lattice snapped for its speed (fields._snap: p/q nodes
+per step) its plateau is evaluated on the fine co-moving grid eta = q*i
+- p*t, one residue class of n_space nodes at a time, and each live row
+is its window of its class (fields._row_classes); on any other lattice,
+at x - speed*t.  Temporaries are row-sized, and an entry's bits do not
+depend on the window it is written in.  The two lattices' values agree
+within rounding, bit for bit on the shipped configs (binary-fraction
+spacings, speeds and centres).  While the fine grid (q*n_space nodes)
+fits one row block (fields._BLOCK_NODES), every block has rows of every
+class, so the sample keeps each class's plateau: once per sample, not
+per window.
 
 Node means: sample.node_means(field) is psi and grad psi averaged onto
 the field's nodes.  On a TravelingField over the sample's lattice it
@@ -105,13 +106,6 @@ def _live_rows(phi: np.ndarray, dphi: np.ndarray) -> np.ndarray:
     return (phi != 0.0) | (dphi != 0.0)
 
 
-def _live_runs(phi: np.ndarray, dphi: np.ndarray) -> list:
-    """The live rows as slices over maximal contiguous runs, in order."""
-    edges = np.flatnonzero(np.diff(_live_rows(phi, dphi), prepend=False,
-                                   append=False)).tolist()
-    return [slice(a, b) for a, b in zip(edges[::2], edges[1::2])]
-
-
 class TestFunction:
     """Interface: evaluate(lattice, periodic_time) checks the parameters
     against the lattice, raising at call time, and returns a Sample, or a
@@ -125,19 +119,26 @@ class TestFunction:
 
 
 class Sample:
-    """A test function evaluated on one lattice, in two views.
+    """A test function on one lattice: amplitude * phi(t) * prod_a f_a(x_a)
+    with space = ((f_a, f_a'), ...) per space axis (none for a sample
+    constant in space), or, given a plateau (k = 1, co-moving), phi(t) *
+    chi(x - speed*t) with (chi, chi') = plateau(x - speed*t).  shift is
+    (p, q) on a lattice snapped for the speed, where chi is read on the
+    fine grid eta = q*i - p*t, and None on any other lattice.
 
-    window(rows) gives (psi, grad) on the lattice rows `rows`: psi over
-    those rows and grad with one trailing axis of length k + 1 (time
-    derivative first), written from the factors.  Unpacking or indexing
-    gives the dense arrays, the window over every row, built on first use
-    and kept.  node_means(field) gives their averages onto the nodes of a
-    field over this lattice: a catalogue sample takes them from its
-    factors on a TravelingField where it can (`_wave_means`), and
-    otherwise from the dense arrays through field.node_mean."""
+    window(rows) is (psi, grad) on the lattice rows `rows`, grad with one
+    trailing axis of length k + 1 (time derivative first); unpacking or
+    indexing gives the window over every row, built on first use and
+    kept.  node_means(field) averages them onto the nodes of a field over
+    this lattice, from the factors where `_wave_means` gives them."""
 
-    def __init__(self, lattice: Lattice, phi: np.ndarray, dphi: np.ndarray):
+    def __init__(self, lattice: Lattice, phi: np.ndarray, dphi: np.ndarray,
+                 space=(), amplitude=1.0, plateau=None, speed=0.0,
+                 shift=None):
         self.lattice, self.phi, self.dphi = lattice, phi, dphi
+        self.space, self.amplitude = space, amplitude
+        self.plateau, self.speed, self.shift = plateau, speed, shift
+        self._plateaus = {}
 
     def window(self, rows: slice) -> tuple:
         """(psi, grad) on the lattice rows of `rows`, a slice of unit step
@@ -147,8 +148,56 @@ class Sample:
         shape = (max(stop - start, 0),) + self.lattice.shape[1:]
         psi = np.zeros(shape)
         grad = np.zeros(shape + (self.lattice.n_axes,))
-        self._write(psi, grad, start)
+        live = _live_rows(self.phi, self.dphi)
+        live[:start] = live[stop:] = False
+        for run, space in self._runs(live):
+            factors = [(self.phi[run], self.dphi[run]), *space]
+            p, g = (a[run.start - start:run.stop - start] for a in (psi, grad))
+            _outer(None, factors, p)
+            for c in range(self.lattice.n_axes):
+                _outer(c, factors, g[..., c])
+            if self.plateau is not None:    # d/dt of chi(x - speed*t)
+                np.subtract(g[..., 0], self.speed * g[..., 1], out=g[..., 0])
+            # per run: a whole-array *= would write every page; x*1.0 is x
+            if self.amplitude != 1.0:
+                p *= self.amplitude
+                g *= self.amplitude
         return psi, grad
+
+    def _runs(self, live: np.ndarray):
+        """(rows, space factors) over the live rows: each maximal run with
+        the static factors, or one row at a time for a co-moving sample."""
+        if self.plateau is None:
+            edges = np.flatnonzero(np.diff(live, prepend=False,
+                                           append=False)).tolist()
+            for a, b in zip(edges[::2], edges[1::2]):
+                yield slice(a, b), self.space
+        elif self.shift is None:    # the plateau at x - speed*t
+            t, x = self.lattice.times(), self.lattice.space_nodes()
+            for row in np.flatnonzero(live).tolist():
+                yield slice(row, row + 1), \
+                    (self.plateau(x - self.speed * t[row]),)
+        else:   # snapped: each live row a window of its class's plateau
+            n = self.lattice.n_space
+            for r, ts, ss in _row_classes(self.lattice, *self.shift):
+                on = live[ts]
+                if on.any():
+                    chi, dchi = (np.concatenate([a, a])
+                                 for a in self._class_plateau(r))
+                    for t, s in zip(ts[on].tolist(), ss[on].tolist()):
+                        yield slice(t, t + 1), ((chi[s:s + n],
+                                                 dchi[s:s + n]),)
+
+    def _class_plateau(self, r: int) -> tuple:
+        """chi and chi' on class r of the fine grid, its nodes q*m + r."""
+        q = self.shift[1]
+        if r in self._plateaus:
+            return self._plateaus[r]
+        eta = q * np.arange(self.lattice.n_space)
+        plateau = self.plateau((eta + r) * (self.lattice.h_space / q))
+        if q * self.lattice.n_space <= _BLOCK_NODES:    # kept: see "Rows"
+            self._plateaus[r] = plateau
+        return plateau
 
     @cached_property
     def _arrays(self) -> tuple:
@@ -168,142 +217,65 @@ class Sample:
                 return means
         return tuple(map(field.node_mean, self))
 
-    def _write(self, psi: np.ndarray, grad: np.ndarray, start: int) -> None:
-        """Write the live rows of a window of the dense arrays from lattice
-        row start on (zeros on entry)."""
-        raise NotImplementedError
-
     def _wave_means(self, field: TravelingField):
         """Node means on a wave over this lattice from the factors, or None
-        where they do not give them."""
-        return None
-
-
-def _wave_nodes(field: TravelingField, sums: np.ndarray) -> tuple:
-    """(psi, grad) on a wave's nodes from per-class sums over its rows,
-    sums[r, m] = (psi, d_t psi, d_x psi) summed over the cells of fine
-    node rows*m + r, as TravelingField.node_mean interleaves its classes."""
-    lat, rows = field.lattice, field.rows
-    means = np.moveaxis(sums, 0, 1).reshape(1, -1, 3) / (lat.n_time / rows)
-    return means[..., 0], means[..., 1:]
-
-
-class _Separable(Sample):
-    """amplitude * phi(t) * prod_a f_a(x_a) with space = ((f_a, f_a'), ...)
-    per space axis, or no factor for a sample constant in space."""
-
-    def __init__(self, lattice, phi, dphi, space=(), amplitude=1.0):
-        super().__init__(lattice, phi, dphi)
-        self.space, self.amplitude = space, amplitude
-
-    def _write(self, psi, grad, start):
-        phi, dphi = (a[start:start + len(psi)] for a in (self.phi, self.dphi))
-        factors = [None] + [f for f, _ in self.space]
-        dfactors = [None] + [df for _, df in self.space]
-        column = (-1,) + (1,) * self.lattice.k
-        for run in _live_runs(phi, dphi):
-            if not self.space:      # the time profile down every row
-                psi[run] = phi[run].reshape(column)
-                grad[run, ..., 0] = dphi[run].reshape(column)
-            else:
-                factors[0], dfactors[0] = phi[run], dphi[run]
-                _outer(factors, out=psi[run])
-                for axis in range(self.lattice.n_axes):
-                    _outer([dfactors[a] if a == axis else f
-                            for a, f in enumerate(factors)],
-                           out=grad[run, ..., axis])
-            # per run: a whole-array *= would write every page; x*1.0 is x
-            if self.amplitude != 1.0:
-                psi[run] *= self.amplitude
-                grad[run] *= self.amplitude
-
-    def _wave_means(self, field):
-        # row t of class r puts phi(t)*f(x_i) on fine node q*((i + s) mod
-        # n) + r: the class's sum is the histogram of phi over its rows' s,
-        # circularly convolved with f
-        n, rows = field.lattice.n_space, field.rows
-        hist = np.empty((2, rows, n))
-        for r, ts, ss in _row_classes(field.lattice, field.shift, rows):
-            hist[0, r] = np.bincount(ss, weights=self.phi[ts], minlength=n)
-            hist[1, r] = np.bincount(ss, weights=self.dphi[ts], minlength=n)
+        for a co-moving sample at another p/q.  sums[r, m] is (psi, d_t
+        psi, d_x psi) summed over the cells of fine node rows*m + r."""
+        lat, rows = field.lattice, field.rows
+        n = lat.n_space
+        classes = _row_classes(lat, field.shift, rows)
         sums = np.zeros((rows, n, 3))
-        if self.space:
-            (f, df), = self.space
-            h = np.fft.rfft(hist)
-            f_hat = np.fft.rfft(f)
-            sums[..., 0] = np.fft.irfft(h[0] * f_hat, n)
-            sums[..., 1] = np.fft.irfft(h[1] * f_hat, n)
-            sums[..., 2] = np.fft.irfft(h[0] * np.fft.rfft(df), n)
+        if self.plateau is not None:
+            # at the field's own p/q every cell of fine node q*m + r sits at
+            # that node's co-moving coordinate: the class's sum is chi there
+            # times the sum of phi over the class's rows
+            if self.shift != (field.shift, rows):
+                return None
+            for r, ts, _ in classes:
+                m, dm = self.phi[ts].sum(), self.dphi[ts].sum()
+                if m or dm:
+                    chi, dchi = self._class_plateau(r)
+                    sums[r, :, 0] = chi * m
+                    sums[r, :, 2] = dchi * m
+                    sums[r, :, 1] = chi * dm - self.speed * sums[r, :, 2]
         else:
-            sums[..., :2] = hist.sum(axis=-1).T[:, None]
-        return _wave_nodes(field, sums * self.amplitude)
+            # row t of class r puts phi(t)*f(x_i) on fine node q*((i + s)
+            # mod n) + r: the class's sum is the histogram of phi over its
+            # rows' s, circularly convolved with f
+            hist = np.empty((2, rows, n))
+            for r, ts, ss in classes:
+                for i, a in enumerate((self.phi, self.dphi)):
+                    hist[i, r] = np.bincount(ss, weights=a[ts], minlength=n)
+            if self.space:
+                (f, df), = self.space
+                h = np.fft.rfft(hist)
+                f_hat = np.fft.rfft(f)
+                sums[..., 0] = np.fft.irfft(h[0] * f_hat, n)
+                sums[..., 1] = np.fft.irfft(h[1] * f_hat, n)
+                sums[..., 2] = np.fft.irfft(h[0] * np.fft.rfft(df), n)
+            else:
+                sums[..., :2] = hist.sum(axis=-1).T[:, None]
+        # the classes interleaved, as TravelingField.node_mean does
+        means = np.moveaxis(sums * self.amplitude, 0, 1).reshape(1, -1, 3) \
+            / (lat.n_time / rows)
+        return means[..., 0], means[..., 1:]
 
 
-class _Comoving(Sample):
-    """phi(t) * chi(x - speed*t) on k = 1, with (chi, chi') =
-    plateau(x - speed*t).  shift is (p, q) on a lattice snapped for the
-    speed, where chi is read on the fine grid eta = q*i - p*t, and None
-    on any other lattice."""
-
-    def __init__(self, lattice, phi, dphi, plateau, speed, shift):
-        super().__init__(lattice, phi, dphi)
-        self.plateau, self.speed, self.shift = plateau, speed, shift
-        self._plateaus = {}
-
-    def _write(self, psi, grad, start):
-        live = _live_rows(self.phi, self.dphi)
-        live[:start] = live[start + len(psi):] = False
-        rows = self._lattice_rows(live) if self.shift is None \
-            else self._class_rows(live)
-        for t, (chi, dchi) in rows:
-            np.multiply(self.phi[t], chi, out=psi[t - start])
-            g_t, g_x = grad[t - start, :, 0], grad[t - start, :, 1]
-            np.multiply(self.phi[t], dchi, out=g_x)
-            np.add(self.dphi[t] * chi, g_x * (-self.speed), out=g_t)
-
-    def _class_plateau(self, r: int) -> tuple:
-        """chi and chi' on class r of the fine grid, its nodes q*m + r."""
-        q = self.shift[1]
-        if r in self._plateaus:
-            return self._plateaus[r]
-        eta = q * np.arange(self.lattice.n_space)
-        plateau = self.plateau((eta + r) * (self.lattice.h_space / q))
-        if q * self.lattice.n_space <= _BLOCK_NODES:    # kept: see "Rows"
-            self._plateaus[r] = plateau
-        return plateau
-
-    def _class_rows(self, live):
-        # snapped lattice: each live row a window of its class's plateau
-        n = self.lattice.n_space
-        for r, ts, ss in _row_classes(self.lattice, *self.shift):
-            on = live[ts]
-            if on.any():
-                chi, dchi = (np.concatenate([a, a])
-                             for a in self._class_plateau(r))
-                for t, s in zip(ts[on].tolist(), ss[on].tolist()):
-                    yield t, (chi[s:s + n], dchi[s:s + n])
-
-    def _lattice_rows(self, live):
-        # any lattice: the plateau at x - speed*t, one live row at a time
-        t, x = self.lattice.times(), self.lattice.space_nodes()
-        for row in np.flatnonzero(live).tolist():
-            yield row, self.plateau(x - self.speed * t[row])
-
-    def _wave_means(self, field):
-        # at the field's own p/q every cell of fine node q*m + r sits at
-        # that node's co-moving coordinate: the class's sum is chi there
-        # times the sum of phi over the class's rows
-        if self.shift != (field.shift, field.rows):
-            return None
-        sums = np.zeros((field.rows, field.lattice.n_space, 3))
-        for r, ts, _ in _row_classes(self.lattice, *self.shift):
-            m, dm = self.phi[ts].sum(), self.dphi[ts].sum()
-            if m or dm:
-                chi, dchi = self._class_plateau(r)
-                sums[r, :, 0] = chi * m
-                sums[r, :, 2] = dchi * m
-                sums[r, :, 1] = chi * dm - self.speed * sums[r, :, 2]
-        return _wave_nodes(field, sums)
+def _outer(c, factors, out: np.ndarray) -> None:
+    """Write to out the outer product over the axes of factors, one pair
+    (f, f') per axis multiplied in axis order: f' on axis c, f on the
+    others (c None: psi).  A time factor alone is broadcast down its rows,
+    and a derivative along an axis without a factor stays zero."""
+    if c is not None and c >= len(factors):
+        return
+    parts = [df if a == c else f for a, (f, df) in enumerate(factors)]
+    if len(parts) == 1:
+        out[...] = parts[0].reshape((-1,) + (1,) * (out.ndim - 1))
+        return
+    acc = parts[0]
+    for f in parts[1:-1]:
+        acc = np.multiply.outer(acc, f)
+    np.multiply.outer(acc, parts[-1], out=out)
 
 
 def node_means(testfn: TestFunction, field: Field):
@@ -372,17 +344,8 @@ class TensorBump(TestFunction):
                          lattice.axis_extent(axis), axis > 0 or periodic_time,
                          "time" if axis == 0 else f"space axis {axis}")
             factors.append((bump(w), bump_deriv(w) / radius[axis]))
-        return _Separable(lattice, *factors[0], space=factors[1:],
-                          amplitude=self.amplitude)
-
-
-def _outer(factors, out=None) -> np.ndarray:
-    """Outer product of per-axis factors, multiplied in axis order; the
-    last product is written to out when given."""
-    acc = factors[0]
-    for f in factors[1:-1]:
-        acc = np.multiply.outer(acc, f)
-    return np.multiply.outer(acc, factors[-1], out=out)
+        return Sample(lattice, *factors[0], space=factors[1:],
+                      amplitude=self.amplitude)
 
 
 @dataclass(frozen=True)
@@ -410,7 +373,7 @@ class TimeBump(TestFunction):
         return scale * bump(z), scale * bump_deriv(z) / self.radius
 
     def evaluate(self, lattice: Lattice, periodic_time: bool = True) -> Sample:
-        return _Separable(lattice, *self._profile(
+        return Sample(lattice, *self._profile(
             lattice.times(), lattice.extent_time, periodic_time))
 
     @property
@@ -467,8 +430,8 @@ class ShockAlignedBump(TestFunction):
                 f"outer radius {self.outer_radius:g} exceeds half the period {L:g}")
         phi, dphi = self._time_part()._profile(
             lattice.times(), lattice.extent_time, periodic_time)
-        return _Comoving(lattice, phi, dphi, partial(self._plateau, L=L),
-                         self.speed, shift)
+        return Sample(lattice, phi, dphi, plateau=partial(self._plateau, L=L),
+                      speed=self.speed, shift=shift)
 
     def _plateau(self, z: np.ndarray, L: float) -> tuple:
         """chi and chi' at the co-moving coordinate z = x - speed*t."""

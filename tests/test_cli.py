@@ -426,6 +426,22 @@ def test_check_companion_tolerance_gate(tmp_path):
     assert payload["report"]["max_residual_overall"] > 1e-30
 
 
+def test_check_companion_non_finite_residual_is_an_error(tmp_path, capsys):
+    # at fd_step 1e308 the differences overflow to NaN; no report is a pass
+    config = {
+        "command": "check-companion",
+        "systems": [{"name": "burgers"}],
+        "method": "finite-difference",
+        "fd_step": 1e308,
+        "tolerance": 1e-6,
+    }
+    with np.errstate(all="ignore"):
+        code, outdir = run("check-companion", config, tmp_path)
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_shipped_besov(tmp_path):
     code = main(["besov", "--config", str(CONFIG_DIR / "besov_lacunary.json"),
                  "--outdir", str(tmp_path)])

@@ -536,7 +536,7 @@ def test_lemma_norm_is_bitwise_the_stacked_one(elasto, rng, q):
     # lemma_bound_audit sums the entries' squares without stacking them;
     # the stacked magnitude norm adds the same squares in the same order
     from conslab.commutator import _commutators
-    from conslab.fields import magnitude_lq_norm
+    from conslab.fields import difference_lq_norm
     lat = Lattice(k=1, n_time=32, n_space=64, extent_time=1.0,
                   extent_space=1.0)
     # the compact-range extension has four commutator entries, as in the
@@ -550,8 +550,8 @@ def test_lemma_norm_is_bitwise_the_stacked_one(elasto, rng, q):
     for _, mollified, _, _, entries, parts in _commutators(system, field,
                                                            kernels):
         assert len(parts) == len(entries) == 4 and all(map(np.any, parts))
-        want.append(magnitude_lq_norm(np.stack(parts, axis=-1), 2, q,
-                                      mollified.node_volume))
+        want.append(difference_lq_norm(np.stack(parts, axis=-1), None, 2, q,
+                                       mollified.node_volume))
     got = lemma_bound_audit(system, field, kernels, q).commutator_Lq_norms
     assert np.array_equal(got, want)
 

@@ -11,7 +11,7 @@ from conslab import (DiscreteField, Lattice, ParameterError, ResolutionError,
                      make_lacunary_field, make_shock_field, save_field,
                      shift_difference_norm)
 from conslab.errors import DomainViolationError
-from conslab.fields import magnitude_lq_norm, squared_magnitude_in_place
+from conslab.fields import difference_lq_norm, squared_magnitude_in_place
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +89,7 @@ def test_field_validation(tiny_lattice):
        value_shape=st.sampled_from([(), (2,), (2, 2), (3,)]),
        k=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 16))
 def test_magnitude_lq_norm_matches_the_oracle(q, value_shape, k, seed):
+    # difference_lq_norm with no subtrahend is the norm of |values|
     rng = np.random.default_rng(seed)
     lattice_shape = (5,) + (6,) * k
     values = rng.normal(size=lattice_shape + value_shape)
@@ -96,7 +97,7 @@ def test_magnitude_lq_norm_matches_the_oracle(q, value_shape, k, seed):
     volume = rng.uniform(0.1, 2.0)
     mag = np.linalg.norm(values.reshape(lattice_shape + (-1,)), axis=-1)
     want = (np.sum(mag ** q) * volume) ** (1.0 / q)
-    got = magnitude_lq_norm(values, k + 1, q, volume)
+    got = difference_lq_norm(values, None, k + 1, q, volume)
     assert got == pytest.approx(want, rel=1e-13, abs=0.0)
     assert np.array_equal(values, before)
 

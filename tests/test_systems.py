@@ -89,6 +89,27 @@ def test_compatibility_detects_tampered_companion(burgers):
     assert fd_report.max_residual == pytest.approx(0.1, rel=1e-6)
 
 
+def test_compatibility_rejects_a_non_finite_residual(burgers):
+    # max() over residuals would pass a NaN over and report a pass
+    sampler = uniform_box_sampler(*STATE_BOXES["burgers"])
+    with np.errstate(all="ignore"), \
+            pytest.raises(ParameterError, match=r"not finite at state "
+                          r"\[.*\], column 0 with fd_step 1e\+308"):
+        check_compatibility(burgers, sampler, 8, fd_step=1e308,
+                            method="finite-difference")
+
+    def nan_DQ(U):
+        out = burgers.DQ(U)
+        out[..., 1, 0] = np.nan
+        return out
+
+    with pytest.raises(ParameterError,
+                       match=r"'burgers' is not finite at state \[.*\], "
+                             r"column 1$"):
+        check_compatibility(replace(burgers, DQ=nan_DQ), sampler, 8,
+                            method="analytic")
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_affine_annotations_are_actually_affine(name, rng):
     system = make_builtin(name)

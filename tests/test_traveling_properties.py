@@ -16,6 +16,7 @@ from conslab import (Lattice, ShockAlignedBump, TensorBump, TimeBump,
                      TravelingField, lacunary_profile, make_builtin,
                      make_kernel, make_lacunary_field, make_shock_field,
                      mollify)
+from conslab.fields import _row_classes
 from conslab.mollifier import _convolve_fft
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -213,3 +214,69 @@ def test_sample_node_means_are_the_node_means_of_the_dense_arrays(case):
         assert g.shape == want.shape
         np.testing.assert_allclose(g, want, rtol=0,
                                    atol=1e-13 * np.max(np.abs(dense)))
+
+
+def _separable_wave_means(sample, field):
+    # node means of static factors as a formula of their own: per class,
+    # the histogram of phi over its rows' shifts convolved with
+    # the space factor
+    n, rows = field.lattice.n_space, field.rows
+    hist = np.empty((2, rows, n))
+    for r, ts, ss in _row_classes(field.lattice, field.shift, rows):
+        hist[0, r] = np.bincount(ss, weights=sample.phi[ts], minlength=n)
+        hist[1, r] = np.bincount(ss, weights=sample.dphi[ts], minlength=n)
+    sums = np.zeros((rows, n, 3))
+    if sample.space:
+        (f, df), = sample.space
+        h = np.fft.rfft(hist)
+        f_hat = np.fft.rfft(f)
+        sums[..., 0] = np.fft.irfft(h[0] * f_hat, n)
+        sums[..., 1] = np.fft.irfft(h[1] * f_hat, n)
+        sums[..., 2] = np.fft.irfft(h[0] * np.fft.rfft(df), n)
+    else:
+        sums[..., :2] = hist.sum(axis=-1).T[:, None]
+    return _interleaved(field, sums * sample.amplitude)
+
+
+def _comoving_wave_means(sample, field):
+    # node means of a co-moving sample at the field's own p/q: chi on
+    # each class of the fine grid times the class sums of phi and phi'
+    p, q = sample.shift
+    lat = field.lattice
+    sums = np.zeros((q, lat.n_space, 3))
+    for r, ts, _ in _row_classes(lat, p, q):
+        m, dm = sample.phi[ts].sum(), sample.dphi[ts].sum()
+        if m or dm:
+            eta = q * np.arange(lat.n_space)
+            chi, dchi = sample.plateau((eta + r) * (lat.h_space / q))
+            sums[r, :, 0] = chi * m
+            sums[r, :, 2] = dchi * m
+            sums[r, :, 1] = chi * dm - sample.speed * sums[r, :, 2]
+    return _interleaved(field, sums)
+
+
+def _interleaved(field, sums):
+    lat, rows = field.lattice, field.rows
+    means = np.moveaxis(sums, 0, 1).reshape(1, -1, 3) / (lat.n_time / rows)
+    return means[..., 0], means[..., 1:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampled_waves())
+def test_sample_node_means_are_bitwise_the_two_formulas(case):
+    # node means are, bit for bit and zeros with their signs, the
+    # histogram formula for static factors, the class-sum formula for a
+    # shock bump at the wave's speed, and the dense view's node mean at
+    # any other speed
+    field, testfn, kind = case
+    sample = testfn.evaluate(field.lattice)
+    got = sample.node_means(field)
+    if kind == "other":
+        want = tuple(map(field.node_mean, testfn.evaluate(field.lattice)))
+    elif kind == "aligned":
+        want = _comoving_wave_means(sample, field)
+    else:
+        want = _separable_wave_means(sample, field)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
