@@ -34,9 +34,9 @@ from .commutator import lemma_bound_audit, residual_R
 from .dissipation import build_dissipation_report, rankine_hugoniot_speed, \
     shock_dissipation_rate
 from .mollifier import kernel_table, make_kernel, verify_estimates
-from .systems import (BUILTIN_NAMES, FD_STEP, SystemSpec, check_compatibility,
-                      extend_to_compact_range, make_builtin,
-                      uniform_box_sampler)
+from .systems import (BUILTIN_CATALOGUE, BUILTIN_NAMES, FD_STEP, SystemSpec,
+                      check_compatibility, extend_to_compact_range,
+                      make_builtin, uniform_box_sampler)
 from .testfunctions import from_config as testfn_from_config
 
 log = logging.getLogger("conslab.cli")
@@ -349,19 +349,6 @@ def _sweep_epsilons(spec: dict) -> list:
     return [spec["eps_max"] * 2.0 ** -i for i in range(spec["n_levels"])]
 
 
-# Default sampling boxes sit strictly inside each built-in domain with the
-# default law parameters; configs with nonstandard parameters should give an
-# explicit box.
-_DEFAULT_BOXES = {
-    "burgers": ([-2.0], [2.0]),
-    "euler-compressible-1d": ([0.3, -2.0], [2.0, 2.0]),
-    "euler-compressible-m-form-1d": ([0.3, -2.0], [2.0, 2.0]),
-    "elastodynamics-1d": ([0.3, -2.0], [2.0, 2.0]),
-    "euler-incompressible-2d": ([-2.0] * 3, [2.0] * 3),
-    "mhd-incompressible-1d": ([-2.0] * 6, [2.0] * 6),
-}
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -444,11 +431,9 @@ def run_check_companion(config: dict):
     worst = 0.0
     for spec in config["systems"]:
         system = _build_system(spec)
-        box = spec.get("box")
-        if box is not None:
-            lower, upper = box["lower"], box["upper"]
-        else:
-            lower, upper = _DEFAULT_BOXES[spec["name"]]
+        box = spec.get("box")   # else the catalogue's, for the default laws
+        lower, upper = BUILTIN_CATALOGUE[spec["name"]].box if box is None \
+            else (box["lower"], box["upper"])
         report = check_compatibility(
             system, uniform_box_sampler(lower, upper), n_samples,
             fd_step=fd_step, rng=seed, method=method)

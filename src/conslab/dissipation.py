@@ -18,7 +18,8 @@ residual: on a TravelingField a catalogue test function gives it from
 its factors, in O(n_time + q*n_space), without a lattice array; on a
 DiscreteField, or from a user test function's plain (psi, grad) pair,
 it is the lattice array.  build_dissipation_report so evaluates each test
-function twice, once per weak residual.
+function twice, once per weak residual, and the jump once:
+rankine_hugoniot_speed returns the defect rate with the speeds.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ class RankineHugoniot:
     no jump in either flux).  consistent is True when all defined row
     speeds agree to a relative 1e-10, in which case `speed` is their mean.
     companion_speed applies the same quotient to the companion flux pair;
-    mismatch = companion_speed - speed.
+    mismatch = companion_speed - speed.  rate is the companion-law defect
+    rate s [[Q_0]] - [[Q_1]] of a consistent shock, NaN otherwise.
     """
 
     speeds: np.ndarray
@@ -86,11 +88,12 @@ class RankineHugoniot:
     speed: float
     companion_speed: float
     mismatch: float
+    rate: float
 
 
 def rankine_hugoniot_speed(system: SystemSpec, U_left, U_right) -> RankineHugoniot:
     """Per-row shock speeds of the jump U_left -> U_right, plus the
-    companion-law speed computed from the same jump."""
+    companion-law speed and defect rate computed from the same jump."""
     if system.k != 1:
         raise UnsupportedGeometryError(
             f"jump conditions implemented for k = 1, got k={system.k}")
@@ -124,9 +127,10 @@ def rankine_hugoniot_speed(system: SystemSpec, U_left, U_right) -> RankineHugoni
         companion = float("inf") if abs(dQ[1]) > 1e-12 * qscale else float("nan")
     else:
         companion = float(dQ[1] / dQ[0])
+    rate = float(speed * dQ[0] - dQ[1]) if consistent else float("nan")
     return RankineHugoniot(speeds=speeds, consistent=consistent, speed=speed,
                            companion_speed=companion,
-                           mismatch=companion - speed)
+                           mismatch=companion - speed, rate=rate)
 
 
 def shock_dissipation_rate(system: SystemSpec, U_left, U_right) -> float:
@@ -135,9 +139,7 @@ def shock_dissipation_rate(system: SystemSpec, U_left, U_right) -> float:
     if not rh.consistent:
         raise InconsistentShockError(
             f"row speeds {rh.speeds} disagree; the jump is not a single shock")
-    U_left, U_right = jump_states(system, U_left, U_right, "shock states")
-    dQ = system.Q(U_left) - system.Q(U_right)
-    return float(rh.speed * dQ[0] - dQ[1])
+    return rh.rate
 
 
 @dataclass(frozen=True)
@@ -157,14 +159,12 @@ def build_dissipation_report(system: SystemSpec, field: Field,
                              U_left, U_right,
                              testfns: Sequence[TestFunction]) -> DissipationReport:
     rh = rankine_hugoniot_speed(system, U_left, U_right)
-    rate = shock_dissipation_rate(system, U_left, U_right) if rh.consistent \
-        else float("nan")
     return DissipationReport(
         system_weak_residuals=weak_residual_system(system, field, testfns),
         companion_weak_residuals=weak_residual_companion(system, field, testfns),
         rh_speed_flux=rh.speeds,
         rh_speed_companion=rh.companion_speed,
         mismatch=rh.mismatch,
-        shock_dissipation_rate=rate,
+        shock_dissipation_rate=rh.rate,
         consistent=rh.consistent,
     )

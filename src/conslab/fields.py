@@ -488,25 +488,12 @@ def require_q(q: float) -> None:
         raise ParameterError(f"q must be >= 1 and finite, got {q}")
 
 
-def squared_magnitude_in_place(values: np.ndarray,
-                               n_axes: int) -> np.ndarray:
-    """Pointwise squared Euclidean magnitude of values, whose first n_axes
-    axes are lattice axes and the rest value axes, written over values' own
-    memory: per-component squares added in component order.  The result
-    is a view of the first component, and values is spent."""
-    flat = values.reshape(values.shape[:n_axes] + (-1,))
-    mag2 = np.square(flat[..., 0], out=flat[..., 0])
-    for i in range(1, flat.shape[-1]):
-        mag2 += np.square(flat[..., i], out=flat[..., i])
-    return mag2
-
-
 def difference_squares(a: np.ndarray, b, n_axes: int):
     """Yield |a - b|^2 (|a|^2 when b is None) per block of _BLOCK_NODES
     nodes, in node order, where a and b have their first n_axes axes over
     the same nodes and the rest value axes.  Each component is subtracted
     and squared in one of two block-sized arrays and added in component
-    order, as squared_magnitude_in_place adds them; the yielded block is
+    order; the yielded block is
     overwritten by the next, and a consumer may spend it.  Nothing
     lattice-sized is made while the node axes of a and b merge into one
     (contiguous arrays, leading-axis slices and moved-axis views)."""

@@ -36,11 +36,12 @@ over a 2-D field holds one level's arrays, not one set per kernel.  Within a
 level the 2-D path transforms one channel at a time into one complex
 buffer and back into its own slab of a channel-major result, whose
 channel-last view it returns; a central derivative is one roll with the
-other neighbour subtracted in place, the gradient norm squares each
-derivative in its own memory (fields.squared_magnitude_in_place), and
-the approximation and translation norms, like lq_norm, are one blockwise
-pass over their differences (fields.difference_lq_norm): a translation
-rolls U once, and no difference or square is lattice-sized.
+other neighbour subtracted in place, the gradient norm adds each
+derivative's squares into one accumulator block by block
+(fields.difference_squares), and the approximation and translation
+norms, like lq_norm, are one blockwise pass over their differences
+(fields.difference_lq_norm): a translation rolls U once, and no
+difference or square is lattice-sized.
 
 verify_estimates audits the three smoothing estimates that drive the
 commutator analysis: the gradient bound (slope alpha - 1), the
@@ -59,9 +60,8 @@ import numpy as np
 from ._bumps import bump
 from .errors import ParameterError, ResolutionError, _integer, _real
 from .fields import (DiscreteField, Field, Lattice, TravelingField,
-                     difference_lq_norm, power_sum,
-                     require_q, shift_difference_norm,
-                     squared_magnitude_in_place)
+                     difference_lq_norm, difference_squares, power_sum,
+                     require_q, shift_difference_norm)
 from .rates import RateFit, fit_loglog
 
 
@@ -352,12 +352,17 @@ def axis_derivative(field: Field, axis: int) -> np.ndarray:
 
 def _squared_gradient(field: Field) -> np.ndarray:
     """Pointwise squared Frobenius norm of the central-difference
-    space-time gradient, on the field's nodes."""
+    space-time gradient, on the field's nodes: each axis derivative's
+    squared magnitude added block by block."""
     n_axes = field.lattice.n_axes
     acc = np.zeros(field.nodes.shape[:n_axes])
+    flat = acc.reshape(-1)
     for axis in range(n_axes):
-        acc += squared_magnitude_in_place(axis_derivative(field, axis),
-                                          n_axes)
+        start = 0
+        for mag2 in difference_squares(axis_derivative(field, axis), None,
+                                       n_axes):
+            flat[start:start + mag2.size] += mag2
+            start += mag2.size
     return acc
 
 

@@ -284,9 +284,10 @@ def check_compatibility(system: SystemSpec, sampler, n_samples: int,
     if method == "analytic":
         DG = system.DG(U)
         DQ = system.DQ(U)
-    else:
-        DG = fd_jacobian(system.G, U, fd_step)
-        DQ = fd_jacobian(system.Q, U, fd_step)
+    else:   # an overflowing step is reported below as a non-finite residual
+        with np.errstate(over="ignore", invalid="ignore"):
+            DG = fd_jacobian(system.G, U, fd_step)
+            DQ = fd_jacobian(system.Q, U, fd_step)
     B = system.B(U)
     # residual[s, j, m] = DQ[s, j, m] - sum_i B[s, i] DG[s, i, j, m]
     resid = DQ - np.einsum("si,sijm->sjm", B, DG)
@@ -424,16 +425,6 @@ def make_stored_energy(spec: Optional[dict]) -> StoredEnergy:
 # ---------------------------------------------------------------------------
 # built-in systems
 
-BUILTIN_NAMES = (
-    "burgers",
-    "euler-compressible-1d",
-    "euler-compressible-m-form-1d",
-    "elastodynamics-1d",
-    "euler-incompressible-2d",
-    "mhd-incompressible-1d",
-)
-
-
 def _density_domain(params: dict, n: int, what: str) -> StateDomain:
     # rho_min < 0 would let the admissible range touch rho = 0 where the
     # companion data is singular; rho_min = 0 keeps the open half space.
@@ -445,10 +436,7 @@ def _density_domain(params: dict, n: int, what: str) -> StateDomain:
     return StateDomain.box([rho_min] + [-np.inf] * (n - 1), [np.inf] * n)
 
 
-def _make_burgers(params: dict) -> SystemSpec:
-    if params:
-        raise ParameterError(f"burgers takes no parameters, got {sorted(params)}")
-
+def _make_burgers(_params: dict) -> SystemSpec:
     def G(U):
         u = U[..., 0]
         out = np.empty(U.shape[:-1] + (1, 2))
@@ -489,9 +477,6 @@ def _make_burgers(params: dict) -> SystemSpec:
 def _make_euler_velocity(params: dict) -> SystemSpec:
     law = make_pressure_law(params.pop("pressure", None))
     domain = _density_domain(params, 2, "density")
-    if params:
-        raise ParameterError(
-            f"euler-compressible-1d parameters: pressure, rho_min; got {sorted(params)}")
     p, dp, P, dP, d2P = law.p, law.dp, law.P, law.dP, law.d2P
 
     # states (rho, u); the enthalpy-like quantity P + rho P' carries the
@@ -551,10 +536,6 @@ def _make_euler_velocity(params: dict) -> SystemSpec:
 def _make_euler_m_form(params: dict) -> SystemSpec:
     law = make_pressure_law(params.pop("pressure", None))
     domain = _density_domain(params, 2, "density")
-    if params:
-        raise ParameterError(
-            f"euler-compressible-m-form-1d parameters: pressure, rho_min; "
-            f"got {sorted(params)}")
     p, dp, P, dP, d2P = law.p, law.dp, law.P, law.dP, law.d2P
 
     # states (rho, m) with m the momentum density; the continuity row and
@@ -616,9 +597,6 @@ def _make_euler_m_form(params: dict) -> SystemSpec:
 def _make_elastodynamics(params: dict) -> SystemSpec:
     energy = make_stored_energy(params.pop("stored_energy", None))
     w_min = _number(params, "w_min", 0.0, "elastodynamics-1d")
-    if params:
-        raise ParameterError(
-            f"elastodynamics-1d parameters: stored_energy, w_min; got {sorted(params)}")
     if w_min < 0:
         raise ParameterError(
             f"elastodynamics-1d strain range [{w_min}, inf) includes 0; "
@@ -679,11 +657,7 @@ def _make_elastodynamics(params: dict) -> SystemSpec:
                       affine_rows=frozenset({0}))
 
 
-def _make_euler_incompressible_2d(params: dict) -> SystemSpec:
-    if params:
-        raise ParameterError(
-            f"euler-incompressible-2d takes no parameters, got {sorted(params)}")
-
+def _make_euler_incompressible_2d(_params: dict) -> SystemSpec:
     # states (p, u1, u2); the divergence constraint occupies row 0 and has
     # no temporal flux, so the system is not hyperbolic and p acts as a
     # multiplier state.
@@ -758,11 +732,7 @@ def _make_euler_incompressible_2d(params: dict) -> SystemSpec:
                       affine_rows=frozenset({0}))
 
 
-def _make_mhd_incompressible_1d(params: dict) -> SystemSpec:
-    if params:
-        raise ParameterError(
-            f"mhd-incompressible-1d takes no parameters, got {sorted(params)}")
-
+def _make_mhd_incompressible_1d(_params: dict) -> SystemSpec:
     # 1-d reduction of incompressible ideal MHD: fields depend on (t, x1)
     # only.  States (p, q, u1, u2, h1, h2) where q is a spectator filling
     # the row freed by the magnetic divergence constraint; no flux entry
@@ -863,14 +833,34 @@ def _make_mhd_incompressible_1d(params: dict) -> SystemSpec:
                       affine_rows=frozenset({0, 1, 4}))
 
 
-_BUILTIN_FACTORIES = {
-    "burgers": _make_burgers,
-    "euler-compressible-1d": _make_euler_velocity,
-    "euler-compressible-m-form-1d": _make_euler_m_form,
-    "elastodynamics-1d": _make_elastodynamics,
-    "euler-incompressible-2d": _make_euler_incompressible_2d,
-    "mhd-incompressible-1d": _make_mhd_incompressible_1d,
+@dataclass(frozen=True)
+class Builtin:
+    """One catalogue entry: the factory, the parameter keys it reads, and
+    a sampling box (lower, upper) strictly inside the system's domain under
+    the default laws, which check-companion samples when given no box."""
+
+    factory: Callable[[dict], SystemSpec]
+    keys: tuple
+    box: tuple
+
+
+BUILTIN_CATALOGUE = {
+    "burgers": Builtin(_make_burgers, (), ((-2.0,), (2.0,))),
+    "euler-compressible-1d": Builtin(
+        _make_euler_velocity, ("pressure", "rho_min"),
+        ((0.3, -2.0), (2.0, 2.0))),
+    "euler-compressible-m-form-1d": Builtin(
+        _make_euler_m_form, ("pressure", "rho_min"),
+        ((0.3, -2.0), (2.0, 2.0))),
+    "elastodynamics-1d": Builtin(
+        _make_elastodynamics, ("stored_energy", "w_min"),
+        ((0.3, -2.0), (2.0, 2.0))),
+    "euler-incompressible-2d": Builtin(
+        _make_euler_incompressible_2d, (), ((-2.0,) * 3, (2.0,) * 3)),
+    "mhd-incompressible-1d": Builtin(
+        _make_mhd_incompressible_1d, (), ((-2.0,) * 6, (2.0,) * 6)),
 }
+BUILTIN_NAMES = tuple(BUILTIN_CATALOGUE)
 
 
 def make_builtin(name: str, params: Optional[dict] = None) -> SystemSpec:
@@ -878,15 +868,22 @@ def make_builtin(name: str, params: Optional[dict] = None) -> SystemSpec:
 
     params selects constitutive laws from fixed catalogues (pressure law
     for the Euler forms, stored energy for elastodynamics) plus optional
-    range restrictions; see the individual factories for the accepted keys.
+    range restrictions; a key the system's catalogue entry does not list
+    is rejected before any value is read.
     """
-    if name not in _BUILTIN_FACTORIES:
+    if name not in BUILTIN_CATALOGUE:
         raise ParameterError(
-            f"unknown system {name!r}; available: {sorted(_BUILTIN_FACTORIES)}")
+            f"unknown system {name!r}; available: {sorted(BUILTIN_CATALOGUE)}")
     if not isinstance(params or {}, Mapping):
         raise ParameterError(
             f"params of {name!r} must be a mapping, got {params!r}")
-    return _BUILTIN_FACTORIES[name](dict(params or {}))
+    params, entry = dict(params or {}), BUILTIN_CATALOGUE[name]
+    unknown = sorted(key for key in params if key not in entry.keys)
+    if unknown:
+        raise ParameterError(
+            f"{name} parameters: {', '.join(entry.keys)}; got {unknown}"
+            if entry.keys else f"{name} takes no parameters, got {unknown}")
+    return entry.factory(params)
 
 
 # ---------------------------------------------------------------------------

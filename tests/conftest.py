@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conslab import Lattice, make_builtin
+from conslab.systems import BUILTIN_CATALOGUE
 
 
 @pytest.fixture
@@ -27,15 +28,8 @@ def tiny_lattice():
                    extent_space=1.0)
 
 
-# interior sampling boxes for the built-in domains (default law parameters)
-STATE_BOXES = {
-    "burgers": ([-2.0], [2.0]),
-    "euler-compressible-1d": ([0.3, -2.0], [2.0, 2.0]),
-    "euler-compressible-m-form-1d": ([0.3, -2.0], [2.0, 2.0]),
-    "elastodynamics-1d": ([0.3, -2.0], [2.0, 2.0]),
-    "euler-incompressible-2d": ([-2.0] * 3, [2.0] * 3),
-    "mhd-incompressible-1d": ([-2.0] * 6, [2.0] * 6),
-}
+# the catalogue's interior sampling boxes (default law parameters)
+STATE_BOXES = {name: entry.box for name, entry in BUILTIN_CATALOGUE.items()}
 
 
 def random_states(name, rng, count):

@@ -10,8 +10,9 @@ from conslab import (DiscreteField, Lattice, ParameterError, ResolutionError,
                      lacunary_profile, load_field, make_builtin,
                      make_lacunary_field, make_shock_field, save_field,
                      shift_difference_norm)
+from conslab import fields
 from conslab.errors import DomainViolationError
-from conslab.fields import difference_lq_norm, squared_magnitude_in_place
+from conslab.fields import difference_lq_norm, difference_squares
 
 
 # ---------------------------------------------------------------------------
@@ -103,18 +104,21 @@ def test_magnitude_lq_norm_matches_the_oracle(q, value_shape, k, seed):
 
 
 @pytest.mark.parametrize("n", range(1, 4))
-def test_squared_magnitude_by_component_count(n, rng):
-    # the per-component sum in component order, bit for bit
+def test_squared_magnitude_by_component_count(n, rng, monkeypatch):
+    # the per-component sum in component order, bit for bit, over blocks
+    # that do not divide the node count
+    monkeypatch.setattr(fields, "_BLOCK_NODES", 100)
     values = rng.normal(size=(24, 32, n))
     want = np.square(values[..., 0])
     for i in range(1, n):
         want = want + np.square(values[..., i])
-    got = squared_magnitude_in_place(values.copy(), 2)
-    assert got.shape == (24, 32)
-    assert np.array_equal(got, want)
+    got = np.concatenate([block.copy() for block in
+                          difference_squares(values, None, 2)])
+    assert np.array_equal(got, want.reshape(-1))
     # a value matrix counts its entries as components
-    assert np.array_equal(
-        squared_magnitude_in_place(values.reshape(24, 32, 1, n), 2), got)
+    assert np.array_equal(np.concatenate(
+        [block.copy() for block in
+         difference_squares(values.reshape(24, 32, 1, n), None, 2)]), got)
 
 
 # ---------------------------------------------------------------------------

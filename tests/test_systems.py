@@ -1,5 +1,6 @@
 """System catalogue: companion identity, Jacobians, domains, extension."""
 
+import itertools
 from dataclasses import replace
 from unittest import mock
 
@@ -92,9 +93,8 @@ def test_compatibility_detects_tampered_companion(burgers):
 def test_compatibility_rejects_a_non_finite_residual(burgers):
     # max() over residuals would pass a NaN over and report a pass
     sampler = uniform_box_sampler(*STATE_BOXES["burgers"])
-    with np.errstate(all="ignore"), \
-            pytest.raises(ParameterError, match=r"not finite at state "
-                          r"\[.*\], column 0 with fd_step 1e\+308"):
+    with pytest.raises(ParameterError, match=r"not finite at state "
+                       r"\[.*\], column 0 with fd_step 1e\+308"):
         check_compatibility(burgers, sampler, 8, fd_step=1e308,
                             method="finite-difference")
 
@@ -239,6 +239,47 @@ def test_make_builtin_rejects_unknown_names_and_params():
         make_builtin("kdv")
     with pytest.raises(ParameterError, match="no parameters"):
         make_builtin("burgers", {"nu": 0.1})
+
+
+# each system's message for the unknown keys nu and zeta, given with every
+# known key set to a value the system refuses: the unknown keys come first
+UNKNOWN_KEYS = {
+    "burgers": ({}, "burgers takes no parameters, got ['nu', 'zeta']"),
+    "euler-compressible-1d": (
+        {"pressure": 5, "rho_min": -1.0},
+        "euler-compressible-1d parameters: pressure, rho_min; "
+        "got ['nu', 'zeta']"),
+    "euler-compressible-m-form-1d": (
+        {"pressure": 5, "rho_min": -1.0},
+        "euler-compressible-m-form-1d parameters: pressure, rho_min; "
+        "got ['nu', 'zeta']"),
+    "elastodynamics-1d": (
+        {"stored_energy": 3, "w_min": None},
+        "elastodynamics-1d parameters: stored_energy, w_min; "
+        "got ['nu', 'zeta']"),
+    "euler-incompressible-2d": (
+        {}, "euler-incompressible-2d takes no parameters, got ['nu', 'zeta']"),
+    "mhd-incompressible-1d": (
+        {}, "mhd-incompressible-1d takes no parameters, got ['nu', 'zeta']"),
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_make_builtin_names_unknown_keys_first(name):
+    known, message = UNKNOWN_KEYS[name]
+    with pytest.raises(ParameterError) as info:
+        make_builtin(name, {"zeta": 1.0, **known, "nu": 0.1})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_catalogue_box_lies_inside_the_domain(name):
+    lower, upper = systems.BUILTIN_CATALOGUE[name].box
+    assert len(lower) == len(upper) == make_builtin(name).n
+    corners = np.array(list(itertools.product(*zip(lower, upper))))
+    probes = np.vstack([corners, 0.5 * np.add(lower, upper)])
+    assert np.all(make_builtin(name).domain.contains(probes))
+    assert np.all(np.less(lower, upper))
 
 
 def test_sampler_validation():
