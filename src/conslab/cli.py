@@ -6,7 +6,8 @@ or more CSV tables to the output directory.  Reports embed the artifact
 version and a SHA-256 digest of the canonical config, never timestamps, so
 a rerun of the same config in sequential mode is byte-identical.
 
-Command-line flags cover only paths, parallelism, and verbosity; every
+Command-line flags cover only paths, verbosity, and a --threads count that
+is validated but read by no computation (nothing runs in parallel); every
 experiment parameter lives in the config file.
 """
 
@@ -37,7 +38,7 @@ from .mollifier import kernel_table, make_kernel, verify_estimates
 from .systems import (BUILTIN_CATALOGUE, BUILTIN_NAMES, FD_STEP, SystemSpec,
                       check_compatibility, extend_to_compact_range,
                       make_builtin, uniform_box_sampler)
-from .testfunctions import from_config as testfn_from_config
+from .testfunctions import TESTFN_KINDS, from_config as testfn_from_config
 
 log = logging.getLogger("conslab.cli")
 
@@ -101,43 +102,35 @@ _LACUNARY = {
     "amplitude": _NUMBER_POS,
 }
 
+# The shock's two states and its speed: the shock field kind, the
+# dissipation command and onsager-suite's shock block.
+_SHOCK = {"left": _VECTOR, "right": _VECTOR, "speed": _SPEED}
+
+# Each field kind's required keys and properties; a kind admits only its own.
+_FIELD_KINDS = {
+    "shock": (list(_SHOCK), _SHOCK),
+    "lacunary": (["alpha", "n_octaves", "seed"], {"alpha": _ALPHA, **_LACUNARY}),
+    "constant": (["value"], {"value": _VECTOR}),
+}
+
+
+def _kind_branch(kind: str, required, properties) -> dict:
+    then = {"required": required, "properties": {"kind": {}, **properties},
+            "additionalProperties": False}
+    return {"if": {"properties": {"kind": {"const": kind}}}, "then": then}
+
+
 _FIELD = {
     "type": "object",
     "required": ["kind"],
-    "properties": {"kind": {"enum": ["shock", "lacunary", "constant"]}},
-    "allOf": [
-        {
-            "if": {"properties": {"kind": {"const": "shock"}}},
-            "then": {
-                "required": ["left", "right", "speed"],
-                "properties": {"kind": {}, "left": _VECTOR, "right": _VECTOR,
-                               "speed": _SPEED},
-                "additionalProperties": False,
-            },
-        },
-        {
-            "if": {"properties": {"kind": {"const": "lacunary"}}},
-            "then": {
-                "required": ["alpha", "n_octaves", "seed"],
-                "properties": {"kind": {}, "alpha": _ALPHA, **_LACUNARY},
-                "additionalProperties": False,
-            },
-        },
-        {
-            "if": {"properties": {"kind": {"const": "constant"}}},
-            "then": {
-                "required": ["value"],
-                "properties": {"kind": {}, "value": _VECTOR},
-                "additionalProperties": False,
-            },
-        },
-    ],
+    "properties": {"kind": {"enum": list(_FIELD_KINDS)}},
+    "allOf": [_kind_branch(kind, *rule) for kind, rule in _FIELD_KINDS.items()],
 }
 
 _TESTFN = {
     "type": "object",
     "required": ["kind"],
-    "properties": {"kind": {"enum": ["bump", "time-bump", "shock-aligned"]}},
+    "properties": {"kind": {"enum": list(TESTFN_KINDS)}},
 }
 
 _OUTPUT = {
@@ -222,9 +215,7 @@ _SCHEMAS = {
         {
             "system": _SYSTEM,
             "lattice": _LATTICE,
-            "left": _VECTOR,
-            "right": _VECTOR,
-            "speed": _SPEED,
+            **_SHOCK,
             "test_functions": {"type": "array", "minItems": 1,
                                "items": _TESTFN},
         },
@@ -249,9 +240,7 @@ _SCHEMAS = {
                 "type": "object",
                 "required": ["left", "right", "test_function"],
                 "properties": {
-                    "left": _VECTOR,
-                    "right": _VECTOR,
-                    "speed": _SPEED,
+                    **_SHOCK,
                     "test_function": _TESTFN,
                     "lattice": _LATTICE,
                     "sweep": _SWEEP,
@@ -584,11 +573,9 @@ def run_onsager_suite(config: dict):
         else:
             verdict = "pass" if slope >= threshold - SLOPE_MARGIN else "fail"
         failed = failed or verdict == "fail"
-        rows.append({
-            "row": "lacunary", "alpha": alpha, "slope": slope,
-            "threshold": threshold, "terminal_ratio": terminal,
-            "limit": None, "closed_form": None, "verdict": verdict,
-        })
+        rows.append({"row": "lacunary", "alpha": alpha, "slope": slope,
+                     "threshold": threshold, "terminal_ratio": terminal,
+                     "verdict": verdict})
         log.info("alpha=%.3g slope=%.3f threshold=%.3f verdict=%s",
                  alpha, slope, threshold, verdict)
 
@@ -607,18 +594,18 @@ def run_onsager_suite(config: dict):
     rel_err = abs(limit - closed) / max(abs(closed), np.finfo(float).tiny)
     shock_ok = rel_err <= LIMIT_RTOL and spread < STABILITY_WINDOW
     failed = failed or not shock_ok
-    rows.append({
-        "row": "shock", "alpha": None, "slope": None, "threshold": None,
-        "terminal_ratio": spread, "limit": limit, "closed_form": closed,
-        "verdict": "pass" if shock_ok else "fail",
-    })
+    rows.append({"row": "shock", "terminal_ratio": spread, "limit": limit,
+                 "closed_form": closed,
+                 "verdict": "pass" if shock_ok else "fail"})
     log.info("shock limit=%.6g closed=%.6g rel_err=%.2e spread=%.2e",
              limit, closed, rel_err, spread)
 
+    # each row states its own columns; the others read None
     header = ["row", "alpha", "slope", "threshold", "terminal_ratio",
               "limit", "closed_form", "verdict"]
+    rows = [{h: r.get(h) for h in header} for r in rows]
     report = {"rows": rows, "all_pass": not failed}
-    table = [[r[h] for h in header] for r in rows]
+    table = [list(r.values()) for r in rows]
     return report, {"": (header, table)}, 2 if failed else 0
 
 
@@ -683,7 +670,7 @@ def main(argv=None) -> int:
         for suffix, (header, rows) in tables.items():
             _write_csv(outdir / f"{basename}{suffix}.csv", header, rows)
         return code
-    except (ConslabError, OSError) as exc:
+    except (ConslabError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

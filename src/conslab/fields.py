@@ -75,6 +75,10 @@ class Lattice:
             if not 0 < _real(getattr(self, name), f"lattice {name}") < math.inf:
                 raise ParameterError(
                     "lattice extents must be positive and finite")
+        if math.prod(self.shape) > np.iinfo(np.intp).max:
+            raise ParameterError(
+                f"a lattice of shape {self.shape} has more nodes than an "
+                "array can index")
 
     @property
     def h_time(self) -> float:
@@ -529,17 +533,17 @@ def difference_lq_norm(a: np.ndarray, b, n_axes: int, q: float,
 def power_sum(mag2: np.ndarray, q: float) -> float:
     """Sum of |v|^q over the squared magnitudes mag2 (left unchanged).
 
-    For integer q, |v|^q is a product of q//2 factors |v|^2, times |v| when
-    q is odd, so no pow runs; any other q takes (|v|^2)^(q/2)."""
-    if q != int(q):
-        power = mag2 ** (q / 2.0)
-    else:
-        half, odd = divmod(int(q), 2)
-        power = np.sqrt(mag2) if odd else mag2
-        # every product after the first of an even power works in place
-        for _ in range(half - 1 + odd):
-            power = np.multiply(power, mag2,
-                                out=None if power is mag2 else power)
+    For integer q up to 16, |v|^q is a product of q//2 factors |v|^2,
+    times |v| when q is odd, so no pow runs; any other q takes one pow,
+    (|v|^2)^(q/2), however large q is, and overflows to inf silently."""
+    if q != int(q) or q > 16:
+        with np.errstate(over="ignore"):
+            return np.sum(mag2 ** (q / 2.0))
+    half, odd = divmod(int(q), 2)
+    power = np.sqrt(mag2) if odd else mag2
+    # every product after the first of an even power works in place
+    for _ in range(half - 1 + odd):
+        power = np.multiply(power, mag2, out=None if power is mag2 else power)
     return np.sum(power)
 
 
@@ -565,11 +569,13 @@ class BesovEstimate:
 def estimate_besov(field: Field, q: float, n_shifts: int = 9) -> BesovEstimate:
     """Estimate the Besov exponent from dyadic shift differences.
 
-    Shift magnitudes are 2*h_space*2^i capped at one eighth of the
-    relevant extent; each is realized along every axis where it rounds to
-    at least one node (spatial axes always; the time axis additionally
-    when within its extent), and the reported norm is the max over axes.
-    The regression drops the smallest and largest shift.
+    Shift magnitudes are 2*h_space*2^i for i < n_shifts, capped at one
+    eighth of the relevant extent; each is realized along every axis where
+    it rounds to at least one node (spatial axes always; the time axis
+    additionally when within its extent), and the reported norm is the max
+    over axes.  The loop stops at the first shift past every axis's cap,
+    so a larger n_shifts gives the same estimate.  The regression drops the
+    smallest and largest shift.
     """
     require_q(q)
     n_shifts = _integer(n_shifts, "n_shifts", 3)
@@ -578,11 +584,12 @@ def estimate_besov(field: Field, q: float, n_shifts: int = 9) -> BesovEstimate:
     norms = []
     for i in range(n_shifts):
         s = 2.0 * lat.h_space * 2.0 ** i
+        axes = [a for a in range(lat.n_axes) if s <= lat.axis_extent(a) / 8.0]
+        if not axes:
+            break           # s doubles, so no later shift fits either
         best = 0.0
         usable = False
-        for axis in range(lat.n_axes):
-            if s > lat.axis_extent(axis) / 8.0:
-                continue
+        for axis in axes:
             nodes = round(s / lat.axis_spacing(axis))
             if nodes < 1:
                 continue

@@ -448,6 +448,7 @@ class ShockAlignedBump(TestFunction):
 
 _CATALOGUE = {"bump": TensorBump, "time-bump": TimeBump,
               "shock-aligned": ShockAlignedBump}
+TESTFN_KINDS = tuple(_CATALOGUE)
 
 
 def from_config(spec: dict) -> TestFunction:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import conslab
-from conslab import cli
+from conslab import cli, testfunctions
 from conslab.cli import config_digest, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -184,6 +184,28 @@ def test_threads_must_be_positive(tmp_path, capsys):
     assert "--threads must be >= 1" in capsys.readouterr().err
 
 
+def test_memory_error_is_an_error_line(tmp_path, capsys, monkeypatch):
+    def exhausted(config):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    monkeypatch.setitem(cli._RUNNERS, "besov", exhausted)
+    code, outdir = run("besov", SMALL_BESOV, tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 8.00 TiB\n"
+    assert not outdir.exists()
+
+
+def test_lattice_too_large_to_index_is_an_error_line(tmp_path, capsys):
+    config = {"command": "besov",
+              "lattice": {"n_time": 2 ** 32, "n_space": 2 ** 32},
+              "field": {"kind": "constant", "value": [1.0]}}
+    code, _ = run("besov", config, tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "more nodes than an array can index" in err
+
+
 def test_shock_field_requires_system(tmp_path, capsys):
     config = {
         "command": "besov",
@@ -243,6 +265,53 @@ def test_rh_speed_error_names_the_config_key(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert "no common Rankine-Hugoniot speed" in err
     assert f"set {key} to an explicit number" in err
+
+
+# A valid config per place a shock spec sits, and the spec's JSON path.
+_BURGERS_SHOCK = {"left": [1.0], "right": [0.0], "speed": 0.5}
+_TIME_BUMP = {"kind": "time-bump", "center": 0.5, "radius": 0.3}
+_SHOCK_SPECS = {
+    "field": ({"command": "besov", "system": {"name": "burgers"},
+               "lattice": {"n_time": 16, "n_space": 64},
+               "field": {"kind": "shock", **_BURGERS_SHOCK}}, ["field"]),
+    "dissipation": ({"command": "dissipation", "system": {"name": "burgers"},
+                     "lattice": {"n_time": 16, "n_space": 64},
+                     **_BURGERS_SHOCK, "test_functions": [_TIME_BUMP]}, []),
+    "onsager-suite": ({"command": "onsager-suite",
+                       "system": {"name": "burgers"},
+                       "lattice": {"n_time": 16, "n_space": 64},
+                       "sweep": {"eps_max": 0.25, "n_levels": 1},
+                       "alphas": [0.6], "test_function": _TIME_BUMP,
+                       "shock": {**_BURGERS_SHOCK,
+                                 "test_function": _TIME_BUMP}}, ["shock"]),
+}
+
+
+@pytest.mark.parametrize("place", list(_SHOCK_SPECS))
+@pytest.mark.parametrize("key, value, message", [
+    ("bogus", 1.0, "'bogus' was unexpected"),
+    ("speed", "fast", "'fast' is not"),
+])
+def test_shock_spec_schema(tmp_path, capsys, place, key, value, message):
+    config, keys = _SHOCK_SPECS[place]
+    config = json.loads(json.dumps(config))
+    cli.validate_config(config, config["command"])
+    spec = config
+    for k in keys:
+        spec = spec[k]
+    spec[key] = value
+    code, _ = run(config["command"], config, tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    path = "".join(["$"] + [f".{k}" for k in keys]) + \
+        (".speed" if key == "speed" else "")
+    assert err.startswith(f"error: config {path}: ")
+    assert message in err
+
+
+def test_schema_test_function_kinds_are_the_catalogue():
+    assert cli._TESTFN["properties"]["kind"]["enum"] == \
+        list(testfunctions._CATALOGUE)
 
 
 def test_mollifier_audit_nonlacunary_needs_alpha_ref(tmp_path, capsys):

@@ -50,6 +50,9 @@ def test_lattice_geometry():
     dict(k=1, n_time=16.0, n_space=8, extent_time=1.0, extent_space=1.0),
     dict(k=1, n_time=8, n_space="8", extent_time=1.0, extent_space=1.0),
     dict(k=1, n_time=8, n_space=None, extent_time=1.0, extent_space=1.0),
+    # 2^64 nodes are more than numpy can index (and allocate nothing)
+    dict(k=1, n_time=2 ** 32, n_space=2 ** 32, extent_time=1.0,
+         extent_space=1.0),
 ])
 def test_lattice_validation(kwargs):
     with pytest.raises(ParameterError):
@@ -119,6 +122,51 @@ def test_squared_magnitude_by_component_count(n, rng, monkeypatch):
     assert np.array_equal(np.concatenate(
         [block.copy() for block in
          difference_squares(values.reshape(24, 32, 1, n), None, 2)]), got)
+
+
+def _counting_multiply(monkeypatch):
+    products = []
+    multiply = np.multiply
+
+    def counted(*args, **kwargs):
+        products.append(args[0].shape)
+        return multiply(*args, **kwargs)
+
+    monkeypatch.setattr(np, "multiply", counted)
+    return products
+
+
+@pytest.mark.parametrize("q, n_products", [(3, 1), (6, 2), (16, 7)])
+def test_power_sum_small_integer_q_is_a_product_chain(q, n_products,
+                                                      monkeypatch):
+    mag2 = np.array([0.25, 1.0, 2.0, 3.5])
+    products = _counting_multiply(monkeypatch)
+    got = fields.power_sum(mag2, float(q))
+    assert len(products) == n_products
+    assert got == pytest.approx(np.sum(np.sqrt(mag2) ** q), rel=1e-14)
+
+
+def test_power_sum_large_integer_q_takes_one_pow(monkeypatch):
+    # a chain of q//2 - 1 products would run half a million times here;
+    # the pow's overflow to inf raises no RuntimeWarning
+    mag2 = np.array([0.25, 1.0, 4.0])
+    products = _counting_multiply(monkeypatch)
+    assert fields.power_sum(mag2, 2.0 ** 20) == np.inf
+    assert fields.power_sum(mag2[:2], 2.0 ** 20) == 1.0
+    assert len(products) == 0
+
+
+def test_besov_stops_at_the_last_usable_shift(rough_lattice):
+    # 2^i overflows a double at i = 1024, long after every shift has
+    # passed an eighth of the extent
+    field = make_lacunary_field(0.5, 8, seed=7, travel_speed=0.0,
+                                lattice=rough_lattice)
+    est = estimate_besov(field, q=3.0, n_shifts=2000)
+    usable = estimate_besov(field, q=3.0, n_shifts=len(est.shifts))
+    assert np.array_equal(est.shifts, usable.shifts)
+    assert np.array_equal(est.diff_norms, usable.diff_norms)
+    assert (est.fit, est.fitted_alpha, est.seminorm_proxy) == \
+        (usable.fit, usable.fitted_alpha, usable.seminorm_proxy)
 
 
 # ---------------------------------------------------------------------------
