@@ -29,13 +29,9 @@ TravelingField moving p/q nodes per step the commutator, the multiplier
 and every norm live on the q*n_space profile nodes of the co-moving grid
 eta = q*i - p*t, and the integrals pair them with the shear averages of
 psi and D_X psi onto that grid.  residual_R takes those averages from
-the row window of testfunctions.node_means: one evaluate call, on the
-field's own lattice and clock.  A catalogue test function's Sample gives
-them on a TravelingField from its factors, in O(n_time + q*n_space), and
-never builds psi on the lattice; on a DiscreteField it writes the rows
-of each row block as the block asks for them, and a plain (psi, grad)
-pair a user test function may return is sliced.  A level trimmed in time
-reads the rows of its window, and checks only the rows it trims.
+the row window of testfunctions.node_means, which picks the test
+function's view; a level trimmed in time reads the rows of its window,
+and checks only the rows it trims.
 
 A consumer holds one level at a time.  residual_R and lemma_bound_audit
 take a level's terms in a function that map hands the level to, so the
@@ -56,9 +52,7 @@ good set's count square [U]_eps - U, the entries and U minus each rolled
 U block by block (fields.difference_squares), never the whole level.  A
 compact field's nodes are one row, so it runs as a single block.  The
 sums reorder across blocks, so I1 and I2 on a 2-D field agree with a
-whole-level sum to rounding, not bit for bit; on a compact-range
-extension the interior test runs per block, which changes no value but
-the sign of a zero Jacobian entry.
+whole-level sum to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -71,7 +65,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, TestSupportError
-from .fields import (_BLOCK_NODES, Field, _row_blocks, difference_lq_norm,
+from .fields import (Field, _row_blocks, difference_lq_norm,
                      difference_squares, require_q)
 from .mollifier import MollifierKernel, axis_derivative, mollify, sweep
 from .rates import RateFit, aitken_limit, fit_loglog
@@ -127,9 +121,9 @@ def _commutators(system: SystemSpec, field: Field,
     On a compact-range extension, a level where both U and [U]_eps pass the
     extension's interior test also leaves out the base system's affine
     entries, and its local system is the base: every flux the level
-    evaluates is the base's there, so calling the base skips the test the
-    extension's evaluators would repeat per call.  Elsewhere local is the
-    system itself.
+    evaluates is the base's there, so calling the base skips the cutoff
+    the extension's evaluators would compute per call; no other code calls
+    the base of an extension.  Elsewhere local is the system itself.
 
     The iterator keeps no level it has yielded once it computes the next:
     a consumer that drops its level before asking for the next holds one

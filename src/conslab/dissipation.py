@@ -14,12 +14,9 @@ of companion-law failure.
 Both weak residuals sum their flux over the field's nodes against the
 node average of D_X psi, which the row window of testfunctions.node_means
 gives over every row from one evaluate call per test function and
-residual: on a TravelingField a catalogue test function gives it from
-its factors, in O(n_time + q*n_space), without a lattice array; on a
-DiscreteField, or from a user test function's plain (psi, grad) pair,
-it is the lattice array.  build_dissipation_report so evaluates each test
-function twice, once per weak residual, and the jump once:
-rankine_hugoniot_speed returns the defect rate with the speeds.
+residual.  build_dissipation_report so evaluates each test function
+twice, once per weak residual, and the jump once: rankine_hugoniot_speed
+returns the defect rate with the speeds.
 """
 
 from __future__ import annotations
@@ -90,6 +87,13 @@ class RankineHugoniot:
     mismatch: float
     rate: float
 
+    def consistent_rate(self) -> float:
+        """rate; InconsistentShockError unless the shock is consistent."""
+        if not self.consistent:
+            raise InconsistentShockError(f"row speeds {self.speeds} disagree;"
+                                         " the jump is not a single shock")
+        return self.rate
+
 
 def rankine_hugoniot_speed(system: SystemSpec, U_left, U_right) -> RankineHugoniot:
     """Per-row shock speeds of the jump U_left -> U_right, plus the
@@ -135,11 +139,7 @@ def rankine_hugoniot_speed(system: SystemSpec, U_left, U_right) -> RankineHugoni
 
 def shock_dissipation_rate(system: SystemSpec, U_left, U_right) -> float:
     """Companion-law defect rate s [[Q_0]] - [[Q_1]] of a consistent shock."""
-    rh = rankine_hugoniot_speed(system, U_left, U_right)
-    if not rh.consistent:
-        raise InconsistentShockError(
-            f"row speeds {rh.speeds} disagree; the jump is not a single shock")
-    return rh.rate
+    return rankine_hugoniot_speed(system, U_left, U_right).consistent_rate()
 
 
 @dataclass(frozen=True)

@@ -43,11 +43,11 @@ from .systems import SystemSpec, jump_states
 # Nodes per block of the blockwise lattice loops (make_shock_field's
 # left/right test; difference_squares, which every L^q norm of node values
 # runs through; in commutator, each eps level's fluxes, multipliers and
-# chain products).  A 128 KiB scalar
-# temporary stays in cache and under glibc's malloc trim threshold, so
-# freed temporaries are reused, not returned to the kernel and faulted in
-# again by the next block (1 MiB ones took about 50,000 minor faults per
-# 4096x2048 call).
+# chain products), and the cap on a co-moving sample's kept plateaus; read
+# here at call time by every module.  A 128 KiB scalar temporary stays in
+# cache and under glibc's malloc trim threshold, so freed temporaries are
+# reused, not faulted in again by the next block (1 MiB ones took about
+# 50,000 minor faults per 4096x2048 call).
 _BLOCK_NODES = 1 << 14
 
 _MAGIC = b"CLABFLD1"
@@ -522,12 +522,37 @@ def difference_squares(a: np.ndarray, b, n_axes: int):
 
 def difference_lq_norm(a: np.ndarray, b, n_axes: int, q: float,
                        volume: float) -> float:
-    """L^q norm of |a - b| (|a| when b is None) on nodes of `volume`, from
-    the power_sum of each block of difference_squares."""
-    total = 0.0
-    for mag2 in difference_squares(a, b, n_axes):
-        total += power_sum(mag2, q)
-    return float((total * volume) ** (1.0 / q))
+    """L^q norm of |a - b| (|a| when b is None) on nodes of `volume`."""
+    return squares_lq_norm(difference_squares(a, b, n_axes), q, volume)
+
+
+def squares_lq_norm(blocks, q: float, volume: float) -> float:
+    """L^q norm of |v| on nodes of `volume` from blocks of |v|^2, which it
+    may spend.  Outside power_sum's product chain a large q would
+    underflow or overflow |v|^q, so each block is divided by the running
+    max of |v|^2 (the sum rescaled as it grows) and the norm is
+    sqrt(max) * (sum * volume)^(1/q).  An inf or NaN square is the norm."""
+    if _product_chain(q):
+        total = 0.0
+        for mag2 in blocks:
+            total += power_sum(mag2, q)
+        return float((total * volume) ** (1.0 / q))
+    top = total = 0.0
+    for mag2 in blocks:
+        peak = float(mag2.max(initial=0.0))
+        if not peak < math.inf:
+            return peak
+        if peak > top:
+            total *= (top / peak) ** (q / 2.0)
+            top = peak
+        if top:
+            mag2 /= top
+            total += power_sum(mag2, q)
+    return float(math.sqrt(top) * (total * volume) ** (1.0 / q))
+
+
+def _product_chain(q: float) -> bool:
+    return q == int(q) and q <= 16     # see power_sum
 
 
 def power_sum(mag2: np.ndarray, q: float) -> float:
@@ -536,7 +561,7 @@ def power_sum(mag2: np.ndarray, q: float) -> float:
     For integer q up to 16, |v|^q is a product of q//2 factors |v|^2,
     times |v| when q is odd, so no pow runs; any other q takes one pow,
     (|v|^2)^(q/2), however large q is, and overflows to inf silently."""
-    if q != int(q) or q > 16:
+    if not _product_chain(q):
         with np.errstate(over="ignore"):
             return np.sum(mag2 ** (q / 2.0))
     half, odd = divmod(int(q), 2)

@@ -41,7 +41,7 @@ derivative's squares into one accumulator block by block
 (fields.difference_squares), and the approximation and translation
 norms, like lq_norm, are one blockwise pass over their differences
 (fields.difference_lq_norm): a translation rolls U once, and no
-difference or square is lattice-sized.
+difference or square is lattice-sized; fields.squares_lq_norm reduces all.
 
 verify_estimates audits the three smoothing estimates that drive the
 commutator analysis: the gradient bound (slope alpha - 1), the
@@ -60,8 +60,8 @@ import numpy as np
 from ._bumps import bump
 from .errors import ParameterError, ResolutionError, _integer, _real
 from .fields import (DiscreteField, Field, Lattice, TravelingField,
-                     difference_lq_norm, difference_squares, power_sum,
-                     require_q, shift_difference_norm)
+                     difference_lq_norm, difference_squares, require_q,
+                     shift_difference_norm, squares_lq_norm)
 from .rates import RateFit, fit_loglog
 
 
@@ -419,7 +419,7 @@ def _estimate_norms(field: Field, q: float, level) -> tuple:
     lat = field.lattice
     e = kernel.epsilon
     vol = smoothed.node_volume
-    grad = float((power_sum(_squared_gradient(smoothed), q) * vol) ** (1 / q))
+    grad = squares_lq_norm([_squared_gradient(smoothed)], q, vol)
     diff = difference_lq_norm(smoothed.nodes, field.nodes[rows], lat.n_axes,
                               q, vol)
     best = 0.0

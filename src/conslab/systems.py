@@ -907,18 +907,17 @@ def extend_to_compact_range(system: SystemSpec, range_box, delta: float) -> Syst
     evaluators are applied, so every evaluation is legal.  The returned
     domain is all of state space.  Its affine_columns and affine_rows are
     empty, because the cutoff destroys global affinity; its extension_of
-    records the original system and the interior test below, so the
-    commutator can still leave out the original's affine entries on
-    arguments that pass it.
+    records the original system and the interior test below, and the
+    commutator sweep alone reads it: on arguments that pass the test it
+    calls the original system and leaves out its affine entries.
 
     The cutoff is a product of per-component factors, broadcast over the
     whole argument together with its gradient; DG, DB and DQ apply the
-    product rule.  When every state of an argument lies in the delta
-    enlargement, the cutoff is exactly 1, its gradient exactly 0 and the
-    clamp the identity, so the original evaluators are returned as they
-    are: the same values, up to the sign of a zero Jacobian entry.  One
-    state outside sends the whole argument through the cutoff, which
-    refuses NaN states with a ParameterError; +-inf states evaluate to 0.
+    product rule.  Every argument goes through the cutoff, which refuses
+    NaN states with a ParameterError; +-inf states evaluate to 0.  On the
+    delta enlargement the cutoff is exactly 1, its gradient exactly 0 and
+    the clamp the identity, so the values there are the original
+    evaluators' own, up to the sign of a zero Jacobian entry.
     """
     lower, upper = (np.asarray(b, dtype=float) for b in range_box)
     if lower.shape != (system.n,) or upper.shape != (system.n,):
@@ -959,9 +958,9 @@ def extend_to_compact_range(system: SystemSpec, range_box, delta: float) -> Syst
 
     def interior(U):
         """Whether every state of U lies in the delta enlargement (and so
-        in the 2*delta box), where every evaluator is the original one: the
-        per-component extremes, compared as the cutoff compares each node;
-        NaN fails."""
+        in the 2*delta box), where every evaluator's values are the
+        original's: the per-component extremes, compared as the cutoff
+        compares each node; NaN fails."""
         for m in range(n):
             u = U[..., m]
             lo, hi = u.min(initial=np.inf), u.max(initial=-np.inf)
@@ -978,8 +977,6 @@ def extend_to_compact_range(system: SystemSpec, range_box, delta: float) -> Syst
     def wrap_value(f):
         def g(U):
             U = np.asarray(U, dtype=float)
-            if interior(U):
-                return f(U)
             chi, _ = cutoff(U)
             val = f(np.clip(U, lo2, hi2))
             return val * lift(chi, U, val.ndim - U.ndim + 1)
@@ -988,8 +985,6 @@ def extend_to_compact_range(system: SystemSpec, range_box, delta: float) -> Syst
     def wrap_jacobian(f, df):
         def g(U):
             U = np.asarray(U, dtype=float)
-            if interior(U):
-                return df(U)
             chi, grad = cutoff(U)
             Uc = np.clip(U, lo2, hi2)
             val = f(Uc)

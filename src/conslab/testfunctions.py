@@ -37,31 +37,22 @@ fits one row block (fields._BLOCK_NODES), every block has rows of every
 class, so the sample keeps each class's plateau: once per sample, not
 per window.
 
-Node means: sample.node_means(field) is psi and grad psi averaged onto
-the field's nodes.  On a TravelingField over the sample's lattice it
-works from the factors, one residue class of the field's row rule at a
-time, and builds no lattice array: with v = 0, a class's mean is the
-shift histogram of phi (or phi') over its rows, circularly convolved
-with chi (or chi') over n_space nodes; for a ShockAlignedBump at the
-field's own p/q every cell of a node sits at that node's co-moving
-coordinate, so the mean is chi times the class mean of phi (or phi').
-Every other case (a DiscreteField, k >= 2, a shock bump at another
-speed) averages the dense view through field.node_mean.  The two views
-agree within rounding.
-
-`node_means(testfn, field)` is how the package reaches a test function:
-one evaluate call, on the field's own lattice and clock, and a row
-window over the node means of what it returns, a Sample or the plain
-(psi, grad) pair a user test function may give: means(rows) is psi and
-grad psi on those node rows.  On a DiscreteField, whose node rows are
-its lattice rows, a Sample's window writes just the rows asked for, so a
-consumer that reads them per row block builds no lattice array of psi;
-every other window slices arrays made once.
+Node means: `node_means(testfn, field)` is how the package reaches a test
+function, and the one place that picks the view a field reads: one
+evaluate call, on the field's own lattice and clock, and a row window
+over psi and grad psi averaged onto the field's nodes (means(rows) is
+the pair on those node rows).  A Sample on a DiscreteField, whose node
+rows are its lattice rows, gives sample.window, which writes just the
+rows asked for; on a TravelingField over its lattice, its factor means
+(Sample._wave_means), one residue class of the field's row rule at a
+time, with no lattice array.  A shock bump at another speed, and the
+plain (psi, grad) pair a user test function may give, take the dense
+view averaged through field.node_mean.  The views agree within rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields as dataclass_fields
 from functools import cached_property, partial
 from typing import Mapping, Sequence
 
@@ -69,8 +60,9 @@ import numpy as np
 
 from ._bumps import bump, bump_deriv, bump_line_integral, smoothstep_pair
 from .errors import ParameterError, TestSupportError, UnsupportedGeometryError
-from .fields import (_BLOCK_NODES, DiscreteField, Field, Lattice,
-                     TravelingField, _row_classes, _snap)
+from . import fields
+from .fields import (DiscreteField, Field, Lattice, TravelingField,
+                     _row_classes, _snap)
 
 
 def _wrap(z: np.ndarray, period: float) -> np.ndarray:
@@ -129,8 +121,8 @@ class Sample:
     window(rows) is (psi, grad) on the lattice rows `rows`, grad with one
     trailing axis of length k + 1 (time derivative first); unpacking or
     indexing gives the window over every row, built on first use and
-    kept.  node_means(field) averages them onto the nodes of a field over
-    this lattice, from the factors where `_wave_means` gives them."""
+    kept.  `_wave_means(field)` averages them onto the nodes of a wave
+    over this lattice from the factors, where it can (see node_means)."""
 
     def __init__(self, lattice: Lattice, phi: np.ndarray, dphi: np.ndarray,
                  space=(), amplitude=1.0, plateau=None, speed=0.0,
@@ -195,7 +187,7 @@ class Sample:
             return self._plateaus[r]
         eta = q * np.arange(self.lattice.n_space)
         plateau = self.plateau((eta + r) * (self.lattice.h_space / q))
-        if q * self.lattice.n_space <= _BLOCK_NODES:    # kept: see "Rows"
+        if q * self.lattice.n_space <= fields._BLOCK_NODES:   # see "Rows"
             self._plateaus[r] = plateau
         return plateau
 
@@ -208,14 +200,6 @@ class Sample:
 
     def __getitem__(self, index):
         return self._arrays[index]
-
-    def node_means(self, field: Field) -> tuple:
-        """(psi, grad psi) averaged onto the field's nodes."""
-        if isinstance(field, TravelingField) and field.lattice == self.lattice:
-            means = self._wave_means(field)
-            if means is not None:
-                return means
-        return tuple(map(field.node_mean, self))
 
     def _wave_means(self, field: TravelingField):
         """Node means on a wave over this lattice from the factors, or None
@@ -282,28 +266,26 @@ def node_means(testfn: TestFunction, field: Field):
     """psi and grad psi of a test function averaged onto the field's
     nodes, from one evaluate call on the field's own lattice and clock, as
     a row window: means(rows) is the pair on the node rows of `rows`, a
-    slice of unit step.  On a DiscreteField, whose node rows are its
-    lattice rows, a Sample writes just those rows (Sample.window); on a
-    TravelingField the window slices its node_means, and a plain (psi,
-    grad) pair is sliced after field.node_mean.  An object without an
-    evaluate method raises ParameterError."""
+    slice of unit step, from the view chosen here (see "Node means").  An
+    object without an evaluate method raises ParameterError."""
     if not callable(getattr(testfn, "evaluate", None)):
         raise ParameterError(
             f"expected a test function (an object with an evaluate "
             f"method), got {testfn!r}")
     evaluated = testfn.evaluate(field.lattice, field.periodic_time)
+    means = None
     if isinstance(evaluated, Sample):
         if isinstance(field, DiscreteField):
             return evaluated.window
-        psi, grad = evaluated.node_means(field)
-    else:
-        psi, grad = map(field.node_mean, evaluated)
+        if field.lattice == evaluated.lattice:      # a TravelingField
+            means = evaluated._wave_means(field)
+    psi, grad = means or map(field.node_mean, evaluated)
     return lambda rows: (psi[rows], grad[rows])
 
 
 def _require_numeric(testfn) -> None:
     # Catalogue parameters are finite numbers, flags or sequences of them.
-    for f in fields(testfn):
+    for f in dataclass_fields(testfn):
         value = getattr(testfn, f.name)
         try:
             array = np.asarray(value)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import conslab
-from conslab import cli, testfunctions
+from conslab import cli, dissipation, testfunctions
 from conslab.cli import config_digest, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -556,6 +556,27 @@ def test_shipped_besov(tmp_path):
     assert len(lines) == 1 + 6
 
 
+@pytest.mark.parametrize("q, want, rtol", [
+    (1000.5, [1.2454660640827522, 0.787666443964782, 0.631217907895176,
+              0.40952242959638857, 0.2802977618106002, 0.188598429302754],
+     1e-12),
+    # at q = 1e12 the norms are the max differences, to 1e-9
+    (1e12, [1.2536456062963643, 0.7933828908700459, 0.6360276966250296,
+            0.41265512554861294, 0.28244201750061987, 0.1900411923578311],
+     1e-9)])
+def test_besov_norms_at_a_large_q_neither_underflow_nor_overflow(
+        tmp_path, q, want, rtol):
+    # summed directly, |v|^q underflowed to 0 where |v| < 1 and overflowed
+    # to inf where |v| > 1 (a RuntimeWarning fails the test); the values
+    # come from a scaled reference computation
+    config = json.loads((CONFIG_DIR / "besov_lacunary.json").read_text())
+    code, outdir = run("besov", dict(config, q=q), tmp_path)
+    assert code == 0
+    estimate = load_report(outdir, "besov_lacunary")["report"]["estimate"]
+    np.testing.assert_allclose(estimate["diff_norms"], want, rtol=rtol,
+                               atol=0)
+
+
 def test_shipped_commutator_sweep(tmp_path):
     code = main(["commutator-sweep", "--config",
                  str(CONFIG_DIR / "commutator_sweep.json"),
@@ -663,6 +684,73 @@ def test_dissipation_inconsistent_pair_serializes_nan_as_null(tmp_path):
     report = load_report(outdir, "dissipation")["report"]["dissipation"]
     assert report["consistent"] is False
     assert report["shock_dissipation_rate"] is None
+
+
+def test_dissipation_infinite_companion_speed_serializes_as_null(tmp_path):
+    # Burgers 1 -> -1 stands still, while its companion flux jumps with no
+    # jump in the companion density: an infinite companion speed
+    rh = conslab.rankine_hugoniot_speed(conslab.make_builtin("burgers"),
+                                        [1.0], [-1.0])
+    assert rh.consistent and rh.speed == 0.0
+    assert rh.companion_speed == rh.mismatch == np.inf
+    assert rh.rate == pytest.approx(-2.0 / 3.0, rel=1e-15)
+    config = {
+        "command": "dissipation",
+        "system": {"name": "burgers"},
+        "lattice": {"n_time": 32, "n_space": 64, "extent_time": 2.0},
+        "left": [1.0],
+        "right": [-1.0],
+        "test_functions": [{"kind": "time-bump", "center": 1.0,
+                            "radius": 0.8, "unit_integral": True}],
+    }
+    code, outdir = run("dissipation", config, tmp_path)
+    assert code == 0
+    report = load_report(outdir, "dissipation")["report"]["dissipation"]
+    assert report["consistent"] is True
+    assert report["rh_speed_companion"] is None
+    assert report["mismatch"] is None
+    assert report["shock_dissipation_rate"] == pytest.approx(-2.0 / 3.0,
+                                                             rel=1e-15)
+
+
+@pytest.mark.parametrize("speed", ["rankine-hugoniot", 0.5])
+def test_onsager_suite_solves_its_jump_once(tmp_path, monkeypatch, speed):
+    # the shock's speed and its closed-form rate come from one solve
+    solves = []
+    solve = cli.rankine_hugoniot_speed
+
+    def counting_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(cli, "rankine_hugoniot_speed", counting_solve)
+    monkeypatch.setattr(dissipation, "rankine_hugoniot_speed",
+                        counting_solve)
+    config = {
+        "command": "onsager-suite",
+        "system": {"name": "burgers"},
+        "lattice": {"n_time": 64, "n_space": 128},
+        "sweep": {"eps_max": 0.125, "n_levels": 2},
+        "alphas": [0.5],
+        "lacunary": {"n_octaves": 3, "seed": 7, "travel_speed": 1.0},
+        "test_function": {"kind": "bump", "center": [0.5, 0.5],
+                          "radius": [0.35, 0.35]},
+        "shock": {
+            "left": [1.0], "right": [0.0], "speed": speed,
+            "lattice": {"n_time": 64, "n_space": 64},
+            "sweep": {"eps_max": 0.25, "n_levels": 2},
+            "test_function": {"kind": "time-bump", "center": 0.5,
+                              "radius": 0.35},
+        },
+        "output": {"basename": "suite"},
+    }
+    code, outdir = run("onsager-suite", config, tmp_path)
+    assert code in (0, 2)  # verdicts do not matter at this size
+    shock = load_report(outdir, "suite")["report"]["rows"][-1]
+    time_integral = conslab.TimeBump(center=0.5, radius=0.35).time_integral
+    assert shock["closed_form"] == pytest.approx(-time_integral / 12.0,
+                                                 rel=1e-12)
+    assert len(solves) == 1
 
 
 def test_onsager_suite_verdicts(tmp_path):

@@ -14,8 +14,8 @@ import oracles
 from conftest import traced_peak
 from conslab import TestSupportError as SupportError
 from conslab import cli, commutator, fields, mollifier
-from conslab import (DiscreteField, DomainViolationError, Lattice,
-                     ParameterError, ShockAlignedBump, StateDomain,
+from conslab import (DiscreteField, DomainViolationError, GeometryError,
+                     Lattice, ParameterError, ShockAlignedBump, StateDomain,
                      SystemSpec, TensorBump, TimeBump, TravelingField,
                      commutator_field, extend_to_compact_range,
                      good_set_measure,
@@ -253,7 +253,7 @@ def test_lemma_bound_matches_brute_force_shift_sup(lemma_cases, form):
     system, field, kernels, small, brute = lemma_cases[form]
     before = np.array(field.nodes)
     for q, block in itertools.product(_LEMMA_QS,
-                                      (commutator._BLOCK_NODES, small)):
+                                      (fields._BLOCK_NODES, small)):
         with mock.patch.object(fields, "_BLOCK_NODES", block):
             audit = lemma_bound_audit(system, field, kernels, q=q)
         np.testing.assert_allclose(audit.lemma_bound_values, brute[q],
@@ -274,7 +274,7 @@ def test_shift_loop_holds_one_rolled_array_and_block_temporaries(rng):
     for q in (3.0, 5.0):
         peak = traced_peak(lambda: commutator._max_shift_norm(field, kernel,
                                                                q))
-        assert peak <= field.nodes.nbytes + 4 * 8 * commutator._BLOCK_NODES
+        assert peak <= field.nodes.nbytes + 4 * 8 * fields._BLOCK_NODES
 
 
 def _rolled_block_loop(field, kernel, q) -> float:
@@ -424,7 +424,7 @@ def test_reductions_hold_their_inputs_and_block_temporaries(
     level = next(mollifier.sweep(field, [kernel]))
     lemma_level = next(commutator._commutators(c8_extension, field,
                                                [kernel]))
-    blocks = 4 * 8 * commutator._BLOCK_NODES
+    blocks = 4 * 8 * fields._BLOCK_NODES
     roll = field.nodes.nbytes
     with mock.patch.object(commutator, "sweep", lambda f, k: iter([level])):
         good_set = traced_peak(lambda: good_set_measure(field, kernel, 0.1))
@@ -936,7 +936,7 @@ def test_two_d_consumer_holds_its_level_and_row_temporaries(
                                                1.0 / 3.0), 7.0)}[consumer]
     run()
     array = 8 * lat.n_time * lat.n_space
-    rows = 16 * 8 * commutator._BLOCK_NODES
+    rows = 16 * 8 * fields._BLOCK_NODES
     assert traced_peak(run) <= budget * array + rows
 
 
@@ -1032,6 +1032,12 @@ def test_domain_violation_names_the_extension(space_lattice):
     with pytest.raises(DomainViolationError,
                        match="extend_to_compact_range"):
         commutator_field(system, field, kernel)
+    # no range box holds both states: the corners of the enlarged box lie
+    # in the annulus, its centre is the hole, and the probe names it
+    with pytest.raises(GeometryError, match=r"predicate domain near state "
+                       r"\[0\. 0\.\]"):
+        extend_to_compact_range(system, ([-1.0, -1.0], [1.0, 1.0]), 0.1)
+    extend_to_compact_range(system, ([1.0, 1.0], [1.5, 1.5]), 0.1)
 
 
 def test_residual_rejects_field_with_wrong_state_count(burgers,

@@ -156,6 +156,15 @@ def test_power_sum_large_integer_q_takes_one_pow(monkeypatch):
     assert len(products) == 0
 
 
+@pytest.mark.parametrize("q", [3.0, 2.5, 1e12])
+def test_lq_norm_of_an_overflowing_square_is_inf(q):
+    # 1e200 squares to inf, with numpy's overflow warning; the norm is inf
+    # in the product chain and the scaled sum alike
+    values = np.array([[[0.5], [1e200]], [[2.0], [0.0]]])
+    with pytest.warns(RuntimeWarning, match="overflow encountered in square"):
+        assert difference_lq_norm(values, None, 2, q, 1.0) == np.inf
+
+
 def test_besov_stops_at_the_last_usable_shift(rough_lattice):
     # 2^i overflows a double at i = 1024, long after every shift has
     # passed an eighth of the extent

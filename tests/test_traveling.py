@@ -347,22 +347,29 @@ SHOCK_STATES = {"burgers": ([1.0], [0.0]),
 
 def test_plain_pair_takes_the_dense_path(case):
     # a plain pair reaches the nodes through node_mean, once per array and
-    # call; a catalogue sample through its factors, never; the two agree
-    system, field, testfn = case
+    # call; a catalogue sample through its factors on the wave and its row
+    # window on the materialized field, never; the two agree, and on the
+    # materialized field, where the window writes the pair's entries, bit
+    # for bit
+    system, wave, testfn = case
     states = SHOCK_STATES[system.name]
-    results = []
-    for fn, calls in ((PlainPair(testfn), 2 + 2 * 2), (testfn, 0)):
-        with mock.patch.object(TravelingField, "node_mean", autospec=True,
-                               side_effect=TravelingField.node_mean) as spy:
-            results.append((
-                residual_R(system, field, kernels(field), fn),
-                build_dissipation_report(system, field, *states, [fn])))
-        assert spy.call_count == calls
-    (got, got_report), (want, want_report) = results
-    for name in ("I1", "I2", "total"):
-        assert_close(getattr(got, name), getattr(want, name))
-    for name in ("system_weak_residuals", "companion_weak_residuals"):
-        assert_close(getattr(got_report, name), getattr(want_report, name))
+    for field in (wave, materialized(wave)):
+        form = type(field)
+        results = []
+        for fn, calls in ((PlainPair(testfn), 2 + 2 * 2), (testfn, 0)):
+            with mock.patch.object(form, "node_mean", autospec=True,
+                                   side_effect=form.node_mean) as spy:
+                results.append((
+                    residual_R(system, field, kernels(field), fn),
+                    build_dissipation_report(system, field, *states, [fn])))
+            assert spy.call_count == calls
+        (got, got_report), (want, want_report) = results
+        compare = np.testing.assert_array_equal if form is DiscreteField \
+            else assert_close
+        for name in ("I1", "I2", "total"):
+            compare(getattr(got, name), getattr(want, name))
+        for name in ("system_weak_residuals", "companion_weak_residuals"):
+            compare(getattr(got_report, name), getattr(want_report, name))
 
 
 @pytest.mark.parametrize("form", ["shock", "lacunary"])
