@@ -1,9 +1,10 @@
-"""Process-wide worker count, the value of the CLI's `--threads` flag.
+"""Process-wide worker cap of the benchmark: perfbench sets and reads it.
 
-`set_workers` validates it (>= 1) and stores it.  No computation reads it:
-the transforms run on numpy.fft, on one thread, and kernel spectra on the
-BLAS threads, which it does not set; so reports are byte-identical at every
-value on one machine and BLAS thread count, not across them.
+`set_workers` validates it (>= 1) and stores it.  Nothing in conslab reads
+it, nor does the CLI's `--threads` flag, validated and read by nothing,
+set it: transforms run on numpy.fft, on one thread, and kernel spectra on
+BLAS threads, so reports are byte-identical at every value on one machine
+and BLAS thread count, not across them.
 """
 
 from __future__ import annotations

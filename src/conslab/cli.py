@@ -7,8 +7,8 @@ version and a SHA-256 digest of the canonical config, never timestamps, so
 a rerun of the same config in sequential mode is byte-identical.
 
 Command-line flags cover only paths, verbosity, and a --threads count that
-is validated but read by no computation (nothing runs in parallel); every
-experiment parameter lives in the config file.
+is validated (>= 1) and read by nothing, not even _runtime's worker cap,
+which is perfbench's; every experiment parameter lives in the config file.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Optional
 import numpy as np
 import jsonschema
 
-from . import _runtime
 from .errors import ConfigError, ConslabError
 from .fields import (DiscreteField, Field, Lattice, estimate_besov,
                      make_lacunary_field, make_shock_field)
@@ -302,20 +301,22 @@ def _build_lattice(spec: dict) -> Lattice:
     )
 
 
-def _resolve_speed(system: SystemSpec, spec: dict, key: str,
-                   rh: Optional[RankineHugoniot] = None) -> float:
-    """The shock speed spec["speed"]; key is its path in the config, and
-    rh the jump's solution when the caller has it already."""
-    if spec.get("speed", "rankine-hugoniot") != "rankine-hugoniot":
-        return float(spec["speed"])
-    if rh is None:
-        rh = rankine_hugoniot_speed(system, spec["left"], spec["right"])
-    if not rh.consistent:
-        raise ConfigError(
-            "the given states admit no common Rankine-Hugoniot speed "
-            f"(per-component speeds {rh.speeds.tolist()}); "
-            f"set {key} to an explicit number instead")
-    return rh.speed
+def _build_shock(system: SystemSpec, spec: dict, key: str, lattice: Lattice,
+                 rh: Optional[RankineHugoniot] = None) -> tuple:
+    """(field, speed) of the shock spec on lattice; key is spec["speed"]'s
+    path in the config, rh the jump's solution if the caller has it."""
+    speed = spec.get("speed", "rankine-hugoniot")
+    if speed == "rankine-hugoniot":
+        rh = rh or rankine_hugoniot_speed(system, spec["left"], spec["right"])
+        if not rh.consistent:
+            raise ConfigError(
+                "the given states admit no common Rankine-Hugoniot speed "
+                f"(per-component speeds {rh.speeds.tolist()}); "
+                f"set {key} to an explicit number instead")
+        speed = rh.speed
+    speed = float(speed)
+    return make_shock_field(system, spec["left"], spec["right"], speed,
+                            lattice), speed
 
 
 def _build_field(spec: dict, lattice: Lattice,
@@ -324,9 +325,7 @@ def _build_field(spec: dict, lattice: Lattice,
     if kind == "shock":
         if system is None:
             raise ConfigError("field.kind 'shock' requires a system entry")
-        speed = _resolve_speed(system, spec, "field.speed")
-        return make_shock_field(system, spec["left"], spec["right"], speed,
-                                lattice)
+        return _build_shock(system, spec, "field.speed", lattice)[0]
     if kind == "lacunary":
         return make_lacunary_field(
             spec["alpha"], spec["n_octaves"], spec["seed"],
@@ -509,9 +508,7 @@ def run_commutator_sweep(config: dict):
 def run_dissipation(config: dict):
     system = _build_system(config["system"])
     lattice = _build_lattice(config["lattice"])
-    speed = _resolve_speed(system, config, "speed")
-    field = make_shock_field(system, config["left"], config["right"], speed,
-                             lattice)
+    field, speed = _build_shock(system, config, "speed", lattice)
     testfns = [testfn_from_config(s) for s in config["test_functions"]]
     report = build_dissipation_report(system, field, config["left"],
                                       config["right"], testfns)
@@ -553,7 +550,9 @@ def run_onsager_suite(config: dict):
             "(kind 'time-bump' or 'shock-aligned') so the closed-form "
             "dissipation rate is comparable")
     rh = rankine_hugoniot_speed(system, shock["left"], shock["right"])
-    shock_speed = _resolve_speed(system, shock, "shock.speed", rh)
+    shock_field, _ = _build_shock(
+        system, shock, "shock.speed",
+        _build_lattice(shock.get("lattice", config["lattice"])), rh)
     closed = rh.consistent_rate() * shock_tf.time_integral
 
     rows = []
@@ -584,9 +583,6 @@ def run_onsager_suite(config: dict):
         log.info("alpha=%.3g slope=%.3f threshold=%.3f verdict=%s",
                  alpha, slope, threshold, verdict)
 
-    shock_field = make_shock_field(
-        system, shock["left"], shock["right"], shock_speed,
-        _build_lattice(shock.get("lattice", config["lattice"])))
     shock_kernels = [make_kernel(e, shock_field.lattice) for e in
                      _sweep_epsilons(shock.get("sweep", config["sweep"]))]
     shock_res = residual_R(system, shock_field, shock_kernels, shock_tf)
@@ -641,9 +637,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--basename", default=None,
                        help="output file stem (default: from config or command)")
         p.add_argument("--threads", type=int, default=None,
-                       help="validated (>= 1) and stored; no computation "
-                       "reads it (kernel spectra run on BLAS threads): "
-                       "reports are byte-identical at any value per machine")
+                       help="validated (>= 1) and read by nothing (kernel "
+                       "spectra run on BLAS threads): reports are "
+                       "byte-identical at any value per machine")
         p.add_argument("-v", "--verbose", action="count", default=0)
     return parser
 
@@ -652,11 +648,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     level = logging.WARNING - 10 * min(args.verbose, 2)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-    threads = args.threads if args.threads is not None else os.cpu_count() or 1
-    if threads < 1:
+    if args.threads is not None and args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 1
-    _runtime.set_workers(threads)
 
     try:
         config = load_config(args.config)

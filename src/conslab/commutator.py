@@ -34,11 +34,11 @@ function's view; a level trimmed in time reads the rows of its window,
 and checks only the rows it trims.
 
 A consumer holds one level at a time.  residual_R and lemma_bound_audit
-take a level's terms in a function that map hands the level to, so the
-level's [U]_eps, commutator entries and derivatives are dropped before
-the next level is computed, and the sweep drops its own reference to
-[U]_eps before it mollifies the next: a sweep peaks where its costliest
-single level does, however many kernels it has.
+take a level's terms in mollifier.per_level, so the level's [U]_eps,
+commutator entries and derivatives are dropped before the next level is
+computed, and the sweep drops its own reference to [U]_eps before it
+mollifies the next: a sweep peaks where its costliest single level does,
+however many kernels it has.
 
 Within a level the nonlinear layer runs in row blocks of about
 fields._BLOCK_NODES nodes (fields._row_blocks): G(U) and G([U]_eps) keep
@@ -67,7 +67,8 @@ import numpy as np
 from .errors import ParameterError, TestSupportError
 from .fields import (Field, _row_blocks, difference_lq_norm,
                      difference_squares, require_q)
-from .mollifier import MollifierKernel, axis_derivative, mollify, sweep
+from .mollifier import (MollifierKernel, axis_derivative, mollify,
+                        per_level, sweep)
 from .rates import RateFit, aitken_limit, fit_loglog
 from .systems import (FD_STEP, SystemSpec, fd_jacobian, require_delta,
                       require_in_domain, require_states)
@@ -208,11 +209,8 @@ def lemma_bound_audit(system: SystemSpec, field: Field,
         raise ParameterError(
             "lemma_bound_audit requires a fully periodic field (the shift "
             "maximum wraps every axis)")
-    levels = _commutators(system, field, kernels)
-    # map drops each level once its terms are taken, before it asks for
-    # the next: one [U]_eps and its entries alive at a time
-    eps, lhs, bounds = map(np.array, zip(*map(
-        partial(_lemma_terms, field, q), levels)))
+    eps, lhs, bounds = per_level(partial(_lemma_terms, field, q),
+                                 _commutators(system, field, kernels))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(bounds > 0, lhs / bounds, np.nan)
     return CommutatorSweep(q=float(q), epsilons=eps,
@@ -308,11 +306,9 @@ def residual_R(system: SystemSpec, field: Field,
     TestSupportError otherwise.
     """
     levels = _commutators(system, field, kernels)
-    means = node_means(testfn, field)
-    # map drops each level once its terms are summed, before it asks for
-    # the next: one [U]_eps, its entries, B and DB alive at a time
-    eps, I1s, I2s, totals = map(np.array, zip(*map(
-        partial(_residual_terms, system, field, means), levels)))
+    eps, I1s, I2s, totals = per_level(
+        partial(_residual_terms, system, field, node_means(testfn, field)),
+        levels)
     return ResidualReport(epsilons=eps, I1=I1s, I2=I2s, total=totals,
                           rate_fit=fit_loglog(eps, np.abs(totals)),
                           limit_estimate=aitken_limit(totals))

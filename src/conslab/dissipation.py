@@ -1,8 +1,9 @@
 """Companion-law accounting for discrete weak solutions.
 
-weak_residual_system integrates G(U) : D_X psi, which vanishes (up to
-grid error) exactly when U is a weak solution.  weak_residual_companion
-integrates -Q(U) . D_X psi; for shocks it converges to the jump defect
+weak_residual_system integrates G_i(U) . D_X psi per state row i, each of
+which vanishes (up to grid error) exactly when U is a weak solution, and
+reports the largest row.  weak_residual_companion integrates
+-Q(U) . D_X psi; for shocks it converges to the jump defect
 
     s [[Q_0]] - [[Q_1]],        [[a]] = a(U_left) - a(U_right),
 
@@ -36,27 +37,30 @@ _SPEED_TOL = 1e-10
 
 def _flux_quadrature(field: Field, flux: np.ndarray,
                      testfns: Sequence[TestFunction]) -> list:
-    """Node quadrature of flux . D_X psi per test function, against the
-    node mean of D_X psi (testfunctions.node_means); flux is per node, with
-    a trailing axis k + 1."""
+    """Node quadrature of each row of flux . D_X psi per test function,
+    against the node mean of D_X psi (testfunctions.node_means); flux is
+    per node, with trailing axes (rows, k + 1)."""
     vol = field.node_volume
     out = []
     for tf in testfns:
         _psi, dpsi = node_means(tf, field)(slice(None))
-        out.append(float(np.sum(flux * dpsi) * vol))
+        out.append([float(np.sum(flux[..., i, :] * dpsi) * vol)
+                    for i in range(flux.shape[-2])])
     return out
 
 
 def weak_residual_system(system: SystemSpec, field: Field,
                          testfns: Sequence[TestFunction]) -> list:
-    """Lattice quadrature of G(U) : D_X psi per test function, summed over
-    the field's nodes against the node mean of D_X psi.
+    """Lattice quadrature of G_i . D_X psi per state row i, summed over the
+    field's nodes against the node mean of D_X psi: per test function the
+    signed row residual of largest magnitude (the first on a tie, a NaN
+    first), so rows of opposite sign cannot cancel.
 
     Scalar test functions are applied to every state row alike.
     """
     require_states(system, field, "weak_residual_system field")
-    row_sum = np.einsum("...ij->...j", system.G(field.nodes))
-    return _flux_quadrature(field, row_sum, testfns)
+    return [rows[np.argmax(np.abs(rows))] for rows in
+            _flux_quadrature(field, system.G(field.nodes), testfns)]
 
 
 def weak_residual_companion(system: SystemSpec, field: Field,
@@ -64,8 +68,8 @@ def weak_residual_companion(system: SystemSpec, field: Field,
     """Lattice quadrature of -Q(U) . D_X psi per test function."""
     require_states(system, field, "weak_residual_companion field")
     # negation is exact: these are the bits of -sum(Q . D_X psi)
-    return [-r for r in _flux_quadrature(field, system.Q(field.nodes),
-                                         testfns)]
+    return [-rows[0] for rows in _flux_quadrature(
+        field, system.Q(field.nodes)[..., None, :], testfns)]
 
 
 @dataclass(frozen=True)

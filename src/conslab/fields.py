@@ -522,8 +522,21 @@ def difference_squares(a: np.ndarray, b, n_axes: int):
 
 def difference_lq_norm(a: np.ndarray, b, n_axes: int, q: float,
                        volume: float) -> float:
-    """L^q norm of |a - b| (|a| when b is None) on nodes of `volume`."""
-    return squares_lq_norm(difference_squares(a, b, n_axes), q, volume)
+    """L^q norm of |a - b| (|a| when b is None) on nodes of `volume`.
+
+    Where a square overflows, and so the norm is not finite, the pass is
+    redone on a and b divided by their largest absolute entry and the norm
+    scaled back; a finite norm is the first pass's, bit for bit."""
+    with np.errstate(over="ignore"):
+        norm = squares_lq_norm(difference_squares(a, b, n_axes), q, volume)
+    if math.isfinite(norm):
+        return norm
+    top = max(float(np.max(np.abs(x), initial=0.0)) for x in (a, b)
+              if x is not None)
+    if not top < math.inf:      # an inf or NaN entry: no finite norm
+        return norm
+    a, b = a / top, None if b is None else b / top
+    return top * squares_lq_norm(difference_squares(a, b, n_axes), q, volume)
 
 
 def squares_lq_norm(blocks, q: float, volume: float) -> float:

@@ -31,7 +31,7 @@ later meets a 2-D field sums its stencil again, with the same result.
 What a sweep retains: `sweep` drops [U]_eps and its kernel before it
 mollifies the next level, and each consumer (verify_estimates here, and
 residual_R and lemma_bound_audit in commutator) takes a level's terms in
-a function and drops the level before asking for the next, so a sweep
+per_level, which drops the level before asking for the next, so a sweep
 over a 2-D field holds one level's arrays, not one set per kernel.  Within a
 level the 2-D path transforms one channel at a time into one complex
 buffer and back into its own slab of a channel-major result, whose
@@ -397,11 +397,9 @@ def verify_estimates(field: Field, q: float,
                              f"stable fits, got {epsilons!r}")
     if not 0.0 < _real(alpha_ref, "alpha_ref") < 1.0:
         raise ParameterError(f"alpha_ref must lie in (0, 1), got {alpha_ref}")
-    # map drops each level once its norms are taken, before it asks for
-    # the next: one [U]_eps and one kernel's spectrum alive at a time
-    eps, grad_norms, diff_norms, trans_norms = map(np.array, zip(*map(
+    eps, grad_norms, diff_norms, trans_norms = per_level(
         partial(_estimate_norms, field, q),
-        sweep(field, [make_kernel(e, field.lattice) for e in epsilons]))))
+        sweep(field, [make_kernel(e, field.lattice) for e in epsilons]))
     return MollifierAudit(
         q=float(q), alpha_ref=float(alpha_ref), epsilons=eps,
         gradient_norms=grad_norms, approximation_norms=diff_norms,
@@ -410,6 +408,12 @@ def verify_estimates(field: Field, q: float,
         approximation_fit=fit_loglog(eps, diff_norms),
         translation_fit=fit_loglog(eps, trans_norms),
     )
+
+
+def per_level(terms, levels) -> list:
+    """One array per entry of terms(level) over a sweep's levels; map drops
+    each level once its terms are taken, before it asks for the next."""
+    return list(map(np.array, zip(*map(terms, levels))))
 
 
 def _estimate_norms(field: Field, q: float, level) -> tuple:

@@ -900,7 +900,10 @@ def extend_to_compact_range(system: SystemSpec, range_box, delta: float) -> Syst
     """Replace a system by a globally defined one that agrees near a range box.
 
     range_box = (lower, upper) must satisfy: the 2*delta enlargement (in
-    the per-component sense) lies inside the state domain.  The returned
+    the per-component sense) lies inside the state domain.  A box domain
+    checks this exactly; a predicate domain is probed at the 2^n corners
+    and the centre of the enlargement (_check_box_inside), which proves
+    containment only when the domain is convex.  The returned
     system multiplies each evaluator by a C-infinity cutoff that equals 1
     on the delta enlargement and 0 outside the 2*delta enlargement;
     arguments are clamped to the 2*delta box before the original
@@ -1013,6 +1016,10 @@ def extend_to_compact_range(system: SystemSpec, range_box, delta: float) -> Syst
 
 
 def _check_box_inside(domain: StateDomain, lo2, hi2) -> None:
+    """GeometryError unless the box [lo2, hi2] lies inside the domain: face
+    by face for a box domain; for a predicate domain at the 2^n corners
+    and the centre only, a proof of containment for a convex domain alone
+    (a hole between the probes passes)."""
     n = lo2.size
     if domain.predicate is None:
         dlo = np.broadcast_to(domain.lower, (n,))
@@ -1027,8 +1034,6 @@ def _check_box_inside(domain: StateDomain, lo2, hi2) -> None:
                     f"2*delta enlargement exits the domain at the upper face of "
                     f"component {i}: {hi2[i]:g} >= {dhi[i]:g}")
         return
-    # predicate domains admit no exact geometric test; check the corners
-    # and the center of the enlarged box.
     corners = np.array(np.meshgrid(*zip(lo2, hi2), indexing="ij"),
                        dtype=float).reshape(n, -1).T
     probes = np.vstack([corners, 0.5 * (lo2 + hi2)])

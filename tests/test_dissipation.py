@@ -153,6 +153,30 @@ def test_wrong_speed_field_fails_weak_form(burgers):
     assert abs(weak_residual_system(burgers, bad, [psi])[0]) > 1e-3
 
 
+def test_system_residual_rows_do_not_cancel(burgers):
+    # the second flux row is the negative of the first, so the row sum is
+    # zero on any field; the residual is the first row's, Burgers' own
+    def G(U):
+        row = burgers.G(U[..., :1])
+        return np.concatenate([row, -row], axis=-2)
+
+    def zeros(U):
+        return np.zeros(U.shape[:-1] + (2,))
+
+    system = SystemSpec(name="mirrored-burgers", n=2, k=1,
+                        domain=StateDomain.all_space(), G=G, B=zeros,
+                        Q=zeros)
+    lat = Lattice(k=1, n_time=768, n_space=512, extent_time=2.0,
+                  extent_space=1.0)
+    bad = make_shock_field(burgers, [1.0], [0.0], 0.3, lat)  # RH speed is 0.5
+    pair = DiscreteField(lattice=bad.lattice,
+                         values=np.repeat(bad.values, 2, axis=-1))
+    psi = TensorBump(center=(0.7, 0.35), radius=(0.3, 0.3))
+    row = weak_residual_system(burgers, bad, [psi])[0]
+    assert abs(row) > 1e-3
+    assert weak_residual_system(system, pair, [psi]) == [row]
+
+
 def test_expansion_shock_weak_but_antidissipative(burgers, aligned_bump):
     lat = Lattice(k=1, n_time=512, n_space=512, extent_time=1.0,
                   extent_space=1.0)

@@ -1,5 +1,7 @@
 """Lattices, discrete fields, Besov diagnostics, serialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,12 +159,27 @@ def test_power_sum_large_integer_q_takes_one_pow(monkeypatch):
 
 
 @pytest.mark.parametrize("q", [3.0, 2.5, 1e12])
-def test_lq_norm_of_an_overflowing_square_is_inf(q):
-    # 1e200 squares to inf, with numpy's overflow warning; the norm is inf
-    # in the product chain and the scaled sum alike
-    values = np.array([[[0.5], [1e200]], [[2.0], [0.0]]])
-    with pytest.warns(RuntimeWarning, match="overflow encountered in square"):
-        assert difference_lq_norm(values, None, 2, q, 1.0) == np.inf
+def test_besov_at_amplitude_1e200_is_the_scaled_estimate(q):
+    # 1e200 squares to inf: the norm is taken again on the values divided
+    # by their largest entry, in the product chain and the scaled sum alike,
+    # with no overflow warning
+    lat = Lattice(k=1, n_time=8, n_space=512, extent_time=1.0,
+                  extent_space=1.0)
+    unit = estimate_besov(make_lacunary_field(0.5, 6, 7, 0.0, lat), q)
+    values = np.array([[[0.5], [1.0]], [[2.0], [0.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        big = estimate_besov(make_lacunary_field(0.5, 6, 7, 0.0, lat,
+                                                 amplitude=1e200), q)
+        norm = difference_lq_norm(1e200 * values, None, 2, q, 1.0)
+        # an inf entry leaves nothing to rescale: the norm stays inf
+        assert difference_lq_norm(np.array([[[np.inf], [1.0]]]), None, 2, q,
+                                  1.0) == np.inf
+    assert np.all(np.isfinite(big.diff_norms))
+    np.testing.assert_allclose(big.diff_norms, 1e200 * unit.diff_norms,
+                               rtol=1e-12)
+    assert norm == pytest.approx(
+        1e200 * difference_lq_norm(values, None, 2, q, 1.0), rel=1e-12)
 
 
 def test_besov_stops_at_the_last_usable_shift(rough_lattice):
